@@ -16,6 +16,8 @@ Densities live at two granularities:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Dict, Iterable, List, Set, Tuple
 
 from .graph import ChannelGraph
@@ -95,45 +97,68 @@ def region_densities(
     A route edge between two graph nodes is modelled as the L-shaped
     (horizontal-then-vertical) connection of their positions — the way a
     global route traverses adjacent strips — and a net is charged to a
-    region when any of its edges' legs passes through the region's
-    rectangle.
+    region when either leg passes through the region's rectangle along a
+    segment: the leg's fixed coordinate lies in the rectangle's closed
+    span, and its interval overlaps the rectangle's by a positive length
+    (a zero-length leg or a mere corner contact never counts).
+
+    The legs of all routes are indexed once, per axis, sorted by their
+    fixed coordinate; each region then reads the band of legs inside its
+    span and filters it by overlap, instead of testing every route edge.
     """
-    region_nets: Dict[int, Set[str]] = {r.index: set() for r in graph.regions}
-    for net, edges in routes.items():
-        for u, v in edges:
-            p = graph.positions[u]
-            q = graph.positions[v]
-            for region in graph.regions:
-                if net in region_nets[region.index]:
-                    continue
-                if _l_path_crosses(region.rect, p, q):
-                    region_nets[region.index].add(net)
-    return {idx: len(nets) for idx, nets in region_nets.items()}
+    horizontal, vertical = _RouteLegs.of_routes(graph.positions, routes)
+    densities: Dict[int, int] = {}
+    for region in graph.regions:
+        r = region.rect
+        nets: Set[int] = set()
+        horizontal.add_nets_crossing(nets, r.y1, r.y2, r.x1, r.x2)
+        vertical.add_nets_crossing(nets, r.x1, r.x2, r.y1, r.y2)
+        densities[region.index] = len(nets)
+    return densities
 
 
-def _l_path_crosses(rect, p: Tuple[float, float], q: Tuple[float, float]) -> bool:
-    """Does the horizontal-then-vertical path p -> (qx, py) -> q touch the
-    rectangle along a segment (not a mere corner point)?"""
-    corner = (q[0], p[1])
-    return _leg_crosses(rect, p, corner) or _leg_crosses(rect, corner, q)
+#: (owning net id, fixed coordinate, lo, hi) of one axis-parallel leg,
+#: covering the interval lo < hi along its direction.
+Leg = Tuple[int, float, float, float]
 
 
-def _leg_crosses(rect, a: Tuple[float, float], b: Tuple[float, float]) -> bool:
-    from ..geometry import interval_overlap
+class _RouteLegs:
+    """The route legs of one direction, sorted by fixed coordinate."""
 
-    x1, x2 = sorted((a[0], b[0]))
-    y1, y2 = sorted((a[1], b[1]))
-    if x1 > rect.x2 or x2 < rect.x1 or y1 > rect.y2 or y2 < rect.y1:
-        return False
-    # Overlap length along the leg's direction of travel must be positive;
-    # a zero-length leg (coincident endpoints) never counts.
-    w = interval_overlap(x1, x2, rect.x1, rect.x2)
-    h = interval_overlap(y1, y2, rect.y1, rect.y2)
-    if x1 == x2 and y1 == y2:
-        return False
-    if y1 == y2:  # horizontal leg
-        return w > 0
-    return h > 0  # vertical leg
+    def __init__(self, legs: List[Leg]) -> None:
+        legs.sort(key=itemgetter(1))
+        self.legs = legs
+        self.fixed = [leg[1] for leg in legs]
+
+    @classmethod
+    def of_routes(
+        cls,
+        positions: Dict[int, Tuple[float, float]],
+        routes: Dict[str, Iterable[Tuple[int, int]]],
+    ) -> "Tuple[_RouteLegs, _RouteLegs]":
+        """(horizontal, vertical) legs of every route edge's L path
+        p -> (qx, py) -> q; zero-length legs are dropped."""
+        horizontal: List[Leg] = []
+        vertical: List[Leg] = []
+        for net_id, edges in enumerate(routes.values()):
+            for a, b in edges:
+                px, py = positions[a]
+                qx, qy = positions[b]
+                if px != qx:
+                    horizontal.append((net_id, py, min(px, qx), max(px, qx)))
+                if py != qy:
+                    vertical.append((net_id, qx, min(py, qy), max(py, qy)))
+        return cls(horizontal), cls(vertical)
+
+    def add_nets_crossing(
+        self, nets: Set[int], f1: float, f2: float, a1: float, a2: float
+    ) -> None:
+        """Add the nets of the legs with ``f1 <= fixed <= f2`` whose
+        interval overlaps ``[a1, a2]`` by a positive length."""
+        if not a1 < a2:
+            return
+        band = self.legs[bisect_left(self.fixed, f1):bisect_right(self.fixed, f2)]
+        nets.update([net for net, _, lo, hi in band if lo < a2 and hi > a1])
 
 
 def cell_edge_expansions(

@@ -13,11 +13,14 @@ every net on its shortest route:
 
 This sidesteps the classical net-ordering dependence of sequential
 rip-up-and-reroute.  The stopping criterion: no overflowed edge remains,
-or L and X unchanged for M * N consecutive attempts.
+or L and X unchanged for M * N consecutive attempts — an accepted swap
+with dX = 0 and dL = 0 is such an attempt, so trading equal routes back
+and forth cannot run forever.
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -58,6 +61,8 @@ class RouteSelector:
         self.selection: Dict[str, int] = {net: 0 for net in self.alternatives}
         self._density: Dict[EdgeKey, int] = {}
         self._nets_on_edge: Dict[EdgeKey, set] = {}
+        #: The overflowed edges, kept sorted as densities change.
+        self._hot: List[EdgeKey] = []
         self._length = 0.0
         self._overflow = 0
         for net in self.alternatives:
@@ -65,11 +70,8 @@ class RouteSelector:
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _capacity(self, edge: EdgeKey) -> Optional[int]:
-        return self.capacities.get(edge)
-
     def _edge_overflow(self, edge: EdgeKey, density: int) -> int:
-        cap = self._capacity(edge)
+        cap = self.capacities.get(edge)
         if cap is None:
             return 0
         return max(0, density - cap)
@@ -78,16 +80,14 @@ class RouteSelector:
         alt = self.alternatives[net][k]
         self.selection[net] = k
         self._length += alt.length
-        # Sorted iteration keeps ``_density``'s insertion order — and so
-        # the interchange's random trajectory — a function of the route
-        # *values* only.  Plain frozenset order would leak the sets'
-        # construction history (a pickle round-trip through a routing
-        # worker reorders equal frozensets) into the result.
-        for edge in sorted(alt.edges):
+        for edge in alt.edges:
             old = self._density.get(edge, 0)
-            self._overflow += self._edge_overflow(edge, old + 1) - self._edge_overflow(
-                edge, old
-            )
+            before = self._edge_overflow(edge, old)
+            after = self._edge_overflow(edge, old + 1)
+            self._overflow += after - before
+            # Hot means in ``_density`` with positive overflow.
+            if after > 0 and not (old > 0 and before > 0):
+                bisect.insort(self._hot, edge)
             self._density[edge] = old + 1
             self._nets_on_edge.setdefault(edge, set()).add(net)
 
@@ -97,9 +97,11 @@ class RouteSelector:
         self._length -= alt.length
         for edge in alt.edges:
             old = self._density[edge]
-            self._overflow += self._edge_overflow(edge, old - 1) - self._edge_overflow(
-                edge, old
-            )
+            before = self._edge_overflow(edge, old)
+            after = self._edge_overflow(edge, old - 1)
+            self._overflow += after - before
+            if before > 0 and not (old > 1 and after > 0):
+                del self._hot[bisect.bisect_left(self._hot, edge)]
             if old == 1:
                 del self._density[edge]
             else:
@@ -123,14 +125,11 @@ class RouteSelector:
         return self._density.get(edge, 0)
 
     def overflowed_edges(self) -> List[EdgeKey]:
-        # Sorted for the same reason ``_install`` iterates sorted edges:
-        # the rng draws an index into this list, so its order must not
-        # depend on dict/set layout.
-        return sorted(
-            e
-            for e, d in self._density.items()
-            if self._edge_overflow(e, d) > 0
-        )
+        """The edges over capacity, sorted: the rng draws an index into
+        this list, so its order must depend on the route values only,
+        never on set layout (a pickle round-trip through a routing
+        worker reorders equal frozensets)."""
+        return list(self._hot)
 
     def selected_route(self, net: str) -> RouteAlternative:
         return self.alternatives[net][self.selection[net]]
@@ -173,8 +172,8 @@ class RouteSelector:
         accepted = 0
         stagnant = 0
 
+        hot = self._hot
         while self._overflow > 0 and stagnant < limit:
-            hot = self.overflowed_edges()
             if not hot:
                 break
             edge = hot[rng.randrange(len(hot))]
@@ -184,22 +183,24 @@ class RouteSelector:
                 continue
             net = users[rng.randrange(len(users))]
             current = self.selection[net]
-            options = [
-                k
+            deltas = {
+                k: self._delta(net, k)
                 for k in range(len(self.alternatives[net]))
-                if k != current and self._delta(net, k)[0] <= 0
-            ]
+                if k != current
+            }
+            options = [k for k, (d_x, _) in deltas.items() if d_x <= 0]
             attempts += 1
             if not options:
                 stagnant += 1
                 continue
             k = options[rng.randrange(len(options))]
-            d_x, d_len = self._delta(net, k)
+            d_x, d_len = deltas[k]
             if d_x < 0 or (d_x == 0 and d_len <= 0):
                 self._uninstall(net)
                 self._install(net, k)
                 accepted += 1
-                stagnant = 0
+                # A swap that leaves L and X unchanged is not progress.
+                stagnant = 0 if (d_x < 0 or d_len < 0) else stagnant + 1
             else:
                 stagnant += 1
 

@@ -15,13 +15,46 @@ Both are realized with virtual terminals, kept out of returned paths.
 
 from __future__ import annotations
 
-import heapq
+import math
+from heapq import heappop, heappush
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 #: neighbors(node) -> iterable of (neighbor, edge length).
 NeighborFn = Callable[[int], Iterable[Tuple[int, float]]]
 
 Path = Tuple[float, Tuple[int, ...]]  # (length, node sequence)
+
+
+class ManhattanHeuristic(dict):
+    """The A* heuristic toward one target set: node -> Manhattan distance
+    from the node's position to the nearest target, computed on first
+    lookup and memoized.
+
+    The value depends only on the positions and the target set, so one
+    instance serves every search toward the same targets — Yen's spur
+    searches and every partial route of one beam level — and returns the
+    same floats a fresh computation would.  Nodes without a position get
+    0, and so does every node when ``positions`` is None (plain Dijkstra).
+    """
+
+    def __init__(
+        self,
+        positions: Optional[Dict[int, Tuple[float, float]]],
+        targets: Iterable[int],
+    ) -> None:
+        super().__init__()
+        self.positions = positions if positions is not None else {}
+        self.target_pos = [self.positions[t] for t in targets if t in self.positions]
+
+    def __missing__(self, node: int) -> float:
+        p = self.positions.get(node)
+        if p is None or not self.target_pos:
+            value = 0.0
+        else:
+            x, y = p
+            value = min([abs(x - tx) + abs(y - ty) for tx, ty in self.target_pos])
+        self[node] = value
+        return value
 
 
 def dijkstra(
@@ -31,6 +64,7 @@ def dijkstra(
     banned_nodes: Optional[Set[int]] = None,
     banned_edges: Optional[Set[Tuple[int, int]]] = None,
     positions: Optional[Dict[int, Tuple[float, float]]] = None,
+    heuristic: Optional[Dict[int, float]] = None,
 ) -> Optional[Path]:
     """Shortest path from any source (with initial costs) to any target.
 
@@ -38,42 +72,32 @@ def dijkstra(
     may not be traversed.  When ``positions`` is given the search runs as
     A* with the Manhattan distance-to-nearest-target heuristic, which is
     admissible here because every edge's length is the Manhattan distance
-    between its endpoints (triangle inequality).  Returns (length, path)
-    or None.
+    between its endpoints (triangle inequality).  ``heuristic`` passes in
+    a shared :class:`ManhattanHeuristic` toward the same ``targets``
+    instead of building one.  Returns (length, path) or None.
     """
-    banned_nodes = banned_nodes or set()
-    banned_edges = banned_edges or set()
+    h = heuristic if heuristic is not None else ManhattanHeuristic(positions, targets)
+    #: tail node -> heads it may not be left for.
+    banned_from: Dict[int, Set[int]] = {}
+    for u, v in banned_edges or ():
+        banned_from.setdefault(u, set()).add(v)
 
-    if positions is not None and targets:
-        target_pos = [positions[t] for t in targets if t in positions]
-
-        def h(node: int) -> float:
-            p = positions.get(node)
-            if p is None or not target_pos:
-                return 0.0
-            return min(
-                abs(p[0] - tx) + abs(p[1] - ty) for tx, ty in target_pos
-            )
-
-    else:
-
-        def h(node: int) -> float:
-            return 0.0
-
-    dist: Dict[int, float] = {}
+    inf = math.inf
+    # A banned node's distance of -inf is never improved on, so it is
+    # never entered — one dict probe instead of a set test per edge.
+    dist: Dict[int, float] = dict.fromkeys(banned_nodes or (), -inf)
     prev: Dict[int, Optional[int]] = {}
     heap: List[Tuple[float, float, int]] = []
     for node, cost in sources.items():
-        if node in banned_nodes:
-            continue
-        if cost < dist.get(node, float("inf")):
+        if cost < dist.get(node, inf):
             dist[node] = cost
             prev[node] = None
-            heapq.heappush(heap, (cost + h(node), cost, node))
+            heappush(heap, (cost + h[node], cost, node))
 
+    dist_get = dist.get
     while heap:
-        _, d, node = heapq.heappop(heap)
-        if d > dist.get(node, float("inf")):
+        _, d, node = heappop(heap)
+        if d > dist[node]:
             continue
         if node in targets:
             path = []
@@ -83,14 +107,15 @@ def dijkstra(
                 cur = prev[cur]
             path.reverse()
             return (d, tuple(path))
+        blocked = banned_from.get(node)
         for nxt, length in neighbors(node):
-            if nxt in banned_nodes or (node, nxt) in banned_edges:
-                continue
             nd = d + length
-            if nd < dist.get(nxt, float("inf")) - 1e-12:
+            if nd < dist_get(nxt, inf) - 1e-12 and (
+                blocked is None or nxt not in blocked
+            ):
                 dist[nxt] = nd
                 prev[nxt] = node
-                heapq.heappush(heap, (nd + h(nxt), nd, nxt))
+                heappush(heap, (nd + h[nxt], nd, nxt))
     return None
 
 
@@ -111,6 +136,7 @@ def k_shortest_paths(
     k: int,
     max_spurs: int = DEFAULT_MAX_SPURS,
     positions: Optional[Dict[int, Tuple[float, float]]] = None,
+    heuristic: Optional[Dict[int, float]] = None,
 ) -> List[Path]:
     """Yen's algorithm: up to k shortest loopless source-to-target paths.
 
@@ -118,12 +144,16 @@ def k_shortest_paths(
     another source) and targets as a single virtual destination, so the
     result is the k best ways of joining the source set to the target
     set — exactly what connecting a pin group to a partial route needs.
+    Every search runs toward the same targets, so all of them share one
+    heuristic table (``heuristic``, or one built from ``positions``).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if max_spurs < 1:
         raise ValueError("max_spurs must be at least 1")
-    first = dijkstra(neighbors, sources, targets, positions=positions)
+    if heuristic is None:
+        heuristic = ManhattanHeuristic(positions, targets)
+    first = dijkstra(neighbors, sources, targets, heuristic=heuristic)
     if first is None:
         return []
     found: List[Path] = [first]
@@ -156,7 +186,7 @@ def k_shortest_paths(
                 targets,
                 banned_nodes=banned_nodes,
                 banned_edges=banned_edges,
-                positions=positions,
+                heuristic=heuristic,
             )
             if spur_result is None:
                 continue
@@ -165,10 +195,10 @@ def k_shortest_paths(
             if total in seen:
                 continue
             seen.add(total)
-            heapq.heappush(candidates, (root_len + spur_len, total))
+            heappush(candidates, (root_len + spur_len, total))
         if not candidates:
             break
-        best = heapq.heappop(candidates)
+        best = heappop(candidates)
         found.append(best)
     return found[:k]
 

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .mpaths import NeighborFn, dijkstra, k_shortest_paths, path_edges
+from .mpaths import ManhattanHeuristic, NeighborFn, k_shortest_paths, path_edges
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,6 @@ def _group_distances(
     Returns group id -> shortest distance from the source set.  Groups
     unreachable from the sources are absent from the result.
     """
-    import heapq
-
     node_groups: Dict[int, List[int]] = {}
     for gid, nodes in group_nodes.items():
         for n in nodes:
@@ -54,24 +53,28 @@ def _group_distances(
     pending = set(group_nodes)
     settled: Dict[int, float] = {}
 
+    inf = math.inf
     dist = {n: 0.0 for n in from_nodes}
+    dist_get = dist.get
     heap = [(0.0, n) for n in from_nodes]
-    heapq.heapify(heap)
+    heapify(heap)
     while heap and pending:
-        d, node = heapq.heappop(heap)
-        if d > dist.get(node, math.inf):
+        d, node = heappop(heap)
+        if d > dist[node]:
             continue
-        for gid in node_groups.get(node, ()):
-            if gid in pending:
-                pending.discard(gid)
-                settled[gid] = d
-        if not pending:
-            break
+        gids = node_groups.get(node)
+        if gids is not None:
+            for gid in gids:
+                if gid in pending:
+                    pending.discard(gid)
+                    settled[gid] = d
+            if not pending:
+                break
         for nxt, length in neighbors(node):
             nd = d + length
-            if nd < dist.get(nxt, math.inf) - 1e-12:
+            if nd < dist_get(nxt, inf) - 1e-12:
                 dist[nxt] = nd
-                heapq.heappush(heap, (nd, nxt))
+                heappush(heap, (nd, nxt))
     return settled
 
 
@@ -185,6 +188,8 @@ def m_shortest_routes(
 
     for level, gidx in enumerate(order[1:], start=1):
         targets = set(groups[gidx])
+        # Every partial of this level searches toward the same targets.
+        heuristic = ManhattanHeuristic(positions, targets)
         extensions: List[RouteAlternative] = []
         seen: Set[FrozenSet[Tuple[int, int]]] = set()
         # Path-budget policy: branch hard at the first connection (the M
@@ -207,7 +212,7 @@ def m_shortest_routes(
                     extensions.append(partial)
                 continue
             for length, path in k_shortest_paths(
-                neighbors, sources, targets, k_each, positions=positions
+                neighbors, sources, targets, k_each, heuristic=heuristic
             ):
                 new_edges = partial.edges | path_edges(path)
                 if new_edges in seen:

@@ -1,10 +1,13 @@
 """End-to-end integration: a suite circuit through the full flow."""
 
+import hashlib
+
 import pytest
 
 from repro import TimberWolfConfig, place_and_route
 from repro.baselines import RandomPlacer
 from repro.bench import load_circuit
+from repro.channels import region_densities
 from repro.placement.legalize import raw_overlap
 
 SMOKE = TimberWolfConfig.smoke(seed=11)
@@ -42,6 +45,39 @@ class TestSuiteCircuitFlow:
         circuit = i3_result.circuit
         graph = i3_result.refinement.final_pass.graph
         assert len(graph.pin_nodes) == circuit.num_pins
+
+
+def routing_fingerprint(result) -> str:
+    """sha256 over the routing trajectory of every stage-2 pass (region
+    densities, stored alternatives, interchange selection, selected
+    routes) and the final TEIL and chip area."""
+    h = hashlib.sha256()
+
+    def put(*items):
+        h.update(repr(items).encode())
+
+    for p in result.refinement.passes:
+        routing = p.routing
+        put("pass", p.index, sorted(region_densities(p.graph, routing.routes).items()))
+        for net in sorted(routing.alternatives):
+            put(net, [(a.length, sorted(a.edges)) for a in routing.alternatives[net]])
+        put(sorted(routing.interchange.selection.items()))
+        put(sorted((net, sorted(edges)) for net, edges in routing.routes.items()))
+    put(result.teil, result.chip_area)
+    return h.hexdigest()
+
+
+#: The routing trajectory of ``i3_result``.  Speed work on the router or
+#: the density accounting must leave it unchanged; a deliberate change
+#: of routing behaviour updates it and says why.
+GOLDEN_ROUTING_SHA256 = (
+    "eb4446483792e4d4c047e55e70ecac173ef0cafb1eff24da3a4ea51795b84d13"
+)
+
+
+class TestGoldenRouting:
+    def test_routing_fingerprint(self, i3_result):
+        assert routing_fingerprint(i3_result) == GOLDEN_ROUTING_SHA256
 
 
 class TestReproducibility:

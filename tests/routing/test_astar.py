@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.routing import dijkstra, k_shortest_paths, m_shortest_routes
+from repro.routing import dijkstra, k_shortest_paths, m_shortest_routes, mpaths
 from repro.routing import prim_order, prim_order_geometric
+from repro.routing.mpaths import ManhattanHeuristic
 
 
 def random_geometric_graph(seed, n=25):
@@ -101,3 +102,102 @@ class TestGeometricOrdering:
             # The scalable configuration must not lose more than a few
             # percent on the best route.
             assert fast[0].length <= plain[0].length * 1.1 + 1e-9
+
+
+class FreshHeuristic(ManhattanHeuristic):
+    """Recomputes every lookup: nothing is memoized."""
+
+    def __missing__(self, node):
+        value = super().__missing__(node)
+        del self[node]
+        return value
+
+
+def fresh_heuristics(monkeypatch, positions):
+    """Make every A* search ignore the heuristic it is handed and build
+    a fresh, unmemoized one toward its own targets."""
+    search = mpaths.dijkstra
+
+    def fresh_search(neighbors, sources, targets, *args, heuristic, **kwargs):
+        assert isinstance(heuristic, ManhattanHeuristic)
+        fresh = FreshHeuristic(positions, targets)
+        return search(neighbors, sources, targets, *args, heuristic=fresh, **kwargs)
+
+    monkeypatch.setattr(mpaths, "dijkstra", fresh_search)
+
+
+def grid_graph(seed, n=6):
+    """A unit grid with random edges removed and jittered weights that
+    stay at least the Manhattan distance, so A* remains admissible."""
+    rng = random.Random(seed)
+    positions = {y * n + x: (float(x), float(y)) for y in range(n) for x in range(n)}
+    adj = {u: [] for u in positions}
+    for y in range(n):
+        for x in range(n):
+            for dx, dy in ((1, 0), (0, 1)):
+                if x + dx < n and y + dy < n and rng.random() < 0.85:
+                    u, v = y * n + x, (y + dy) * n + x + dx
+                    w = 1.0 + rng.choice((0.0, 0.0, 0.5))
+                    adj[u].append((v, w))
+                    adj[v].append((u, w))
+    return (lambda u: adj[u]), positions
+
+
+def pin_groups(seed, nodes, count):
+    """``count`` disjoint pin groups of one to three nodes each."""
+    rng = random.Random(seed)
+    picked = rng.sample(sorted(nodes), 3 * count)
+    return [picked[3 * i: 3 * i + rng.randint(1, 3)] for i in range(count)]
+
+
+class TestSharedHeuristicExact:
+    """Memoizing the A* heuristic and sharing it across Yen's spur
+    searches and a beam level's partials changes no path: the results
+    equal those of a fresh, unmemoized heuristic for every search."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_k_shortest_paths(self, seed, geometric):
+        nb, positions = (
+            random_geometric_graph(seed) if geometric else grid_graph(seed)
+        )
+        sources, targets = pin_groups(seed, positions, 2)
+
+        def run():
+            return k_shortest_paths(
+                nb, {n: 0.0 for n in sources}, set(targets), 5, max_spurs=4,
+                positions=positions,
+            )
+
+        shared = run()
+        with pytest.MonkeyPatch.context() as mp:
+            fresh_heuristics(mp, positions)
+            fresh = run()
+        assert shared == fresh
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000), st.booleans(), st.integers(2, 5))
+    def test_m_shortest_routes(self, seed, geometric, n_groups):
+        nb, positions = (
+            random_geometric_graph(seed) if geometric else grid_graph(seed)
+        )
+        groups = pin_groups(seed, positions, n_groups)
+
+        def run():
+            routes = m_shortest_routes(nb, groups, 4, positions=positions)
+            return [(r.length, sorted(r.edges)) for r in routes]
+
+        shared = run()
+        with pytest.MonkeyPatch.context() as mp:
+            fresh_heuristics(mp, positions)
+            fresh = run()
+        assert shared == fresh
+
+    def test_memo_holds_the_fresh_values(self):
+        nb, positions = grid_graph(3)
+        targets = {7, 20, 33}
+        memo = ManhattanHeuristic(positions, targets)
+        for node in positions:
+            assert memo[node] == FreshHeuristic(positions, targets)[node]
+        assert len(memo) == len(positions)
+        assert memo[10_000] == 0.0  # no position: no estimate

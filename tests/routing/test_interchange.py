@@ -1,8 +1,10 @@
 """The phase-two random route interchange (§4.2.2)."""
 
 import random
+import signal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.routing import RouteSelector
 from repro.routing.steiner import RouteAlternative
@@ -58,6 +60,42 @@ class TestBookkeeping:
         d_x, d_len = sel._delta("a", 1)
         assert d_x == -1
         assert d_len == 1.0
+
+
+class TestIncrementalHotList:
+    """The overflowed-edge list kept by ``_install``/``_uninstall`` is the
+    sorted list a rebuild from the densities gives."""
+
+    @staticmethod
+    def rebuilt(sel):
+        return sorted(
+            e for e, d in sel._density.items() if sel._edge_overflow(e, d) > 0
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_matches_rebuild_after_random_swaps(self, seed):
+        rng = random.Random(seed)
+        edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        caps = {e: rng.choice([None, -1, 0, 1, 1, 2, 3]) for e in edges}
+        alts = {}
+        for n in range(rng.randint(1, 8)):
+            options = sorted(
+                (float(rng.randint(1, 4)), rng.sample(edges, rng.randint(1, 4)))
+                for _ in range(rng.randint(1, 4))
+            )
+            alts[f"n{n}"] = [alt(es, length) for length, es in options]
+        sel = RouteSelector(alts, caps)
+        assert sel.overflowed_edges() == self.rebuilt(sel)
+        for _ in range(40):
+            net = rng.choice(sorted(alts))
+            sel._uninstall(net)
+            sel._install(net, rng.randrange(len(alts[net])))
+            assert sel.overflowed_edges() == self.rebuilt(sel)
+            if all(c is None or c >= 0 for c in caps.values()):
+                assert sel.overflow == sum(
+                    sel._edge_overflow(e, d) for e, d in sel._density.items()
+                )
 
 
 class TestRun:
@@ -134,3 +172,30 @@ class TestRun:
             return sel.run(random.Random(seed)).selection
 
         assert run(5) == run(5)
+
+
+class TestZeroDeltaSwaps:
+    """An accepted swap with dX = 0 and dL = 0 leaves L and X unchanged,
+    so it counts toward the M * N stagnation limit."""
+
+    @pytest.fixture
+    def alarm(self):
+        def timeout(signum, frame):
+            raise TimeoutError("interchange did not stop")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_equal_routes_do_not_livelock(self, alarm):
+        # Both routes overflow by one track and have equal length: every
+        # attempt swaps to the other one, which used to reset the
+        # stagnation count forever.
+        alts = {"a": [alt([(0, 1)], 1.0), alt([(0, 2)], 1.0)]}
+        sel = RouteSelector(alts, {(0, 1): 0, (0, 2): 0})
+        result = sel.run(random.Random(0))
+        assert result.overflow == 1
+        assert result.attempts == 2  # M * N = 2 * 1
+        assert result.accepted == 2
