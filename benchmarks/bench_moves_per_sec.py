@@ -9,9 +9,10 @@ placement cores (the object graph and the struct-of-arrays kernel),
 plus a mixed anneal at a fixed temperature per core.  The array core's
 headline number is the *batched* mixed anneal (``BatchMoveGenerator``),
 whose speedup over the committed object-core baseline is what the CI
-quick gate enforces.  Before any timing, a seeded 500-move walk is
-replayed under both cores and the harness exits non-zero if a single
-accept/reject decision or cost diverges.
+quick gate enforces.  Before any timing, two seeded 500-move walks (the
+stage-1 mixed anneal and the stage-2 refine anneal under static
+expansions) are replayed under both cores, and the harness exits
+non-zero if a single accept/reject decision or cost diverges.
 
 Results go to ``BENCH_placement.json`` at the repository root so the
 repo's perf trajectory is machine-readable from PR to PR.
@@ -46,6 +47,7 @@ if str(REPO_ROOT / "benchmarks") not in sys.path:
 from repro.annealing import RangeLimiter  # noqa: E402
 from repro.bench import CircuitSpec, generate_circuit  # noqa: E402
 from repro.estimator import determine_core  # noqa: E402
+from repro.geometry import BOTTOM, LEFT, RIGHT, TOP  # noqa: E402
 from repro.netlist import CustomCell  # noqa: E402
 from repro.placement import (  # noqa: E402
     BatchMoveGenerator,
@@ -295,36 +297,83 @@ def bench_mixed_batched(
     }
 
 
+#: The replayed walks: the stage-1 mixed anneal, and the refine anneal
+#: of stage 2 (static per-side expansions; displacements and pin-group
+#: moves only).
+REPLAY_WALKS = ("mixed", "refine")
+
+#: The refine walk runs at the temperature whose window is this fraction
+#: of the full span (``TimberWolfConfig.mu``, Eqn 28).
+REFINE_MU = 0.03
+
+
+def _replay_trace(n: int, steps: int, seed: int, core: str, walk: str) -> List:
+    """One seeded MoveGenerator walk: its (attempts, accepts, cost) triples."""
+    state = build_state(n, core=core)
+    limiter = _make_limiter(state)
+    if walk == "refine":
+        state.set_static_expansions(
+            {
+                name: {
+                    LEFT: 1.0 + k % 3,
+                    BOTTOM: 0.5,
+                    RIGHT: 2.0,
+                    TOP: 0.25 * (k + 1),
+                }
+                for k, name in enumerate(state.names)
+            }
+        )
+        generator = MoveGenerator(
+            state,
+            limiter,
+            orientation_moves=False,
+            aspect_moves=False,
+            interchange_moves=False,
+        )
+        temperature = limiter.temperature_for_fraction(REFINE_MU)
+    else:
+        generator = MoveGenerator(state, limiter)
+        temperature = MIXED_TEMPERATURE
+    rng = random.Random(seed)
+    trace = []
+    for _ in range(steps):
+        attempts, accepts = generator.step(temperature, rng)
+        trace.append((attempts, accepts, state.cost()))
+    return trace
+
+
 def verify_replay(
     n: int = GATE_SIZE, steps: int = REPLAY_STEPS, seed: int = 4
 ) -> Dict:
-    """Replay one seeded mixed-anneal walk under both cores and compare
-    every (attempts, accepts, cost) triple bit-for-bit.
+    """Replay each seeded walk of ``REPLAY_WALKS`` under both cores and
+    compare every (attempts, accepts, cost) triple bit-for-bit.
 
     This is the bench-side mirror of the round-trip property tests: the
     array kernel must make the exact accept/reject decisions the object
     core makes, or every checkpoint and telemetry artifact it produces
     is silently incomparable.
     """
-    traces: Dict[str, List] = {}
-    for core in CORES:
-        state = build_state(n, core=core)
-        generator = MoveGenerator(state, _make_limiter(state))
-        rng = random.Random(seed)
-        trace = []
-        for _ in range(steps):
-            attempts, accepts = generator.step(MIXED_TEMPERATURE, rng)
-            trace.append((attempts, accepts, state.cost()))
-        traces[core] = trace
     first_divergence = None
-    for i, (obj, arr) in enumerate(zip(traces["object"], traces["array"])):
-        if obj != arr:
-            first_divergence = {"step": i, "object": list(obj), "array": list(arr)}
+    for walk in REPLAY_WALKS:
+        traces = {
+            core: _replay_trace(n, steps, seed, core, walk) for core in CORES
+        }
+        for i, (obj, arr) in enumerate(zip(traces["object"], traces["array"])):
+            if obj != arr:
+                first_divergence = {
+                    "walk": walk,
+                    "step": i,
+                    "object": list(obj),
+                    "array": list(arr),
+                }
+                break
+        if first_divergence is not None:
             break
     return {
         "size": n,
         "steps": steps,
         "seed": seed,
+        "walks": list(REPLAY_WALKS),
         "identical": first_divergence is None,
         "first_divergence": first_divergence,
     }
@@ -487,7 +536,8 @@ def run(sizes, moves_per_kind: int, mixed_steps: int, repeats: int = 3) -> Dict:
     out["replay"] = replay
     status = "identical" if replay["identical"] else "DIVERGED"
     print(
-        f"  replay: {replay['steps']} seeded moves under both cores -> {status}"
+        f"  replay: {replay['steps']} seeded moves per walk "
+        f"({', '.join(replay['walks'])}) under both cores -> {status}"
     )
 
     for n in sizes:
@@ -647,10 +697,11 @@ def main(argv=None) -> int:
 
     failed = False
     if not results["replay"]["identical"]:
+        divergence = results["replay"]["first_divergence"]
         print(
             "FAIL: array core diverged from the object core on the seeded "
-            f"replay at step {results['replay']['first_divergence']['step']}: "
-            f"{results['replay']['first_divergence']}"
+            f"{divergence['walk']} replay at step {divergence['step']}: "
+            f"{divergence}"
         )
         failed = True
     if args.quick:

@@ -92,6 +92,26 @@ class RangeLimiter:
         return mu ** math.log(10.0, self.rho) * self.t_infinity
 
 
+def ds_steps(limiter: RangeLimiter, temperature: float) -> Tuple[float, float]:
+    """The Ds grid steps at T: W_x(T)/6 and W_y(T)/6, each at least 1."""
+    return (
+        max(1.0, limiter.window_x(temperature) / 6.0),
+        max(1.0, limiter.window_y(temperature) / 6.0),
+    )
+
+
+def ds_point(
+    rng: random.Random, center: Tuple[float, float], step_x: float, step_y: float
+) -> Tuple[float, float]:
+    """One of the 48 Ds points on the given grid steps around ``center``
+    (never the center itself)."""
+    while True:
+        ix = rng.choice(STEP_MULTIPLIERS)
+        iy = rng.choice(STEP_MULTIPLIERS)
+        if ix or iy:
+            return (center[0] + ix * step_x, center[1] + iy * step_y)
+
+
 def select_displacement_ds(
     rng: random.Random,
     center: Tuple[float, float],
@@ -100,13 +120,7 @@ def select_displacement_ds(
 ) -> Tuple[float, float]:
     """The Ds selector of §3.2.3: pick one of the 48 evenly dispersed
     points in the window centered on ``center`` (never the center itself)."""
-    step_x = max(1.0, limiter.window_x(temperature) / 6.0)
-    step_y = max(1.0, limiter.window_y(temperature) / 6.0)
-    while True:
-        ix = rng.choice(STEP_MULTIPLIERS)
-        iy = rng.choice(STEP_MULTIPLIERS)
-        if ix or iy:
-            return (center[0] + ix * step_x, center[1] + iy * step_y)
+    return ds_point(rng, center, *ds_steps(limiter, temperature))
 
 
 def select_displacement_dr(

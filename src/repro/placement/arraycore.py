@@ -2,9 +2,10 @@
 
 ``PlacementState`` walks a Python object graph on every move: dict-keyed
 pin positions, per-net span dicts, freshly allocated ``TileSet``/``Rect``
-objects, and dict-of-dict snapshots.  At paper scale that costs ~80 us
-per attempted move — fine for one anneal, prohibitive for multi-chain
-runs and design-space sweeps.
+objects, and dict-of-dict snapshots.  On the 20-cell flowbench circuit
+``flow20_serial`` (seed 7, 25% custom cells, one core of a 2-vCPU
+x86-64 host) that costs about 69 us per attempted stage-1 move and
+52 us per refine-anneal move; this kernel takes about 47 and 32 us.
 
 ``ArrayPlacementState`` keeps the object model as the authoring / IO
 layer (construction, ``state_dict``, ``rebuild``, drift audits, and every
@@ -17,8 +18,13 @@ path with a struct-of-arrays mirror:
   per-cell slot table instead of name-keyed dicts,
 * net incidence     — integer net ids with flat member-pin-id lists,
   weights, and spans,
-* variant caches    — per-(instance|aspect, orientation) oriented-bbox
-  and pin-offset tuples, flattened once from the object-core caches.
+* variant cache     — per-(instance|aspect, orientation) oriented-bbox
+  tuples, flattened once from the object-core shape cache,
+* variant mirrors   — each cell's current oriented bbox and per-pin
+  world-frame offsets (read from the object-core offset cache when the
+  variant changes), so a move that only translates a cell (every
+  stage-2 displacement, every plain displacement and interchange) sets
+  each pin to center + offset with no key building or cache probe.
 
 The mirror is rebuilt from the object model by ``rebuild()`` (so every
 existing entry point — ``randomize``, ``load_state_dict``, legalization,
@@ -41,10 +47,15 @@ same operands in the same order as ``PlacementState._refresh_cells``:
   order, including the single-tile fast path,
 * adding a zero term is a float no-op, so the broad phase only needs to
   visit a *superset* of the partners whose pair term changes — the same
-  grid-candidates-plus-adjacency superset the object core visits,
+  grid-candidates-plus-adjacency superset the object core visits — and
+  the terms a move cannot change are skipped: C3 on a translation (it
+  depends only on aspect ratio and pin sites), and on a pin-group move
+  every net none of the group's pins is on (its span is unchanged),
 * shape variants and pin offsets are flattened from the object core's
-  own caches (``_oriented_shape`` / ``_pin_positions``), so there is no
-  second implementation of the geometry math to drift.
+  own caches (``_oriented_shape`` / ``_pin_positions``), and a pin-group
+  move places its group with ``_site_offset``, the helper
+  ``_pin_positions`` calls, so there is no second implementation of the
+  geometry math to drift.
 
 Conversion helpers (``from_object`` / ``to_object`` / ``soa``) give the
 lossless round trip at stage boundaries; ``cost_breakdown_vector`` is
@@ -54,6 +65,7 @@ used for audits and benchmarks.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 try:  # numpy backs the batch/vectorized paths; the scalar kernel runs without it
@@ -64,7 +76,7 @@ except ImportError:  # pragma: no cover - the toolchain ships numpy
 from ..estimator import CorePlan
 from ..geometry import BOTTOM, LEFT, RIGHT, TOP, Rect, TileSet
 from ..netlist import Circuit
-from .state import _SIDE_MAP_INV, PlacementState, _PIN_CACHE_LIMIT
+from .state import _SIDE_MAP_INV, PlacementState, _PIN_CACHE_LIMIT, _site_offset
 
 __all__ = ["ArrayPlacementState", "ArraySnapshot", "make_placement_state"]
 
@@ -101,6 +113,9 @@ class ArraySnapshot:
     ``kind`` selects the restore path: 0 = single-cell geometry move,
     1 = pair interchange, 2 = pin-group reassignment (no geometry).
     ``geometry`` mirrors the object core's ``_Snapshot.geometry`` flag.
+    ``variants`` holds the saved variant mirrors of a move that changed
+    orientation, instance or aspect ratio, and is None for a move that
+    only translated its cells.
     """
 
     __slots__ = (
@@ -121,11 +136,12 @@ class ArraySnapshot:
         "c1",
         "c2_raw",
         "c3_total",
+        "variants",
     )
 
     def __init__(self, kind, geometry, cost_before, cells, recs, ebbs,
                  exp_refs, shape_refs, pins, spans, overlaps, borders, c3s,
-                 pin_site, c1, c2_raw, c3_total):
+                 pin_site, c1, c2_raw, c3_total, variants):
         self.kind = kind
         self.geometry = geometry
         self.cost_before = cost_before
@@ -143,6 +159,7 @@ class ArraySnapshot:
         self.c1 = c1
         self.c2_raw = c2_raw
         self.c3_total = c3_total
+        self.variants = variants
 
 
 class ArrayPlacementState(PlacementState):
@@ -184,6 +201,11 @@ class ArrayPlacementState(PlacementState):
         self._num_pins = total
         self._lpx: List[float] = [0.0] * total
         self._lpy: List[float] = [0.0] * total
+        #: World-frame pin offsets from the cell center for the cell's
+        #: current variant: a move that only translates a cell sets each
+        #: pin to center + offset with no cache lookup.
+        self._lox: List[float] = [0.0] * total
+        self._loy: List[float] = [0.0] * total
 
         # Net ids in circuit.nets order; members as flat pin ids.
         self._net_names: List[str] = list(circuit.nets)
@@ -208,6 +230,32 @@ class ArrayPlacementState(PlacementState):
         self._cnets: List[List[int]] = [
             [self._nid[name] for name in self._cell_nets[i]] for i in range(n)
         ]
+        #: Per net, a C-level gather of its member pins' coordinates
+        #: (None for a pinless net).  A one-pin net gathers its pin twice,
+        #: so the getter always returns a tuple.
+        self._nget: List[Optional[itemgetter]] = [
+            itemgetter(*mem) if len(mem) > 1
+            else itemgetter(mem[0], mem[0]) if mem
+            else None
+            for mem in self._nmem
+        ]
+        # Custom-cell pin groups: key -> (member slots in member order,
+        # ids of the nets those pins touch in the cell's net order).  A
+        # pin-group move rewrites only these slots and re-spans only
+        # these nets; every other net of the cell keeps all its pins, so
+        # its C1 delta would be exactly 0.0.
+        self._gpins: List[Dict[str, Tuple[Tuple[int, ...], List[int]]]] = []
+        for i in range(n):
+            slot = self._pin_slot[i]
+            table = {}
+            for key, members in self._groups[i]:
+                slots = tuple(slot[m] for m in members)
+                mine = set(slots)
+                table[key] = (
+                    slots,
+                    [e for e in self._cnets[i] if not mine.isdisjoint(self._nmem[e])],
+                )
+            self._gpins.append(table)
         self._lsx: List[float] = [0.0] * len(self._net_names)
         self._lsy: List[float] = [0.0] * len(self._net_names)
 
@@ -234,11 +282,10 @@ class ArrayPlacementState(PlacementState):
         )
         self._has_groups: List[bool] = [bool(g) for g in self._groups]
 
-        # Flattened variant caches: (key) -> oriented bbox (+tiles) and
-        # (key) -> pin-offset tuples.  Filled lazily from the object
-        # core's own caches, so the geometry math has a single source.
+        # Flattened variant cache: (key) -> oriented bbox (+tiles).
+        # Filled lazily from the object core's own shape cache, so the
+        # geometry math has a single source.
         self._g_flat: List[Dict[Tuple, Tuple]] = [dict() for _ in range(n)]
-        self._o_flat: List[Dict[Tuple, Tuple]] = [dict() for _ in range(n)]
 
     def _sync_soa(self) -> None:
         """Refresh the mutable mirrors from the object-core caches (runs
@@ -251,7 +298,10 @@ class ArrayPlacementState(PlacementState):
         #: None for single-tile cells (the bbox *is* the tile); else the
         #: world-frame expanded tile coordinates.
         self._ltiles: List[Optional[Tuple]] = [None] * n
+        #: The oriented bbox (+tiles) of each cell's current variant.
+        self._cgeom: List[Tuple] = [None] * n  # type: ignore[list-item]
         for i in range(n):
+            self._commit_variant(i)
             exp = self._expanded[i]
             bb = exp.bbox
             self._lex1[i] = bb.x1
@@ -315,27 +365,6 @@ class ArrayPlacementState(PlacementState):
             cache[key] = entry
         return entry
 
-    def _offsets_flat(self, i: int, key: Tuple) -> Tuple[Tuple, Tuple]:
-        """Pin offsets in slot order, as (xs, ys) tuples."""
-        cache = self._o_flat[i]
-        entry = cache.get(key)
-        if entry is None:
-            if len(cache) >= _PIN_CACHE_LIMIT:
-                cache.clear()
-            source = self._pin_offset_cache[i]
-            offsets = source.get(key)
-            if offsets is None:
-                # Populate the object-core cache (its dict iterates in
-                # cell.pins order — the same order as our slots).
-                self._pin_positions(i)
-                offsets = source[key]
-            entry = (
-                tuple(wx for wx, _ in offsets.values()),
-                tuple(wy for _, wy in offsets.values()),
-            )
-            cache[key] = entry
-        return entry
-
     def _variant_keys(self, i: int):
         """(geometry key, pin-offset key) for cell i's current record —
         the same keys the object-core caches use."""
@@ -362,8 +391,7 @@ class ArrayPlacementState(PlacementState):
         translate+expand arithmetic of ``translated_expanded``.
         """
         rec = self.records[i]
-        gkey, _ = self._variant_keys(i)
-        ox1, oy1, ox2, oy2, ltiles = self._geom_flat(i, gkey)
+        ox1, oy1, ox2, oy2, ltiles = self._cgeom[i]
         cx, cy = rec.center
         if self.dynamic_expansion:
             dens = self._dens8[i]
@@ -460,12 +488,13 @@ class ArrayPlacementState(PlacementState):
         lsy = self._lsy
         nh = self._nh
         nv = self._nv
+        nget = self._nget
         c1 = self._c1
         for e in net_ids:
-            mem = self._nmem[e]
-            if mem:
-                xs = [lpx[p] for p in mem]
-                ys = [lpy[p] for p in mem]
+            get = nget[e]
+            if get is not None:
+                xs = get(lpx)
+                ys = get(lpy)
                 new_x = max(xs) - min(xs)
                 new_y = max(ys) - min(ys)
             else:
@@ -533,17 +562,44 @@ class ArrayPlacementState(PlacementState):
         self._expanded[i] = None  # type: ignore[call-overload]
         self._grid.update_coords(i, x1, y1, x2, y2)
 
+    def _commit_variant(self, i) -> None:
+        """Point cell i's variant mirrors (oriented geometry, pin
+        offsets) at its current record's orientation / instance /
+        aspect ratio / pin sites."""
+        gkey, okey = self._variant_keys(i)
+        self._cgeom[i] = self._geom_flat(i, gkey)
+        offsets = self._pin_offset_cache[i].get(okey)
+        if offsets is None:
+            # Populate the object-core cache (its dict iterates in
+            # cell.pins order — the same order as our slots).
+            self._pin_positions(i)
+            offsets = self._pin_offset_cache[i][okey]
+        start = self._pin_start[i]
+        end = start + self._pin_count[i]
+        self._lox[start:end] = [wx for wx, _ in offsets.values()]
+        self._loy[start:end] = [wy for _, wy in offsets.values()]
+
+    def _save_variant(self, i) -> Tuple:
+        start = self._pin_start[i]
+        end = start + self._pin_count[i]
+        return (self._cgeom[i], self._lox[start:end], self._loy[start:end])
+
+    def _restore_variant(self, i, saved) -> None:
+        start = self._pin_start[i]
+        end = start + self._pin_count[i]
+        self._cgeom[i], self._lox[start:end], self._loy[start:end] = saved
+
     def _commit_pins(self, i) -> None:
-        rec = self.records[i]
-        _, okey = self._variant_keys(i)
-        offx, offy = self._offsets_flat(i, okey)
-        cx, cy = rec.center
+        """Translate cell i's pins: center + current-variant offset."""
+        cx, cy = self.records[i].center
         lpx = self._lpx
         lpy = self._lpy
+        lox = self._lox
+        loy = self._loy
         start = self._pin_start[i]
-        for k in range(self._pin_count[i]):
-            lpx[start + k] = cx + offx[k]
-            lpy[start + k] = cy + offy[k]
+        for p in range(start, start + self._pin_count[i]):
+            lpx[p] = cx + lox[p]
+            lpy[p] = cy + loy[p]
 
     def _commit_c3(self, i) -> None:
         if self._has_groups[i]:
@@ -595,6 +651,15 @@ class ArrayPlacementState(PlacementState):
         self, i, new_center, new_o, new_inst, new_ar, invert
     ) -> Tuple[float, ArraySnapshot]:
         rec = self.records[i]
+        # A move that keeps the variant only translates the cell: its
+        # oriented shape and pin offsets stand, and so does its C3 (a
+        # function of aspect ratio and pin sites alone).
+        translate = (
+            not invert
+            and new_o == rec.orientation
+            and new_inst == rec.instance
+            and new_ar == rec.aspect_ratio
+        )
         cost_before = self._c1 + self.p2 * self._c2_raw + self._c3_total
         snap = ArraySnapshot(
             0,
@@ -620,6 +685,7 @@ class ArrayPlacementState(PlacementState):
             self._c1,
             self._c2_raw,
             self._c3_total,
+            None if translate else self._save_variant(i),
         )
         rec.center = new_center
         rec.orientation = new_o
@@ -627,10 +693,13 @@ class ArrayPlacementState(PlacementState):
         rec.aspect_ratio = new_ar
         if invert:
             self._invert_record_aspect(i)
+        if not translate:
+            self._commit_variant(i)
         x1, y1, x2, y2, tiles = self._cell_geometry(i)
         self._commit_geometry(i, x1, y1, x2, y2, tiles)
         self._commit_pins(i)
-        self._commit_c3(i)
+        if not translate:
+            self._commit_c3(i)
         self._span_delta(self._cnets[i], snap.spans)
         self._partner_delta(i, x1, y1, x2, y2, tiles, None, snap.overlaps)
         cost = self._c1 + self.p2 * self._c2_raw + self._c3_total
@@ -676,6 +745,7 @@ class ArrayPlacementState(PlacementState):
             self._c1,
             self._c2_raw,
             self._c3_total,
+            (self._save_variant(a), self._save_variant(b)) if invert else None,
         )
         ci, cj = self.records[i].center, self.records[j].center
         self.records[i].center = cj
@@ -684,14 +754,18 @@ class ArrayPlacementState(PlacementState):
             self._invert_record_aspect(i)
             self._invert_record_aspect(j)
         # Loop 1 — geometry, pins, C3, in ascending cell order (the
-        # object core's sorted idx_set).
+        # object core's sorted idx_set).  A plain interchange only
+        # translates both cells (see _apply_single).
         geoms = {}
         for k in (a, b):
+            if invert:
+                self._commit_variant(k)
             x1, y1, x2, y2, tiles = self._cell_geometry(k)
             self._commit_geometry(k, x1, y1, x2, y2, tiles)
             geoms[k] = (x1, y1, x2, y2, tiles)
             self._commit_pins(k)
-            self._commit_c3(k)
+            if invert:
+                self._commit_c3(k)
         # Loop 2 — net spans in name-sorted order.
         net_ids = set(self._cnets[a])
         net_ids.update(self._cnets[b])
@@ -709,7 +783,14 @@ class ArrayPlacementState(PlacementState):
     def move_pin_group(
         self, idx: int, group_key: str, side: str, start: int
     ) -> Tuple[float, ArraySnapshot]:
+        """Rewrite only the group's pin slots (offsets from the shared
+        site formula) and re-span only the nets those pins touch."""
         rec = self.records[idx]
+        slots, net_ids = self._gpins[idx][group_key]
+        lpx = self._lpx
+        lpy = self._lpy
+        lox = self._lox
+        loy = self._loy
         cost_before = self._c1 + self.p2 * self._c2_raw + self._c3_total
         snap = ArraySnapshot(
             2,
@@ -720,7 +801,7 @@ class ArrayPlacementState(PlacementState):
             None,
             None,
             None,
-            self._save_pins(idx),
+            [(p, lpx[p], lpy[p], lox[p], loy[p]) for p in slots],
             [],
             None,
             None,
@@ -729,11 +810,24 @@ class ArrayPlacementState(PlacementState):
             self._c1,
             self._c2_raw,
             self._c3_total,
+            None,
         )
         rec.pin_sites[group_key] = (side, start)
-        self._commit_pins(idx)
+        cell = self.cell(idx)
+        width, height = cell.dimensions(rec.aspect_ratio)
+        nsites = cell.sites_per_edge
+        orientation = rec.orientation
+        cx, cy = rec.center
+        for k, p in enumerate(slots):
+            ox, oy = _site_offset(
+                side, (start + k) % nsites, nsites, width, height, orientation
+            )
+            lox[p] = ox
+            loy[p] = oy
+            lpx[p] = cx + ox
+            lpy[p] = cy + oy
         self._commit_c3(idx)
-        self._span_delta(self._cnets[idx], snap.spans)
+        self._span_delta(net_ids, snap.spans)
         cost = self._c1 + self.p2 * self._c2_raw + self._c3_total
         return (cost - cost_before, snap)
 
@@ -795,7 +889,15 @@ class ArrayPlacementState(PlacementState):
             i = snap.cells
             key, site = snap.pin_site
             self.records[i].pin_sites[key] = site
-            self._restore_pins(i, snap.pins)
+            lpx = self._lpx
+            lpy = self._lpy
+            lox = self._lox
+            loy = self._loy
+            for p, px, py, ox, oy in snap.pins:
+                lpx[p] = px
+                lpy[p] = py
+                lox[p] = ox
+                loy[p] = oy
             self._restore_spans(snap.spans)
             self._c3[i] = snap.c3s
             self._c1 = snap.c1
@@ -806,6 +908,8 @@ class ArrayPlacementState(PlacementState):
             self._restore_cell(i, snap.recs, snap.ebbs, snap.exp_refs,
                                snap.shape_refs)
             self._restore_pins(i, snap.pins)
+            if snap.variants is not None:
+                self._restore_variant(i, snap.variants)
             self._borders[i] = snap.borders
             self._c3[i] = snap.c3s
         else:
@@ -816,6 +920,9 @@ class ArrayPlacementState(PlacementState):
                                snap.exp_refs[1], snap.shape_refs[1])
             self._restore_pins(a, snap.pins[0])
             self._restore_pins(b, snap.pins[1])
+            if snap.variants is not None:
+                self._restore_variant(a, snap.variants[0])
+                self._restore_variant(b, snap.variants[1])
             self._borders[a] = snap.borders[0]
             self._borders[b] = snap.borders[1]
             self._c3[a] = snap.c3s[0]

@@ -26,8 +26,8 @@ from ..annealing import (
     RangeLimiter,
     metropolis_accept,
     select_displacement_dr,
-    select_displacement_ds,
 )
+from ..annealing.range_limiter import ds_point, ds_steps
 from ..geometry import orientation as ori
 from ..netlist import CustomCell, MacroCell
 from ..telemetry import MetricsRegistry
@@ -69,12 +69,14 @@ class MoveGenerator:
         self.state = state
         self.limiter = limiter
         self.displacement_probability = r_ratio / (1.0 + r_ratio)
-        if selector == "ds":
-            self._select = select_displacement_ds
-        elif selector == "dr":
-            self._select = select_displacement_dr
-        else:
+        if selector not in ("ds", "dr"):
             raise ValueError(f"unknown selector {selector!r}")
+        self._ds = selector == "ds"
+        #: The Ds grid steps and the temperature they were taken at: the
+        #: window is fixed within an inner loop, so they are computed
+        #: once per temperature (see on_temperature).
+        self._steps_t: Optional[float] = None
+        self._steps: Optional[Tuple[float, float]] = None
         self.orientation_moves = orientation_moves
         self.aspect_moves = aspect_moves
         self.pin_moves = pin_moves
@@ -85,6 +87,23 @@ class MoveGenerator:
         ]
         if not self._movable:
             raise ValueError("no movable cells: nothing to anneal")
+        self._custom = [
+            isinstance(state.cell(i), CustomCell) for i in range(len(state.names))
+        ]
+        #: Per cell: (group key, the sides every member allows, sorted) in
+        #: ``state._groups`` order, so a pin-group attempt draws from the
+        #: same sequences as before with no per-attempt set algebra.
+        self._group_sides: List[List[Tuple[str, Tuple[str, ...]]]] = []
+        for i, groups in enumerate(state._groups):
+            cell = state.cell(i)
+            sides = []
+            for key, members in groups:
+                pins = [cell.pins[m] for m in members]
+                allowed = frozenset.intersection(*(p.sides for p in pins))
+                if not allowed:
+                    allowed = pins[0].sides
+                sides.append((key, tuple(sorted(allowed))))
+            self._group_sides.append(sides)
         #: Per-move-kind attempt/accept counters, kept in a MetricsRegistry
         #: so the same series the annealer accumulates is exportable to a
         #: trace.  Pre-resolved to (attempts, accepts) Counter pairs so the
@@ -112,6 +131,21 @@ class MoveGenerator:
         if accepted:
             accepts.value += 1
 
+    def on_temperature(self, temperature: float) -> None:
+        """Fix the Ds grid steps for the inner loop at ``temperature``
+        (the engine calls this after an adaptive window's update)."""
+        self._steps = ds_steps(self.limiter, temperature)
+        self._steps_t = temperature
+
+    def _target(
+        self, rng: random.Random, center: Tuple[float, float], temperature: float
+    ) -> Tuple[float, float]:
+        if not self._ds:
+            return select_displacement_dr(rng, center, self.limiter, temperature)
+        if temperature != self._steps_t:
+            self.on_temperature(temperature)
+        return ds_point(rng, center, *self._steps)
+
     # ------------------------------------------------------------------
 
     def step(self, temperature: float, rng: random.Random) -> Tuple[int, int]:
@@ -136,9 +170,7 @@ class MoveGenerator:
         state = self.state
         idx = self._movable[rng.randrange(len(self._movable))]
         center = state.records[idx].center
-        target = state.clamp_to_core(
-            self._select(rng, center, self.limiter, temperature)
-        )
+        target = state.clamp_to_core(self._target(rng, center, temperature))
 
         attempts, accepts = 0, 0
 
@@ -165,8 +197,7 @@ class MoveGenerator:
                 attempts += a
                 accepts += c
 
-        cell = state.cell(idx)
-        if isinstance(cell, CustomCell):
+        if self._custom[idx]:
             if self.pin_moves:
                 a, c = self._pin_attempts(idx, temperature, rng)
                 attempts += a
@@ -204,21 +235,16 @@ class MoveGenerator:
     ) -> Tuple[int, int]:
         """One site-reassignment attempt per uncommitted group (bounded)."""
         state = self.state
-        cell = state.cell(idx)
-        assert isinstance(cell, CustomCell)
-        groups = state._groups[idx]
+        groups = self._group_sides[idx]
         if not groups:
             return (0, 0)
+        nsites = state.cell(idx).sites_per_edge
         attempts, accepts = 0, 0
         count = min(len(groups), self.max_pin_groups_per_call)
         for _ in range(count):
-            key, members = groups[rng.randrange(len(groups))]
-            pins = [cell.pins[m] for m in members]
-            allowed = frozenset.intersection(*(p.sides for p in pins))
-            if not allowed:
-                allowed = pins[0].sides
-            side = rng.choice(sorted(allowed))
-            start = rng.randrange(cell.sites_per_edge)
+            key, sides = groups[rng.randrange(len(groups))]
+            side = rng.choice(sides)
+            start = rng.randrange(nsites)
             delta, snap = state.move_pin_group(idx, key, side, start)
             attempts += 1
             accepted = self._judge(delta, snap, temperature, rng)
@@ -293,6 +319,9 @@ class PlacementAnnealingState(AnnealingState):
 
     def step(self, temperature: float, rng: random.Random) -> Tuple[int, int]:
         return self.generator.step(temperature, rng)
+
+    def on_temperature(self, temperature: float) -> None:
+        self.generator.on_temperature(temperature)
 
     def cost(self) -> float:
         return self.state.cost()

@@ -402,14 +402,20 @@ class PlacementState:
             for pin in cell.pins.values():
                 if pin.is_committed:
                     lx, ly = pin.offset  # type: ignore[misc]
+                    offsets[pin.name] = ori.transform_point(
+                        record.orientation, lx, ly
+                    )
                 else:
                     key, member_idx = self._group_of(idx, pin.name)
                     side, start = record.pin_sites[key]
-                    site_idx = (start + member_idx) % nsites
-                    lx, ly = _site_position(side, site_idx, nsites, width, height)
-                offsets[pin.name] = ori.transform_point(
-                    record.orientation, lx, ly
-                )
+                    offsets[pin.name] = _site_offset(
+                        side,
+                        (start + member_idx) % nsites,
+                        nsites,
+                        width,
+                        height,
+                        record.orientation,
+                    )
             cache[sig] = offsets
         return {name: (cx + wx, cy + wy) for name, (wx, wy) in offsets.items()}
 
@@ -1087,15 +1093,25 @@ class PlacementState:
         )
 
 
-def _site_position(
-    side: str, site_idx: int, nsites: int, width: float, height: float
+def _site_offset(
+    side: str,
+    site_idx: int,
+    nsites: int,
+    width: float,
+    height: float,
+    orientation: int,
 ) -> Tuple[float, float]:
+    """World-frame offset, from the cell center, of site ``site_idx`` on
+    the canonical ``side`` of a ``width`` x ``height`` custom cell in
+    ``orientation`` — the one site formula both placement cores use."""
     fraction = (site_idx + 0.5) / nsites
     hw, hh = width / 2.0, height / 2.0
     if side == LEFT:
-        return (-hw, -hh + fraction * height)
-    if side == RIGHT:
-        return (hw, -hh + fraction * height)
-    if side == BOTTOM:
-        return (-hw + fraction * width, -hh)
-    return (-hw + fraction * width, hh)
+        lx, ly = -hw, -hh + fraction * height
+    elif side == RIGHT:
+        lx, ly = hw, -hh + fraction * height
+    elif side == BOTTOM:
+        lx, ly = -hw + fraction * width, -hh
+    else:
+        lx, ly = -hw + fraction * width, hh
+    return ori.transform_point(orientation, lx, ly)

@@ -18,6 +18,11 @@ def i3_result():
     return place_and_route(load_circuit("i3"), SMOKE)
 
 
+@pytest.fixture(scope="module")
+def p1_result():
+    return place_and_route(load_circuit("p1"), SMOKE)
+
+
 class TestSuiteCircuitFlow:
     def test_runs_to_completion(self, i3_result):
         assert i3_result.teil > 0
@@ -90,17 +95,55 @@ class TestReproducibility:
 
 
 class TestMixedSuiteCircuit:
-    def test_chip_planning_circuit(self):
+    def test_chip_planning_circuit(self, p1_result):
         """p1 carries custom cells: the chip-planning capability."""
-        circuit = load_circuit("p1")
+        circuit = p1_result.circuit
         assert circuit.custom_cells()
-        result = place_and_route(circuit, SMOKE)
-        assert result.teil > 0
+        assert p1_result.teil > 0
         # Custom cells must have settled on valid aspect ratios.
-        state = result.state
+        state = p1_result.state
         for cell in circuit.custom_cells():
             record = state.records[state.index[cell.name]]
             assert cell.aspect.contains(record.aspect_ratio)
+
+
+def placement_fingerprint(result) -> str:
+    """sha256 over the legalized stage-1 placement, every final cell
+    record (center, orientation, instance, aspect ratio, pin sites), the
+    history-exact C1/C2/C3 accumulators, and the final TEIL and chip
+    area."""
+    h = hashlib.sha256()
+
+    def put(*items):
+        h.update(repr(items).encode())
+
+    put(sorted(result.stage1_placement.items()))
+    state = result.state
+    for name, rec in zip(state.names, state.records):
+        put(
+            name,
+            rec.center,
+            rec.orientation,
+            rec.instance,
+            rec.aspect_ratio,
+            sorted(rec.pin_sites.items()),
+        )
+    put(state._c1, state._c2_raw, state._c3_total)
+    put(result.teil, result.chip_area)
+    return h.hexdigest()
+
+
+#: The placement trajectory of ``p1_result``: its custom cells drive the
+#: pin-group, aspect-ratio and custom pin-offset paths of both anneals.
+#: Speed work on the move kernel must leave it unchanged.
+GOLDEN_PLACEMENT_SHA256 = (
+    "89888a6f62aed81c87d63ead4d86c48f5ef562c144274349a159f608399760c7"
+)
+
+
+class TestGoldenCustomPlacement:
+    def test_placement_fingerprint(self, p1_result):
+        assert placement_fingerprint(p1_result) == GOLDEN_PLACEMENT_SHA256
 
 
 class TestMediumCircuit:

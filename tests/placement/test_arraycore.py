@@ -17,6 +17,7 @@ import pytest
 from repro.annealing import RangeLimiter
 from repro.bench import CircuitSpec, generate_circuit
 from repro.estimator import determine_core
+from repro.geometry import BOTTOM, LEFT, RIGHT, TOP
 from repro.netlist import CustomCell, MacroCell
 from repro.placement import (
     ArrayPlacementState,
@@ -186,6 +187,72 @@ class TestReplayIdentity:
         assert traces["array"][0] == traces["object"][0]
         assert traces["array"][1] == traces["object"][1]
         assert traces["array"][2] == traces["object"][2]
+
+    def test_500_move_stage2_walk_identical(self):
+        """The refine anneal's setting (§4.3): static per-side
+        expansions and the stage-2 move set (displacements and pin-group
+        moves only) at a stage-2 temperature.  Per-step attempts,
+        accepts and cost, the move stats, the state_dict and every pin
+        position replay bit-identically."""
+        spec = CircuitSpec(
+            name="refine", num_cells=16, num_nets=32, num_pins=80, seed=8,
+            custom_fraction=0.5,
+        )
+        runs = {}
+        for core in ("object", "array"):
+            circuit = generate_circuit(spec)
+            state = make_placement_state(core, circuit, determine_core(circuit))
+            state.randomize(random.Random(0))
+            state.set_static_expansions(
+                {
+                    name: {
+                        LEFT: 1.0 + k % 3,
+                        BOTTOM: 0.5,
+                        RIGHT: 2.0,
+                        TOP: 0.25 * (k + 1),
+                    }
+                    for k, name in enumerate(state.names)
+                }
+            )
+            limiter = RangeLimiter(
+                full_span_x=state.core.width,
+                full_span_y=state.core.height,
+                t_infinity=500.0,
+            )
+            generator = MoveGenerator(
+                state,
+                limiter,
+                orientation_moves=False,
+                aspect_moves=False,
+                interchange_moves=False,
+            )
+            temperature = limiter.temperature_for_fraction(0.03)
+            rng = random.Random(4)
+            trace = []
+            for _ in range(500):
+                attempts, accepts = generator.step(temperature, rng)
+                trace.append((attempts, accepts, state.cost()))
+            pins = [
+                state.pin_position(name, pin)
+                for name in state.names
+                for pin in circuit.cells[name].pins
+            ]
+            runs[core] = (trace, generator.stats, state.state_dict(), pins)
+        obj, arr = runs["object"], runs["array"]
+        assert arr[0] == obj[0]
+        assert arr[1] == obj[1]
+        assert arr[2] == obj[2]
+        assert arr[3] == obj[3]
+        # The walk exercised both stage-2 move kinds, with accepts and
+        # rejects, and nothing else.
+        stats = arr[1]
+        for kind in ("displace", "pin_group"):
+            attempts, accepts = stats[kind]
+            assert 0 < accepts < attempts, (kind, stats[kind])
+        assert all(
+            stats[kind][0] == 0 for kind in stats
+            if kind not in ("displace", "pin_group")
+        )
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
     def test_accumulators_match_rebuild(self, spec):
