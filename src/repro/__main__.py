@@ -147,12 +147,15 @@ def _recorder(args: argparse.Namespace, run_id=None, trace_id=None):
     )
 
 
-def _tracer(args: argparse.Namespace):
-    if not getattr(args, "trace", None):
-        return None
+def _tracer(args: argparse.Namespace, recorder=None):
+    """The run's tracer: the ``--trace`` JSONL file and the recorder's
+    sinks (QoR record and heartbeat); None when neither is asked for."""
     from .telemetry import FileSink, Tracer
 
-    return Tracer(FileSink(args.trace))
+    sinks = [FileSink(args.trace)] if getattr(args, "trace", None) else []
+    if recorder is not None:
+        sinks.extend(recorder.sinks)
+    return Tracer(sinks) if sinks else None
 
 
 def _trace_context(existing_trace_id=None):
@@ -276,14 +279,8 @@ def cmd_place(args: argparse.Namespace) -> int:
         )
     ctx = _trace_context()
     recorder = _recorder(args, trace_id=ctx.trace_id)
-    tracer = _tracer(args)
+    tracer = _tracer(args, recorder)
     if recorder is not None:
-        if tracer is None:
-            from .telemetry import Tracer
-
-            tracer = Tracer(recorder.sink)
-        else:
-            tracer.add_sink(recorder.sink)
         recorder.begin(circuit, config, command="place")
     if tracer is not None:
         tracer.set_context(trace_id=ctx.trace_id, trace_span=ctx.span_id)
@@ -323,13 +320,12 @@ def cmd_place(args: argparse.Namespace) -> int:
 
 
 def _run_recorded(recorder, run):
-    """Run the flow callable with the recorder's heartbeat installed,
-    closing out the registry row on interrupt or failure."""
+    """Run the flow callable, closing out the registry row on interrupt
+    or failure."""
     if recorder is None:
         return run()
     try:
-        with recorder.monitor():
-            return run()
+        return run()
     except FlowInterrupted as exc:
         recorder.interrupted(
             str(exc.checkpoint_path) if exc.checkpoint_path else None
@@ -402,26 +398,16 @@ def _resume(args: argparse.Namespace, expect_sha) -> int:
     ctx = _trace_context(payload.get("trace_id"))
     recorder = None
     if getattr(args, "rundir", None) or getattr(args, "registry", None):
-        from .config import TimberWolfConfig as _Config
-        from .netlist import loads as _loads
+        from .flow.resume import checkpoint_inputs
 
+        circuit, config = checkpoint_inputs(args.checkpoint, payload)
         recorder = _recorder(
             args, run_id=payload.get("run_id"), trace_id=ctx.trace_id
         )
         recorder.begin(
-            _loads(payload["circuit_text"]),
-            _Config.from_dict(payload["config"]),
-            command="resume",
-            resumed_from=str(args.checkpoint),
+            circuit, config, command="resume", resumed_from=str(args.checkpoint)
         )
-    tracer = _tracer(args)
-    if recorder is not None:
-        if tracer is None:
-            from .telemetry import Tracer
-
-            tracer = Tracer(recorder.sink)
-        else:
-            tracer.add_sink(recorder.sink)
+    tracer = _tracer(args, recorder)
     if tracer is not None:
         tracer.set_context(trace_id=ctx.trace_id, trace_span=ctx.span_id)
     try:

@@ -186,7 +186,7 @@ class AdaptiveCooling:
         """Projected temperature steps to reach ``floor`` — a geometric
         extrapolation of the *current* alpha, since future alphas depend
         on acceptance ratios not yet measured.  The engine flags
-        heartbeat ETAs built from this as estimates.  None when no
+        ETAs built from this as estimates.  None when no
         finite projection exists."""
         if floor <= 0 or temperature <= floor:
             return 0 if temperature <= floor and floor > 0 else None
@@ -246,5 +246,5 @@ class CostFloorStop(StoppingCriterion):
     def floor_estimate(self, stats: TemperatureStats) -> Optional[float]:
         """The current cost-derived floor.  The cost keeps falling as
         the anneal proceeds — so does this floor — which makes ETAs
-        anchored on it estimates, refreshed every beat."""
+        anchored on it estimates, refreshed every temperature step."""
         return self._coefficient * stats.cost_after / self._num_nets

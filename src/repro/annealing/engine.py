@@ -25,7 +25,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..qor.heartbeat import current_heartbeat
 from ..resilience.faults import fault_point
 from ..telemetry import Tracer, current_tracer
 
@@ -184,8 +183,8 @@ class StoppingCriterion(ABC):
 
     def floor_estimate(self, stats: "TemperatureStats") -> Optional[float]:
         """The temperature at which this criterion expects to fire,
-        given the inner loop just completed — the anchor heartbeat ETAs
-        walk the schedule down to.  None when the stop is not
+        given the inner loop just completed — the anchor the per-step
+        ETAs walk the schedule down to.  None when the stop is not
         temperature-predictable (window- or history-driven)."""
         return None
 
@@ -392,8 +391,9 @@ class Annealer:
     about 120 temperature values).
 
     ``eta_floor`` is the temperature at which the caller expects the
-    anneal to stop (the stage's floor criterion); when set, heartbeats
-    carry an ETA derived from walking the cooling schedule down to it.
+    anneal to stop (the stage's floor criterion); when set, each
+    ``anneal.temperature`` event carries an ETA derived from walking the
+    cooling schedule down to it.
     """
 
     def __init__(
@@ -441,7 +441,6 @@ class Annealer:
         observer may raise to abort the run.
         """
         tracer = self.tracer if self.tracer is not None else current_tracer()
-        heartbeat = current_heartbeat()
         self.stopping.reset()
         if resume is not None:
             self.stopping.load_state_dict(resume.stopping_state)
@@ -532,8 +531,6 @@ class Annealer:
                     budget.note_temperature()
                 if tracer.enabled:
                     self._emit_temperature(tracer, state, step_index, stats)
-                if heartbeat.enabled:
-                    self._emit_heartbeat(heartbeat, state, step_index, stats)
                 # The stopping criterion consumes this step's stats before
                 # observers run, so a checkpoint cursor captures its
                 # post-update history.
@@ -625,44 +622,27 @@ class Annealer:
             steps += 1
         return steps
 
-    def _emit_heartbeat(
-        self,
-        heartbeat,
-        state: AnnealingState,
-        step_index: int,
-        stats: TemperatureStats,
-    ) -> None:
-        """One live beat per temperature step: current T, acceptance,
-        cost components, and an ETA from the cooling schedule.
+    def _eta_fields(
+        self, step_index: int, stats: TemperatureStats
+    ) -> Dict[str, Any]:
+        """The step's ETA from the cooling schedule: ``eta_steps`` and
+        ``eta_seconds`` (steps left times this step's wall time).
 
         Feedback-driven schedules cannot promise their future alphas,
         so their ETAs are flagged ``eta_estimated`` — and when even an
-        estimate is impossible the beat carries an explicit
-        ``eta_steps: null`` rather than a silently bogus number.
+        estimate is impossible they carry an explicit ``eta_steps:
+        null`` rather than a silently bogus number.
         """
-        fields: Dict[str, Any] = {
-            "step": step_index,
-            "T": round(stats.temperature, 6),
-            "acceptance": round(stats.acceptance_rate, 4),
-            "cost": round(stats.cost_after, 4),
-        }
-        extra = state.telemetry_snapshot(stats.temperature)
-        if extra:
-            for key in ("c1", "c2", "c3", "window"):
-                if key in extra:
-                    fields[key] = extra[key]
         adaptive = getattr(self.schedule, "observe", None) is not None
         eta_steps = self._eta_steps(stats.temperature, step_index, stats)
-        if eta_steps is not None:
-            fields["eta_steps"] = eta_steps
-            if stats.seconds > 0:
-                fields["eta_seconds"] = round(eta_steps * stats.seconds, 1)
-            if adaptive:
-                fields["eta_estimated"] = True
-        elif adaptive:
-            fields["eta_steps"] = None
-            fields["eta_seconds"] = None
-        heartbeat.beat("anneal", **fields)
+        if eta_steps is None:
+            return {"eta_steps": None, "eta_seconds": None} if adaptive else {}
+        fields: Dict[str, Any] = {"eta_steps": eta_steps}
+        if stats.seconds > 0:
+            fields["eta_seconds"] = round(eta_steps * stats.seconds, 1)
+        if adaptive:
+            fields["eta_estimated"] = True
+        return fields
 
     def _emit_temperature(
         self,
@@ -674,7 +654,8 @@ class Annealer:
         """One ``anneal.temperature`` event: the per-temperature snapshot
         behind the paper's Figs. 3-6 (T, acceptance ratio, cost, rate,
         plus whatever the state's ``telemetry_snapshot`` and an adaptive
-        schedule's ``telemetry_fields`` contribute)."""
+        schedule's ``telemetry_fields`` contribute, and the ETA).  A
+        run's heartbeat builds its ``anneal`` beat from this event."""
         fields = {
             "step": step_index,
             "T": round(stats.temperature, 6),
@@ -692,4 +673,5 @@ class Annealer:
         schedule_fields = getattr(self.schedule, "telemetry_fields", None)
         if schedule_fields is not None:
             fields.update(schedule_fields())
+        fields.update(self._eta_fields(step_index, stats))
         tracer.event("anneal.temperature", **fields)

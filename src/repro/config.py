@@ -124,10 +124,6 @@ class TimberWolfConfig:
     max_temperatures: int = 240
     refine_attempts_per_cell: int = 0  # 0 = same as attempts_per_cell
     profile: ModulationProfile = field(default_factory=ModulationProfile)
-    #: Wrap each flow stage in a cProfile span and emit a ``profile``
-    #: trace event per stage.  Only takes effect when the run is traced
-    #: (an enabled tracer is installed); costs nothing otherwise.
-    enable_profiling: bool = False
     #: Reconcile the incremental C1/C2/C3 accumulators against a full
     #: recomputation every N temperature steps (0 disables the audit).
     drift_check_every: int = 0

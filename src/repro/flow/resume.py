@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..config import TimberWolfConfig
 from ..netlist import Circuit, loads
@@ -29,6 +29,26 @@ from ..resilience.checkpoint import (
 from ..resilience.control import RunControl
 from ..telemetry import Tracer
 from .timberwolf import TimberWolfResult, _place_and_route_controlled
+
+
+def checkpoint_inputs(
+    path: Union[str, Path], payload: Dict[str, Any]
+) -> Tuple[Circuit, TimberWolfConfig]:
+    """The circuit and config a checkpoint payload carries.  A missing,
+    unknown or invalid field raises :class:`CheckpointError` (a
+    checkpoint from an incompatible build), never a bare
+    ``KeyError``/``ValueError``."""
+    try:
+        return (
+            loads(payload["circuit_text"]),
+            TimberWolfConfig.from_dict(payload["config"]),
+        )
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: checkpoint missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path}: checkpoint circuit or config is unusable: {exc}"
+        ) from exc
 
 
 def resume_place_and_route(
@@ -60,11 +80,7 @@ def resume_place_and_route(
     phase = payload.get("phase")
     if phase not in ("stage1", "stage2", "parallel1"):
         raise CheckpointError(f"{path}: unknown checkpoint phase {phase!r}")
-    try:
-        config = TimberWolfConfig.from_dict(payload["config"])
-        circuit = loads(payload["circuit_text"])
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: checkpoint missing {exc}") from exc
+    circuit, config = checkpoint_inputs(path, payload)
 
     # Keep the original run's registry identity AND its distributed
     # trace: the checkpoint payload carries both ids, and new

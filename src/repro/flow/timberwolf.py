@@ -19,14 +19,13 @@ from ..netlist import Circuit, dumps
 from ..parallel.seeds import spawn_seed
 from ..placement.legalize import remove_overlaps
 from ..placement.refine import RefinementResult, run_refinement
-from ..obs.client import ObsClient
 from ..placement.stage1 import Stage1Result, run_stage1
 from ..placement.state import PlacementState
 from ..resilience.budget import Budget
 from ..resilience.checkpoint import CheckpointManager, CheckpointPolicy
 from ..resilience.control import RunControl
 from ..resilience.interrupt import trap_signals
-from ..telemetry import MemorySink, Tracer, profiled, use_tracer
+from ..telemetry import MemorySink, Tracer, use_tracer
 
 
 @dataclass
@@ -301,8 +300,6 @@ def _run_flow(
     # the historical random.Random(config.seed) one.
     rng = random.Random(spawn_seed(config.seed, 0))
     multichain = config.parallel.chains > 1 or parallel_resume is not None
-    prof = config.enable_profiling
-    obs = ObsClient()
     with tracer.span(
         "flow",
         circuit=circuit.name,
@@ -317,8 +314,7 @@ def _run_flow(
                 circuit, config, control, rng, stage2_resume, tracer
             )
         else:
-            obs.stage("stage1", chains=config.parallel.chains)
-            with tracer.span("stage1"), profiled("stage1", prof, tracer):
+            with tracer.span("stage1", chains=config.parallel.chains):
                 if multichain:
                     # Deferred import: multiprocessing machinery, only
                     # touched when K > 1 chains are requested.
@@ -362,8 +358,7 @@ def _run_flow(
             if tracer.enabled:
                 tracer.event("stage2.skipped", reason="budget")
         elif config.refinement_passes > 0:
-            obs.stage("stage2", passes=config.refinement_passes)
-            with tracer.span("stage2"), profiled("stage2", prof, tracer):
+            with tracer.span("stage2", passes=config.refinement_passes):
                 refinement = run_refinement(
                     circuit, stage1, config, rng,
                     control=control, start_pass=start_pass,

@@ -11,14 +11,15 @@ optional run registry:
 * :mod:`~repro.obs.sse` — Server-Sent-Events streaming of heartbeat
   history;
 * :mod:`~repro.obs.health` — anneal-health analytics (Fig.-3
-  acceptance trajectory, cost plateau, ETA, divergence);
-* :mod:`~repro.obs.client` — :class:`ObsClient`, the flow-side helper
-  that pushes stage-change events through the ambient heartbeat.
+  acceptance trajectory, cost plateau, ETA, divergence).
+
+The flow never imports this package: a run publishes its progress
+through its tracer, whose heartbeat sink
+(:class:`~repro.qor.HeartbeatWriter`) writes the files served here.
 
 See ``docs/observability.md``.
 """
 
-from .client import ObsClient
 from .fleet import Fleet, beat_age, classify_state
 from .health import analyze_health, fig3_ideal_acceptance
 from .routes import Response, handle_request
@@ -28,7 +29,6 @@ from .sse import HeartbeatTailer, format_sse, stream_events
 __all__ = [
     "Fleet",
     "HeartbeatTailer",
-    "ObsClient",
     "ObsServer",
     "Response",
     "analyze_health",

@@ -2,13 +2,16 @@
 
 Two consumers share this package:
 
-* :func:`run_multichain_stage1` — K independent stage-1 annealing
-  chains with periodic best-of-K exchange, bit-for-bit reproducible
-  for a fixed ``(seed, chains, exchange_period)`` regardless of worker
-  count (see :mod:`repro.parallel.multichain`).
-* :func:`route_nets_parallel` — per-net M-shortest-path fan-out for
-  the global router, identical to the serial router (see
-  :mod:`repro.parallel.routing`).
+* :func:`~repro.parallel.multichain.run_multichain_stage1` — K
+  independent stage-1 annealing chains with periodic best-of-K
+  exchange, bit-for-bit reproducible for a fixed ``(seed, chains,
+  exchange_period)`` regardless of worker count.
+* :func:`~repro.parallel.routing.route_nets_parallel` — per-net
+  M-shortest-path fan-out for the global router, identical to the
+  serial router.
+
+Both are imported from their modules, and only when a run asks for
+them, so ``import repro`` never loads ``multiprocessing``.
 
 :func:`spawn_seed` is the deterministic per-chain seed derivation both
 the parallel layer and the serial flow use (chain 0 *is* the serial
@@ -16,22 +19,6 @@ stream).  Configuration lives in :class:`repro.config.ParallelConfig`
 (``TimberWolfConfig.parallel``).
 """
 
-from .multichain import (
-    ChainContext,
-    ChainWorkerError,
-    ProcessChainBackend,
-    SerialChainBackend,
-    run_multichain_stage1,
-)
-from .routing import route_nets_parallel
 from .seeds import spawn_seed
 
-__all__ = [
-    "ChainContext",
-    "ChainWorkerError",
-    "ProcessChainBackend",
-    "SerialChainBackend",
-    "route_nets_parallel",
-    "run_multichain_stage1",
-    "spawn_seed",
-]
+__all__ = ["spawn_seed"]

@@ -59,7 +59,6 @@ from ..placement.stage1 import (
     stage1_cooling,
     stage1_stopping,
 )
-from ..qor.heartbeat import NULL_HEARTBEAT, current_heartbeat, use_heartbeat
 from ..resilience.drift import DriftGuard
 from ..telemetry import MemorySink, Tracer, current_tracer, use_tracer
 from .seeds import spawn_seed
@@ -235,21 +234,19 @@ def _traced_segment(context: ChainContext, upto: int, traced: bool) -> Dict[str,
     the coordinator can merge them (tagged ``chain=<id>``) into the
     run's trace.
 
-    The ambient heartbeat is silenced for the segment so the two
-    backends behave identically: worker processes have no ambient
-    heartbeat, and per-chain "anneal" beats from serial chains would
-    interleave nonsensically.  The coordinator beats per round instead.
+    The events come back tagged ``chain``, so the run's heartbeat never
+    turns them into per-chain beats (worker processes could not beat
+    anyway); it beats once per round from ``parallel.round`` instead.
     """
-    with use_heartbeat(NULL_HEARTBEAT):
-        if not traced:
-            result = context.run_segment(upto)
-            result["events"] = []
-            return result
-        sink = MemorySink()
-        with use_tracer(Tracer(sink)):
-            result = context.run_segment(upto)
-        result["events"] = sink.events
+    if not traced:
+        result = context.run_segment(upto)
+        result["events"] = []
         return result
+    sink = MemorySink()
+    with use_tracer(Tracer(sink)):
+        result = context.run_segment(upto)
+    result["events"] = sink.events
+    return result
 
 
 class SerialChainBackend:
@@ -445,7 +442,6 @@ def run_multichain_stage1(
     chains = par.chains
     workers = max(1, min(par.workers, chains))
     tracer = current_tracer()
-    heartbeat = current_heartbeat()
     circuit_text = dumps(circuit)
 
     if workers == 1:
@@ -515,6 +511,7 @@ def run_multichain_stage1(
                 control.budget.note_moves(round_attempts)
                 for _ in range(round_steps):
                     control.budget.note_temperature()
+            ranked = sorted(table, key=lambda c: (table[c]["cost"], c))
             if tracer.enabled:
                 tracer.event(
                     "parallel.round",
@@ -522,37 +519,10 @@ def run_multichain_stage1(
                     upto=upto,
                     costs={cid: round(table[cid]["cost"], 4) for cid in sorted(table)},
                     done=sorted(cid for cid in table if table[cid]["done"]),
-                )
-            if heartbeat.enabled:
-                costed = [
-                    cid for cid in table if table[cid]["cost"] is not None
-                ]
-                leader = (
-                    min(costed, key=lambda c: (table[c]["cost"], c))
-                    if costed
-                    else None
-                )
-                heartbeat.beat(
-                    "parallel",
-                    round=round_index,
-                    upto=upto,
-                    best=leader,
-                    cost=round(table[leader]["cost"], 4)
-                    if leader is not None
-                    else None,
-                    chains={
-                        str(cid): {
-                            "cost": round(table[cid]["cost"], 4)
-                            if table[cid]["cost"] is not None
-                            else None,
-                            "done": table[cid]["done"],
-                        }
-                        for cid in sorted(table)
-                    },
+                    best=ranked[0],
                 )
             live = [cid for cid in range(chains) if not table[cid]["done"]]
             if live:
-                ranked = sorted(table, key=lambda c: (table[c]["cost"], c))
                 best = ranked[0]
                 losers = [
                     cid

@@ -57,7 +57,6 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from ..annealing.engine import AnnealingState
-from ..qor.heartbeat import current_heartbeat
 from ..telemetry import MetricsRegistry
 from .arraycore import ArrayPlacementState
 
@@ -873,30 +872,14 @@ class BatchAnnealingState(AnnealingState):
     meaningful to reconcile and skips states without the hook.
     """
 
-    #: Emit a liveness beat every this many batches inside an inner
-    #: loop (the writer's ``min_interval`` throttles actual I/O).
-    HEARTBEAT_EVERY = 64
-
     def __init__(
         self, state: ArrayPlacementState, generator: BatchMoveGenerator
     ) -> None:
         self.state = state
         self.generator = generator
-        self._batches = 0
 
     def step(self, temperature: float, rng: random.Random) -> Tuple[int, int]:
-        out = self.generator.step(temperature)
-        self._batches += 1
-        if self._batches % self.HEARTBEAT_EVERY == 0:
-            heartbeat = current_heartbeat()
-            if heartbeat.enabled:
-                heartbeat.beat(
-                    "anneal",
-                    T=round(temperature, 6),
-                    batches=self._batches,
-                    cost=round(self.cost(), 4),
-                )
-        return out
+        return self.generator.step(temperature)
 
     def cost(self) -> float:
         kernel = self.generator.kernel

@@ -155,7 +155,8 @@ def define_and_route(
         workers=config.parallel.workers,
     )
     routing = router.route(circuit)
-    report = routing.congestion(graph)
+    with tracer.span("router.congestion"):
+        report = routing.congestion(graph)
     return graph, routing, report
 
 
@@ -290,7 +291,8 @@ def _define_route_expand(
         fault_point("channels.define", pass_index=pass_index)
         graph, routing, report = define_and_route(circuit, state, config, rng)
         fault_point("stage2.expansions", pass_index=pass_index)
-        expansions = cell_edge_expansions(graph, routing.routes, t_s)
+        with current_tracer().span("stage2.expansions"):
+            expansions = cell_edge_expansions(graph, routing.routes, t_s)
         return graph, routing, report, expansions
 
     if control is None:

@@ -8,8 +8,8 @@ This package turns individual flow runs into a queryable population:
   (``runs`` / ``qor`` / ``bench`` tables);
 * :mod:`~repro.qor.recorder` — :class:`RunRecorder`, the per-run glue
   (manifest + heartbeat + QoR sink + registry rows);
-* :mod:`~repro.qor.heartbeat` — atomic live-progress files with the
-  same ambient-contextvar discipline as the tracer;
+* :mod:`~repro.qor.heartbeat` — atomic live-progress files, written by
+  a tracer sink that turns the flow's events into beats;
 * :mod:`~repro.qor.monitor` — ``status`` / ``watch`` rendering;
 * :mod:`~repro.qor.gate` — QoR comparison and regression gating;
 * :mod:`~repro.qor.prometheus` — textfile-collector exposition.
@@ -30,14 +30,10 @@ from .gate import (
 from .heartbeat import (
     HEARTBEAT_VERSION,
     HISTORY_LIMIT,
-    NULL_HEARTBEAT,
     HeartbeatWriter,
-    NullHeartbeat,
-    current_heartbeat,
     history_path,
     read_heartbeat,
     read_history,
-    use_heartbeat,
 )
 from .manifest import (
     build_manifest,
@@ -68,8 +64,6 @@ __all__ = [
     "HISTORY_LIMIT",
     "HeartbeatWriter",
     "MetricDelta",
-    "NULL_HEARTBEAT",
-    "NullHeartbeat",
     "QOR_METRICS",
     "QorSink",
     "RegistryError",
@@ -80,7 +74,6 @@ __all__ = [
     "circuit_fingerprint_of",
     "compare_records",
     "config_fingerprint",
-    "current_heartbeat",
     "gate_records",
     "history_path",
     "host_metadata",
@@ -95,6 +88,5 @@ __all__ = [
     "render_prometheus",
     "render_prometheus_fleet",
     "render_status",
-    "use_heartbeat",
     "watch",
 ]

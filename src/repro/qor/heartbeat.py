@@ -1,20 +1,20 @@
 """Atomic heartbeat files: live progress of an in-flight flow run.
 
-A heartbeat is a single small JSON document, rewritten in place at
-natural progress boundaries (temperature steps of the annealer, round
-boundaries of the multi-chain coordinator, net batches of the router).
-``python -m repro status`` and ``watch`` read it; nothing in the flow
-ever blocks on it.
+A heartbeat is a single small JSON document ("beat"), rewritten in
+place at natural progress boundaries.  ``python -m repro status`` and
+``watch`` read it; nothing in the flow ever blocks on it.
 
-Two constraints shape the implementation:
+:class:`HeartbeatWriter` is a tracer :class:`~repro.telemetry.Sink`:
+the flow never calls it directly.  It builds each beat from an event
+the flow already emits for the trace (see :meth:`HeartbeatWriter.emit`
+for the table), so every progress fact has one producer.  Only the
+run's lifecycle beats (``start``, ``done``, ``interrupted``,
+``failed``) are written directly, by :class:`~repro.qor.RunRecorder`.
 
-1. *Atomicity.*  Every write goes to a temp file in the target
-   directory followed by ``os.replace``, so a reader can never observe
-   a partially-written document — it sees either the previous complete
-   beat or the new one.  (This is the same discipline checkpoints use.)
-2. *Zero cost when disabled.*  The ambient heartbeat defaults to
-   :data:`NULL_HEARTBEAT` (``enabled = False``); instrumented loops pay
-   one attribute read and a branch, exactly like the tracer.
+Every write goes to a temp file in the target directory followed by
+``os.replace``, so a reader can never observe a partially-written
+document: it sees either the previous complete beat or the new one.
+(This is the same discipline checkpoints use.)
 
 The writer keeps a monotonically increasing ``seq`` and stamps every
 beat with a wall-clock ``updated`` time so monitors can report
@@ -43,14 +43,14 @@ markers; :func:`ring_generation` exposes the newest one.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import os
 import tempfile
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
+
+from ..telemetry import Sink
 
 #: Schema tag written into every heartbeat document.
 HEARTBEAT_VERSION = 1
@@ -62,6 +62,21 @@ HISTORY_LIMIT = 512
 #: Key that distinguishes a ring generation-marker line from a beat.
 RING_MARKER_KEY = "ring"
 
+#: Stage spans whose start publishes a ``flow`` beat and sets the
+#: sticky ``stage`` field, and the span fields that beat carries.
+STAGE_SPANS = ("stage1", "stage2")
+STAGE_FIELDS = ("chains", "passes")
+
+#: The ``anneal.temperature`` fields an ``anneal`` beat carries.
+ANNEAL_FIELDS = (
+    "step", "T", "acceptance", "cost", "c1", "c2", "c3",
+    "eta_steps", "eta_seconds", "eta_estimated",
+)
+
+#: Router phase one publishes a ``route`` beat about every
+#: 1/ROUTE_BEATS of its nets.
+ROUTE_BEATS = 50
+
 
 def history_path(snapshot_path: Union[str, Path]) -> Path:
     """The history-ring path for a heartbeat snapshot path
@@ -70,24 +85,18 @@ def history_path(snapshot_path: Union[str, Path]) -> Path:
     return snapshot_path.with_name(snapshot_path.stem + ".history.jsonl")
 
 
-class NullHeartbeat:
-    """The default (disabled) heartbeat: drops every beat."""
-
-    enabled = False
-
-    def beat(self, phase: str, final: bool = False, **fields: Any) -> None:
-        pass
-
-    def set_context(self, **fields: Any) -> None:
-        pass
+def _pick(event: Dict[str, Any], keys) -> Dict[str, Any]:
+    return {key: event[key] for key in keys if key in event}
 
 
-class HeartbeatWriter:
+class HeartbeatWriter(Sink):
     """Writes atomic heartbeat documents to ``path``.
 
-    ``context`` fields (e.g. the current flow stage) are merged into
-    every subsequent beat until overwritten; per-beat ``fields`` win
-    over context on collision.  When ``metrics_textfile`` is set, each
+    As a tracer sink it turns the flow's events into beats (see
+    :meth:`emit`); :meth:`beat` writes one directly.  ``context``
+    fields (e.g. the current flow stage) are merged into every
+    subsequent beat until overwritten; per-beat ``fields`` win over
+    context on collision.  When ``metrics_textfile`` is set, each
     written beat is also rendered to Prometheus text format (the
     node-exporter textfile-collector contract) at that path, again
     atomically.
@@ -95,8 +104,6 @@ class HeartbeatWriter:
     ``history_limit`` bounds the history ring next to the snapshot
     (``0`` disables it entirely).
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -132,6 +139,74 @@ class HeartbeatWriter:
         self._seq = 0
         self._last_write = 0.0
         self._last_phase: Optional[str] = None
+        self._nets_done = 0
+        self._nets_total = 0
+
+    def emit(self, event: Dict[str, Any]) -> None:
+        """Build a beat from a tracer event:
+
+        ====================================  =====================
+        event                                 beat
+        ====================================  =====================
+        ``stage1`` / ``stage2`` span start    ``flow`` (and sticky
+                                              ``stage``)
+        ``anneal.temperature``                ``anneal``
+        ``router.phase1`` span start          ``route`` (0 nets)
+        ``router.net``, every ~2% of nets     ``route``
+        ``router.interchange``                ``route`` (final)
+        ``parallel.round``                    ``parallel``
+        ====================================  =====================
+
+        Events tagged ``chain`` (a multi-chain segment's own trace) never
+        beat: the coordinator's ``parallel`` beat reports the chains.
+        """
+        if "chain" in event:
+            return
+        kind = event.get("ev")
+        name = event.get("name")
+        if kind == "span_begin":
+            if name in STAGE_SPANS:
+                self.set_context(stage=name)
+                self.beat("flow", status=name, **_pick(event, STAGE_FIELDS))
+            elif name == "router.phase1":
+                self._nets_done = 0
+                self._nets_total = event["nets"]
+                if self._nets_total:
+                    self.beat("route", nets_done=0, nets_total=self._nets_total)
+            return
+        if kind != "event":
+            return
+        if name == "anneal.temperature":
+            self.beat("anneal", **_pick(event, ANNEAL_FIELDS))
+        elif name == "router.net":
+            self._nets_done += 1
+            if self._nets_done % max(1, self._nets_total // ROUTE_BEATS) == 0:
+                self.beat(
+                    "route",
+                    nets_done=self._nets_done,
+                    nets_total=self._nets_total,
+                )
+        elif name == "router.interchange":
+            self.beat(
+                "route",
+                nets_done=self._nets_total,
+                nets_total=self._nets_total,
+                overflow=event["overflow"],
+                total_length=event["total_length"],
+            )
+        elif name == "parallel.round":
+            costs, done, best = event["costs"], event["done"], event["best"]
+            self.beat(
+                "parallel",
+                round=event["round"],
+                upto=event["upto"],
+                best=best,
+                cost=costs.get(best),
+                chains={
+                    str(cid): {"cost": cost, "done": cid in done}
+                    for cid, cost in costs.items()
+                },
+            )
 
     def set_context(self, **fields: Any) -> None:
         """Merge fields into every subsequent beat (None deletes)."""
@@ -325,28 +400,3 @@ def read_history(
     if limit is not None:
         entries = entries[-limit:]
     return entries
-
-
-#: The process-wide disabled heartbeat; ``current_heartbeat`` falls back to it.
-NULL_HEARTBEAT = NullHeartbeat()
-
-_CURRENT: "contextvars.ContextVar[Any]" = contextvars.ContextVar(
-    "repro_heartbeat", default=NULL_HEARTBEAT
-)
-
-
-def current_heartbeat():
-    """The heartbeat installed by the innermost :func:`use_heartbeat`
-    block (the disabled :data:`NULL_HEARTBEAT` outside any block)."""
-    return _CURRENT.get()
-
-
-@contextmanager
-def use_heartbeat(heartbeat) -> Iterator[Any]:
-    """Install ``heartbeat`` as the ambient heartbeat for the dynamic
-    extent of the block (contextvar-based, like ``use_tracer``)."""
-    token = _CURRENT.set(heartbeat)
-    try:
-        yield heartbeat
-    finally:
-        _CURRENT.reset(token)

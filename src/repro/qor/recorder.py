@@ -1,20 +1,22 @@
 """RunRecorder: the glue between one flow run and the observability layer.
 
 One recorder per run.  It owns the rundir (``manifest.json``,
-``heartbeat.json``, ``qor.json``), the registry rows, the live
-heartbeat, and a :class:`QorSink` — the Tracer sink through which span
-timings and ``MetricsRegistry`` snapshots flow into the QoR record
-automatically, with no flow-layer code aware of the registry at all.
+``heartbeat.json``, ``qor.json``), the registry rows, and two Tracer
+sinks: a :class:`QorSink`, through which span timings and
+``MetricsRegistry`` snapshots flow into the QoR record, and the
+:class:`~repro.qor.heartbeat.HeartbeatWriter`, which turns the flow's
+trace events into live beats.  No flow-layer code is aware of either.
 
 Lifecycle::
 
     recorder = RunRecorder(rundir, registry=path)
-    recorder.begin(circuit, config, command="place")
-    tracer = Tracer([recorder.sink, ...])          # QorSink rides along
-    with recorder.monitor():                        # ambient heartbeat
-        result = place_and_route(circuit, config, tracer=tracer)
-    recorder.finish(result)                         # QoR -> registry
+    recorder.begin(circuit, config, command="place")   # "start" beat
+    tracer = Tracer([*recorder.sinks, ...])             # QoR + heartbeat
+    result = place_and_route(circuit, config, tracer=tracer)
+    recorder.finish(result)                             # QoR -> registry
 
+``begin``, ``finish``, ``interrupted`` and ``failed`` write the run's
+lifecycle beats directly; everything in between comes from the tracer.
 A run resumed from a checkpoint passes the checkpoint's ``run_id`` so
 the registry keeps a single identity for the whole (interrupted,
 resumed, completed) run.
@@ -23,12 +25,11 @@ resumed, completed) run.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..telemetry import Sink
-from .heartbeat import HeartbeatWriter, _atomic_write, use_heartbeat
+from .heartbeat import HeartbeatWriter, _atomic_write
 from .manifest import build_manifest, new_run_id
 from .registry import RunRegistry
 
@@ -164,6 +165,12 @@ class RunRecorder:
     def registry(self) -> Optional[RunRegistry]:
         return self._registry
 
+    @property
+    def sinks(self) -> List[Sink]:
+        """The tracer sinks that record this run: the QoR aggregator
+        and the heartbeat."""
+        return [self.sink, self.heartbeat]
+
     def begin(
         self,
         circuit,
@@ -186,12 +193,6 @@ class RunRecorder:
         self.heartbeat.set_context(circuit=circuit.name, trace_id=self.trace_id)
         self.heartbeat.beat("start", command=command)
         return self.manifest
-
-    @contextmanager
-    def monitor(self) -> Iterator[HeartbeatWriter]:
-        """Install this run's heartbeat as the ambient heartbeat."""
-        with use_heartbeat(self.heartbeat) as hb:
-            yield hb
 
     def finish(self, result) -> Dict[str, Any]:
         """Record the QoR (rundir + registry) and close out the run."""

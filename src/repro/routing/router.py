@@ -13,7 +13,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..channels import ChannelGraph, CongestionReport, compute_congestion
 from ..netlist import Circuit
-from ..qor.heartbeat import current_heartbeat
 from ..resilience.faults import fault_point
 from ..telemetry import current_tracer
 from .interchange import InterchangeResult, RouteSelector
@@ -110,7 +109,6 @@ class GlobalRouter:
     def route(self, circuit: Circuit) -> RoutingResult:
         """Route every net: phase one per net, then the interchange."""
         tracer = current_tracer()
-        heartbeat = current_heartbeat()
         with tracer.span(
             "router.route", nets=circuit.num_nets, m_routes=self.m_routes
         ):
@@ -126,83 +124,68 @@ class GlobalRouter:
                 if len(groups) < 2:
                     continue  # nothing to connect
                 tasks.append((net_name, groups))
-            # Live progress: a beat every ~2% of nets (min_interval on
-            # the writer throttles small circuits down further).  The
-            # opening beat marks the phase transition itself, so SSE
-            # streams see "route" begin before the first batch lands.
-            beat_every = max(1, len(tasks) // 50)
-            nets_done = 0
-            if heartbeat.enabled and tasks:
-                heartbeat.beat("route", nets_done=0, nets_total=len(tasks))
+            with tracer.span("router.phase1", nets=len(tasks)):
+                if self.workers > 1 and tasks:
+                    # Phase-one fan-out: the pool enumerates per-net
+                    # routes; results commit here in the same sequential
+                    # net order the serial loop uses, so the routing is
+                    # identical.
+                    from ..parallel.routing import route_nets_parallel
 
-            def _net_beat() -> None:
-                nonlocal nets_done
-                nets_done += 1
-                if heartbeat.enabled and nets_done % beat_every == 0:
-                    heartbeat.beat(
-                        "route", nets_done=nets_done, nets_total=len(tasks)
+                    records = route_nets_parallel(
+                        self.graph, tasks, self.m_routes, self.workers
                     )
-
-            if self.workers > 1 and tasks:
-                # Phase-one fan-out: the pool enumerates per-net routes;
-                # results commit here in the same sequential net order
-                # the serial loop uses, so the routing is identical.
-                from ..parallel.routing import route_nets_parallel
-
-                records = route_nets_parallel(
-                    self.graph, tasks, self.m_routes, self.workers
-                )
-                for (net_name, groups), record in zip(tasks, records):
-                    alts = record["alternatives"]
-                    if record["error"] is not None and tracer.enabled:
-                        tracer.event(
-                            "router.net_retried",
-                            net=net_name,
-                            error=record["error"],
-                            m_routes=max(1, self.m_routes // 2),
-                        )
-                    if record["retried"] is not None:
-                        retried[net_name] = record["retried"]
-                    if record["failed"] is not None:
-                        failed[net_name] = record["failed"]
-                        if tracer.enabled:
+                    for (net_name, groups), record in zip(tasks, records):
+                        alts = record["alternatives"]
+                        if record["error"] is not None and tracer.enabled:
                             tracer.event(
-                                "router.net_failed",
+                                "router.net_retried",
                                 net=net_name,
-                                error=record["failed"],
+                                error=record["error"],
+                                m_routes=max(1, self.m_routes // 2),
                             )
-                    self._commit_net(
-                        net_name, groups, alts, tracer,
-                        alternatives, unrouted, estimated,
-                    )
-                    _net_beat()
-            else:
-                for net_name, groups in tasks:
-                    alts = self._route_net_supervised(
-                        net_name, groups, tracer, failed, retried
-                    )
-                    self._commit_net(
-                        net_name, groups, alts, tracer,
-                        alternatives, unrouted, estimated,
-                    )
-                    _net_beat()
+                        if record["retried"] is not None:
+                            retried[net_name] = record["retried"]
+                        if record["failed"] is not None:
+                            failed[net_name] = record["failed"]
+                            if tracer.enabled:
+                                tracer.event(
+                                    "router.net_failed",
+                                    net=net_name,
+                                    error=record["failed"],
+                                )
+                        self._commit_net(
+                            net_name, groups, alts, tracer,
+                            alternatives, unrouted, estimated,
+                        )
+                else:
+                    for net_name, groups in tasks:
+                        alts = self._route_net_supervised(
+                            net_name, groups, tracer, failed, retried
+                        )
+                        self._commit_net(
+                            net_name, groups, alts, tracer,
+                            alternatives, unrouted, estimated,
+                        )
 
-            capacities: Dict[EdgeKey, Optional[int]] = {
-                e.key: e.capacity for e in self.graph.edges()
-            }
-            if alternatives:
-                selector = RouteSelector(alternatives, capacities)
-                interchange = selector.run(self.rng)
-                routes = selector.routes()
-            else:
-                interchange = InterchangeResult(
-                    selection={}, total_length=0.0, overflow=0, converged_shortest=True
-                )
-                routes = {}
-            lengths = {
-                net: alternatives[net][interchange.selection[net]].length
-                for net in alternatives
-            }
+            with tracer.span("router.phase2", nets=len(alternatives)):
+                capacities: Dict[EdgeKey, Optional[int]] = {
+                    e.key: e.capacity for e in self.graph.edges()
+                }
+                if alternatives:
+                    selector = RouteSelector(alternatives, capacities)
+                    interchange = selector.run(self.rng)
+                    routes = selector.routes()
+                else:
+                    interchange = InterchangeResult(
+                        selection={}, total_length=0.0, overflow=0,
+                        converged_shortest=True,
+                    )
+                    routes = {}
+                lengths = {
+                    net: alternatives[net][interchange.selection[net]].length
+                    for net in alternatives
+                }
             if tracer.enabled:
                 tracer.event(
                     "router.interchange",
@@ -213,14 +196,6 @@ class GlobalRouter:
                     overflow=interchange.overflow,
                     total_length=round(interchange.total_length, 3),
                     converged_shortest=interchange.converged_shortest,
-                )
-            if heartbeat.enabled:
-                heartbeat.beat(
-                    "route",
-                    nets_done=len(tasks),
-                    nets_total=len(tasks),
-                    overflow=interchange.overflow,
-                    total_length=round(interchange.total_length, 3),
                 )
             return RoutingResult(
                 routes=routes,

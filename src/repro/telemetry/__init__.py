@@ -1,4 +1,4 @@
-"""Flow-wide telemetry: structured traces, metrics, and profiling hooks.
+"""Flow-wide telemetry: structured traces, metrics, and profiling.
 
 The paper's evidence is observational — acceptance-ratio and
 range-limiter traces (Figs. 3-6) and per-stage cost/time breakdowns
@@ -15,8 +15,6 @@ dependency instrumentation layer:
 * :mod:`repro.telemetry.report` — regenerates the paper's diagnostic
   tables (acceptance-vs-T, cost-vs-iteration, per-stage time/cost) from
   a trace, as CSV and plain text.
-* :func:`profiled` — an optional ``cProfile`` span wrapper, enabled by
-  ``TimberWolfConfig(enable_profiling=True)``.
 * :class:`TraceContext` (:mod:`repro.telemetry.context`) — the
   W3C-traceparent-style identity that follows a run across process
   boundaries (supervisor → worker → chains → router) and across
@@ -37,7 +35,6 @@ from .context import (
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import SamplingProfiler, attribution_from_collapsed, parse_collapsed
-from .profiler import profiled
 from .tracer import (
     NULL_TRACER,
     FileSink,
@@ -62,7 +59,6 @@ __all__ = [
     "SamplingProfiler",
     "attribution_from_collapsed",
     "parse_collapsed",
-    "profiled",
     "NULL_TRACER",
     "FileSink",
     "MemorySink",

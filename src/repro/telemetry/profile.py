@@ -1,10 +1,9 @@
 """Low-overhead sampling profiler: where the anneal's wall-clock goes.
 
-:mod:`repro.telemetry.profiler` wraps a stage in ``cProfile``, which is
-exact but costs tens of percent on the move loop — fine for one-off
-investigation, unusable always-on.  This module is the production
-counterpart: a background thread samples the target thread's stack at a
-fixed rate via ``sys._current_frames()`` and aggregates the samples
+A deterministic profiler such as ``cProfile`` is exact but costs tens
+of percent on the move loop — fine for one-off investigation, unusable
+always-on.  Here a background thread samples the target thread's stack
+at a fixed rate via ``sys._current_frames()`` and aggregates the samples
 into Brendan-Gregg-style *collapsed stacks* (``frame;frame;frame N``),
 the input format of every flamegraph renderer.  Sampling cost is a few
 microseconds per tick, so at the default ~100 Hz the overhead on the

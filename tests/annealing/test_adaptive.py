@@ -347,12 +347,13 @@ class TestAdaptiveEta:
         assert window.floor_estimate(stats) is None
 
     def test_adaptive_heartbeat_etas_are_flagged_estimates(self, tmp_path):
-        from repro.qor import HeartbeatWriter, use_heartbeat
+        from repro.qor import HeartbeatWriter
+        from repro.telemetry import Tracer, use_tracer
         from repro.qor.heartbeat import history_path, read_history
 
         annealer, _ = make_adaptive_annealer(max_temperatures=30)
         writer = HeartbeatWriter(tmp_path / "hb.json", run_id="r1")
-        with use_heartbeat(writer):
+        with use_tracer(Tracer(writer)):
             annealer.run(QuadraticState(50.0))
         beats = [
             b
@@ -372,7 +373,8 @@ class TestAdaptiveEta:
         """No ETA anchor at all: the beat says eta: null out loud
         instead of omitting the field or inventing a number."""
         from repro.annealing import StoppingCriterion
-        from repro.qor import HeartbeatWriter, use_heartbeat
+        from repro.qor import HeartbeatWriter
+        from repro.telemetry import Tracer, use_tracer
         from repro.qor.heartbeat import history_path, read_history
 
         class StepBudget(StoppingCriterion):
@@ -389,7 +391,7 @@ class TestAdaptiveEta:
             max_temperatures=10,
         )
         writer = HeartbeatWriter(tmp_path / "hb.json", run_id="r1")
-        with use_heartbeat(writer):
+        with use_tracer(Tracer(writer)):
             annealer.run(QuadraticState(50.0))
         beats = [
             b
@@ -405,7 +407,8 @@ class TestAdaptiveEta:
     def test_table_schedule_etas_stay_unflagged(self, tmp_path):
         """The fixed-table path is not an estimate: no eta_estimated
         flag, and no eta keys at all when there is no floor anchor."""
-        from repro.qor import HeartbeatWriter, use_heartbeat
+        from repro.qor import HeartbeatWriter
+        from repro.telemetry import Tracer, use_tracer
         from repro.qor.heartbeat import history_path, read_history
 
         from .test_engine import geometric_schedule
@@ -418,7 +421,7 @@ class TestAdaptiveEta:
             eta_floor=10.0,
         )
         writer = HeartbeatWriter(tmp_path / "hb.json", run_id="r1")
-        with use_heartbeat(writer):
+        with use_tracer(Tracer(writer)):
             annealer.run(QuadraticState(20.0))
         beats = [
             b

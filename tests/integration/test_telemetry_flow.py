@@ -74,6 +74,56 @@ class TestEventSequence:
         assert result.trace_events == events
 
 
+def child_coverage(events, names):
+    """(name, fraction of the span's wall time its direct child spans
+    cover) for every span called one of ``names``."""
+    ends = {e["span"]: e for e in events if e["ev"] == "span_end"}
+    covered = {}
+    for e in events:
+        if e["ev"] == "span_begin" and e.get("parent") is not None:
+            covered[e["parent"]] = (
+                covered.get(e["parent"], 0.0) + ends[e["span"]]["wall_s"]
+            )
+    return [
+        (e["name"], covered.get(e["span"], 0.0) / ends[e["span"]]["wall_s"])
+        for e in events
+        if e["ev"] == "span_begin" and e["name"] in names
+    ]
+
+
+class TestSpanCoverage:
+    """Stage 2's layer spans add up to their parents, so a trace alone
+    says where the time went."""
+
+    @pytest.fixture(scope="class")
+    def suite_events(self):
+        from repro.bench import load_circuit
+
+        mem = MemorySink()
+        place_and_route(
+            load_circuit("i3"), TimberWolfConfig.smoke(seed=7),
+            tracer=Tracer(mem), collect_trace=False,
+        )
+        return mem.events
+
+    def test_router_and_pass_spans_are_covered_by_children(self, suite_events):
+        coverage = child_coverage(suite_events, {"router.route", "stage2.pass"})
+        assert {name for name, _ in coverage} == {"router.route", "stage2.pass"}
+        for name, fraction in coverage:
+            assert fraction >= 0.95, (name, fraction)
+
+    def test_layer_spans_nest_where_expected(self, suite_events):
+        paths = set(span_paths(suite_events).values())
+        route = "flow/stage2/stage2.pass/router.route"
+        for path in (
+            route + "/router.phase1",
+            route + "/router.phase2",
+            "flow/stage2/stage2.pass/router.congestion",
+            "flow/stage2/stage2.pass/stage2.expansions",
+        ):
+            assert path in paths, path
+
+
 class TestAcceptanceReconciliation:
     def test_per_temperature_events_match_engine_counts(self, traced):
         result, events = traced
@@ -190,17 +240,6 @@ class TestDefaultCollection:
 
 
 class TestProfilingHook:
-    def test_profile_events_behind_flag(self):
-        mem = MemorySink()
-        from dataclasses import replace
-
-        cfg = replace(TimberWolfConfig.smoke(seed=3), enable_profiling=True)
-        place_and_route(make_macro_circuit(), cfg, tracer=Tracer(mem))
-        profiles = [e for e in mem.events if e.get("name") == "profile"]
-        assert {p["profiled"] for p in profiles} == {"stage1", "stage2"}
-        top = profiles[0]["top"]
-        assert top and {"func", "ncalls", "cumtime_s"} <= set(top[0])
-
     def test_no_profile_events_without_flag(self):
         mem = MemorySink()
         place_and_route(

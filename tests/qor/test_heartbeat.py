@@ -1,4 +1,5 @@
-"""Heartbeat files: atomic writes, throttling, and the ambient contextvar."""
+"""Heartbeat files: atomic writes, throttling, and the tracer sink that
+turns flow events into beats."""
 
 import json
 import threading
@@ -7,22 +8,13 @@ import pytest
 
 from repro.qor import (
     HEARTBEAT_VERSION,
-    NULL_HEARTBEAT,
     HeartbeatWriter,
-    NullHeartbeat,
-    current_heartbeat,
+    history_path,
     parse_prometheus,
     read_heartbeat,
-    use_heartbeat,
+    read_history,
 )
-
-
-class TestNullHeartbeat:
-    def test_disabled_and_inert(self):
-        hb = NullHeartbeat()
-        assert not hb.enabled
-        hb.beat("anneal", step=1)  # must not raise, must not write
-        hb.set_context(stage="stage1")
+from repro.telemetry import Tracer
 
 
 class TestWriter:
@@ -131,18 +123,128 @@ class TestAtomicity:
         assert not errors
 
 
-class TestAmbientHeartbeat:
-    def test_default_is_null(self):
-        assert current_heartbeat() is NULL_HEARTBEAT
+class TestHeartbeatSink:
+    """The writer as a tracer sink: each beat comes from a flow event."""
 
-    def test_install_and_restore(self, tmp_path):
-        writer = HeartbeatWriter(tmp_path / "hb.json")
-        with use_heartbeat(writer):
-            assert current_heartbeat() is writer
-            with use_heartbeat(NULL_HEARTBEAT):
-                assert current_heartbeat() is NULL_HEARTBEAT
-            assert current_heartbeat() is writer
-        assert current_heartbeat() is NULL_HEARTBEAT
+    def _traced(self, tmp_path):
+        writer = HeartbeatWriter(tmp_path / "hb.json", run_id="r1")
+        return writer, Tracer(writer)
+
+    def _ring(self, tmp_path):
+        return read_history(history_path(tmp_path / "hb.json"))
+
+    def test_stage_span_beats_and_sets_sticky_stage(self, tmp_path):
+        writer, tracer = self._traced(tmp_path)
+        with tracer.span("stage1", chains=4):
+            doc = read_heartbeat(tmp_path / "hb.json")
+            assert doc["phase"] == "flow"
+            assert doc["status"] == "stage1"
+            assert doc["stage"] == "stage1"
+            assert doc["chains"] == 4
+            # The sticky stage rides on later beats too.
+            tracer.event("anneal.temperature", step=0, T=9.0)
+            doc = read_heartbeat(tmp_path / "hb.json")
+            assert doc["phase"] == "anneal" and doc["stage"] == "stage1"
+
+    def test_one_flow_beat_per_stage_change(self, tmp_path):
+        _, tracer = self._traced(tmp_path)
+        with tracer.span("flow"):
+            with tracer.span("stage1", chains=1):
+                with tracer.span("anneal"):
+                    pass
+            with tracer.span("stage1.legalize"):
+                pass
+            with tracer.span("stage2", passes=3):
+                with tracer.span("stage2.pass", index=0):
+                    pass
+        ring = self._ring(tmp_path)
+        assert [b["phase"] for b in ring] == ["flow", "flow"]
+        assert [b["status"] for b in ring] == ["stage1", "stage2"]
+        assert ring[1]["passes"] == 3 and "chains" not in ring[1]
+
+    def test_anneal_beat_carries_only_its_fields(self, tmp_path):
+        _, tracer = self._traced(tmp_path)
+        tracer.set_context(trace_span="ab12")
+        tracer.event(
+            "anneal.temperature", step=2, T=5.0, attempts=40, accepts=8,
+            acceptance=0.2, cost=11.0, moves_per_sec=900.0, c1=6.0, c2=5.0,
+            c2_raw=2.5, c3=0.0, window_x=3.0, alpha=0.9, eta_steps=7,
+            eta_seconds=1.4,
+        )
+        (beat,) = self._ring(tmp_path)
+        fields = set(beat) - {"v", "run_id", "phase", "seq", "updated", "final"}
+        assert fields == {
+            "step", "T", "acceptance", "cost", "c1", "c2", "c3",
+            "eta_steps", "eta_seconds",
+        }
+        assert beat["phase"] == "anneal" and beat["eta_steps"] == 7
+
+    def test_router_phase_beats(self, tmp_path):
+        _, tracer = self._traced(tmp_path)
+        with tracer.span("router.route"):
+            with tracer.span("router.phase1", nets=120):
+                for i in range(120):
+                    tracer.event("router.net", net=f"n{i}")
+            tracer.event(
+                "router.interchange", nets_routed=118, unrouted=2,
+                overflow=3, total_length=456.7,
+            )
+        ring = self._ring(tmp_path)
+        assert {b["phase"] for b in ring} == {"route"}
+        assert {b["nets_total"] for b in ring} == {120}
+        # The opening beat, one every 120 // 50 = 2 nets, the closing one.
+        assert [b["nets_done"] for b in ring] == (
+            [0] + list(range(2, 121, 2)) + [120]
+        )
+        assert ring[-1]["overflow"] == 3
+        assert ring[-1]["total_length"] == 456.7
+        assert "overflow" not in ring[-2]
+
+    def test_router_without_nets_opens_no_phase(self, tmp_path):
+        _, tracer = self._traced(tmp_path)
+        with tracer.span("router.phase1", nets=0):
+            pass
+        assert self._ring(tmp_path) == []
+
+    def test_parallel_round_beat(self, tmp_path):
+        _, tracer = self._traced(tmp_path)
+        tracer.event(
+            "parallel.round", round=2, upto=30, costs={0: 5.0, 1: 3.0},
+            done=[1], best=1,
+        )
+        (beat,) = self._ring(tmp_path)
+        assert beat["phase"] == "parallel"
+        assert (beat["round"], beat["upto"]) == (2, 30)
+        assert beat["best"] == 1 and beat["cost"] == 3.0
+        assert beat["chains"] == {
+            "0": {"cost": 5.0, "done": False},
+            "1": {"cost": 3.0, "done": True},
+        }
+
+    def test_chain_tagged_events_never_beat(self, tmp_path):
+        _, tracer = self._traced(tmp_path)
+        with tracer.span("coordinator"):
+            tracer.ingest(
+                [
+                    {"ev": "span_begin", "name": "stage1", "t": 0.0, "span": 1},
+                    {"ev": "event", "name": "anneal.temperature", "t": 0.1,
+                     "span": 1, "step": 0, "T": 1.0},
+                    {"ev": "span_begin", "name": "router.phase1", "t": 0.2,
+                     "span": 2, "parent": 1, "nets": 4},
+                    {"ev": "event", "name": "router.net", "t": 0.3, "span": 2},
+                ],
+                chain=0,
+            )
+        assert self._ring(tmp_path) == []
+        assert read_heartbeat(tmp_path / "hb.json") is None
+
+    def test_other_events_never_beat(self, tmp_path):
+        _, tracer = self._traced(tmp_path)
+        with tracer.span("stage2.pass", index=0):
+            tracer.event("stage1.result", teil=1.0)
+            tracer.counter("moves", 5)
+            tracer.gauge("T", 1.0)
+        assert self._ring(tmp_path) == []
 
 
 class TestHistoryRing:

@@ -4,13 +4,15 @@ import json
 
 import pytest
 
-from repro import TimberWolfConfig, Tracer, place_and_route, use_tracer
+from repro import TimberWolfConfig, Tracer, place_and_route
 from repro.qor import (
     QorSink,
     RunRecorder,
     RunRegistry,
+    history_path,
     qor_from_result,
     read_heartbeat,
+    read_history,
 )
 
 from ..conftest import make_macro_circuit
@@ -78,9 +80,7 @@ class TestRunRecorder:
         recorder = RunRecorder(rundir, registry=registry_path, run_id=run_id)
         circuit = make_macro_circuit()
         recorder.begin(circuit, SMOKE, command="place")
-        tracer = Tracer(recorder.sink)
-        with recorder.monitor(), use_tracer(tracer):
-            result = place_and_route(circuit, SMOKE, tracer=tracer)
+        result = place_and_route(circuit, SMOKE, tracer=Tracer(recorder.sinks))
         record = recorder.finish(result)
         return rundir, recorder, record
 
@@ -98,6 +98,19 @@ class TestRunRecorder:
         assert beat["final"] is True
         assert beat["phase"] == "done"
         assert beat["status"] == "ok"
+
+    def test_flow_events_become_beats_in_phase_order(self, tmp_path):
+        rundir, _, _ = self._run(tmp_path)
+        ring = read_history(history_path(rundir / RunRecorder.HEARTBEAT_NAME))
+        phases = [b["phase"] for b in ring]
+        runs = [p for i, p in enumerate(phases) if i == 0 or phases[i - 1] != p]
+        assert runs == ["start", "flow", "anneal", "flow", "route", "anneal", "done"]
+        flow = [b for b in ring if b["phase"] == "flow"]
+        assert [b["status"] for b in flow] == ["stage1", "stage2"]
+        for beat in ring:
+            if beat["phase"] == "anneal":
+                assert {"T", "acceptance", "cost", "c1", "c2", "c3",
+                        "eta_steps"} <= set(beat)
 
     def test_registry_rows_written(self, tmp_path):
         reg_path = tmp_path / "reg.sqlite"
@@ -143,8 +156,9 @@ class TestRunRecorder:
         recorder = RunRecorder(tmp_path / "r", registry=reg_path)
         circuit = make_macro_circuit()
         recorder.begin(circuit, SMOKE)
-        with recorder.monitor():
-            result = place_and_route(circuit, SMOKE, budget=Budget(temperatures=2))
+        result = place_and_route(
+            circuit, SMOKE, tracer=Tracer(recorder.sinks), budget=Budget(temperatures=2)
+        )
         recorder.finish(result)
         with RunRegistry(reg_path) as registry:
             run = registry.get_run(recorder.run_id)

@@ -35,6 +35,18 @@ def fixture_circuit():
     return loads(dumps(make_macro_circuit()))
 
 
+def stale_config_checkpoint(directory, **config_changes):
+    """A stage-2 checkpoint whose config carries ``config_changes``, as
+    a build with different config fields would have written it."""
+    text = dumps(fixture_circuit())
+    config = dict(SMOKE.to_dict(), **config_changes)
+    path = directory / "stale.ckpt"
+    write_checkpoint(
+        path, {"phase": "stage2", "config": config, "circuit_text": text}, text
+    )
+    return path
+
+
 @pytest.fixture(scope="module")
 def baseline():
     return place_and_route(fixture_circuit(), SMOKE)
@@ -99,6 +111,48 @@ class TestKillAndResume:
         write_checkpoint(path, {"phase": "stage99"}, "circuit x\n")
         with pytest.raises(CheckpointError, match="unknown checkpoint phase"):
             resume_place_and_route(path)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"enable_profiling": False}, "unknown config fields"),
+            ({"m_routes": 0}, "m_routes must be at least 1"),
+            (
+                {"parallel": dict(SMOKE.parallel.to_dict(), pool_size=2)},
+                "unexpected keyword argument 'pool_size'",
+            ),
+        ],
+    )
+    def test_resume_rejects_unusable_config(self, tmp_path, change, match):
+        """A checkpoint written by another build (a config field this
+        build does not know, or a value it refuses) is a checkpoint
+        error, not a bare ValueError from the config."""
+        path = stale_config_checkpoint(tmp_path, **change)
+        with pytest.raises(CheckpointError, match=match):
+            resume_place_and_route(path)
+
+    @pytest.mark.parametrize("rundir", [False, True])
+    def test_cli_reports_unusable_config_without_traceback(self, tmp_path, rundir):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        path = stale_config_checkpoint(tmp_path, enable_profiling=False)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        command = [sys.executable, "-m", "repro", "resume", str(path)]
+        if rundir:
+            command += ["--rundir", str(tmp_path / "run")]
+        proc = subprocess.run(
+            command, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 1
+        assert "checkpoint error:" in proc.stderr
+        assert "unknown config fields" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestGracefulDegradation:
