@@ -17,7 +17,7 @@ from repro.estimator import determine_core
 from repro.geometry import TileSet
 from repro.placement import MoveGenerator, PlacementState
 from repro.annealing import RangeLimiter
-from repro.routing import dijkstra
+from repro.routing import SearchGraph, dijkstra
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +83,6 @@ def test_dijkstra_kernel(benchmark):
                     adj.setdefault(v, []).append((u, 1.0))
 
     result = benchmark(
-        dijkstra, lambda u: adj[u], {0: 0.0}, {n * n - 1}
+        dijkstra, SearchGraph(adj), {0: 0.0}, {n * n - 1}
     )
     assert result[0] == 2 * (n - 1)

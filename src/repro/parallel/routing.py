@@ -2,8 +2,9 @@
 
 Phase one of the global router — M-shortest-path enumeration per net —
 is embarrassingly parallel: each net's search reads only the (immutable)
-channel graph.  The pool workers hold one pickled copy of the graph
-each (shipped once via the pool initializer), receive ``(net, groups)``
+prepared search graph and the node positions.  The pool workers hold
+one pickled copy of both each (shipped once via the pool initializer),
+receive ``(net, groups)``
 tasks, and return the per-net alternatives; the parent commits results
 in the original sequential net order and runs phase two (the
 interchange, which consumes the router's RNG) serially.  The routing is
@@ -26,11 +27,12 @@ import multiprocessing as mp
 import sys
 from typing import Dict, List, Sequence, Tuple
 
+from ..routing.mpaths import SearchGraph
 from ..routing.steiner import m_shortest_routes
 from .workers import reset_worker_signals
 
-#: Worker-global channel graph, installed once per worker by the pool
-#: initializer so per-task payloads stay small.
+#: Worker-global ``(SearchGraph, positions)``, installed once per worker
+#: by the pool initializer so per-task payloads stay small.
 _WORKER_GRAPH = None
 
 
@@ -52,7 +54,7 @@ def _route_one(task) -> Dict:
     ``retried`` (relaxed search succeeded) or ``failed`` (it did not).
     """
     net_name, groups, m_routes = task
-    graph = _WORKER_GRAPH
+    search, positions = _WORKER_GRAPH
     record: Dict = {
         "net": net_name,
         "alternatives": [],
@@ -62,7 +64,7 @@ def _route_one(task) -> Dict:
     }
     try:
         record["alternatives"] = m_shortest_routes(
-            graph.neighbors, groups, m_routes, positions=graph.positions
+            search, groups, m_routes, positions=positions
         )
         return record
     except Exception as exc:
@@ -71,7 +73,7 @@ def _route_one(task) -> Dict:
     relaxed = max(1, m_routes // 2)
     try:
         record["alternatives"] = m_shortest_routes(
-            graph.neighbors, groups, relaxed, positions=graph.positions
+            search, groups, relaxed, positions=positions
         )
         record["retried"] = f"rerouted with M={relaxed} after {first}"
     except Exception as exc2:
@@ -83,7 +85,8 @@ def _route_one(task) -> Dict:
 
 
 def route_nets_parallel(
-    graph,
+    search: SearchGraph,
+    positions: Dict[int, Tuple[float, float]],
     tasks: Sequence[Tuple[str, Sequence[Sequence[int]]]],
     m_routes: int,
     workers: int,
@@ -105,6 +108,6 @@ def route_nets_parallel(
     with context.Pool(
         processes=workers,
         initializer=_init_worker,
-        initargs=(graph, list(sys.path)),
+        initargs=((search, positions), list(sys.path)),
     ) as pool:
         return pool.map(_route_one, payload, chunksize=chunksize)

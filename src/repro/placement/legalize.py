@@ -69,6 +69,9 @@ def remove_overlaps(
         shapes = [state._world_shape(i) for i in range(n)]
     movable = state.movable
     gap = min_gap / 2.0
+    # Each shape padded by the half-gap, rebuilt by ``_shift_cell`` when
+    # the cell moves (the unpadded list itself when there is no gap).
+    padded = shapes if gap == 0 else [s.expanded_uniform(gap) for s in shapes]
 
     # Broad phase: bboxes (grown by the half-gap pad, so padded shapes
     # that intersect are guaranteed to share a bin) live in a uniform
@@ -85,8 +88,8 @@ def remove_overlaps(
             for j in sorted(grid.candidates(i)):
                 if j < i:
                     continue  # pair handled from the lower index
-                pad_i = shapes[i] if gap == 0 else shapes[i].expanded_uniform(gap)
-                pad_j = shapes[j] if gap == 0 else shapes[j].expanded_uniform(gap)
+                pad_i = padded[i]
+                pad_j = padded[j]
                 if not pad_i.bbox.intersects(pad_j.bbox):
                     continue
                 if pad_i.overlap_area(pad_j) <= tolerance:
@@ -103,13 +106,13 @@ def remove_overlaps(
                 if dx <= dy:
                     shift = dx / 2.0 + tolerance
                     sign = 1.0 if shapes[i].bbox.center.x <= shapes[j].bbox.center.x else -1.0
-                    _shift_cell(state, shapes, grid, gap, i, -sign * shift * share_i, 0.0)
-                    _shift_cell(state, shapes, grid, gap, j, sign * shift * share_j, 0.0)
+                    _shift_cell(state, shapes, padded, grid, gap, i, -sign * shift * share_i, 0.0)
+                    _shift_cell(state, shapes, padded, grid, gap, j, sign * shift * share_j, 0.0)
                 else:
                     shift = dy / 2.0 + tolerance
                     sign = 1.0 if shapes[i].bbox.center.y <= shapes[j].bbox.center.y else -1.0
-                    _shift_cell(state, shapes, grid, gap, i, 0.0, -sign * shift * share_i)
-                    _shift_cell(state, shapes, grid, gap, j, 0.0, sign * shift * share_j)
+                    _shift_cell(state, shapes, padded, grid, gap, i, 0.0, -sign * shift * share_i)
+                    _shift_cell(state, shapes, padded, grid, gap, j, 0.0, sign * shift * share_j)
                 moved = True
         if not moved:
             break
@@ -121,6 +124,7 @@ def remove_overlaps(
 def _shift_cell(
     state: PlacementState,
     shapes: List[TileSet],
+    padded: List[TileSet],
     grid: UniformGridIndex,
     gap: float,
     idx: int,
@@ -130,6 +134,10 @@ def _shift_cell(
     record = state.records[idx]
     record.center = (record.center[0] + dx, record.center[1] + dy)
     shapes[idx] = shapes[idx].translated(dx, dy)
+    if gap:
+        # Re-pad rather than translate the padded shape: (x + dx) - g
+        # and (x - g) + dx can differ in the last bit.
+        padded[idx] = shapes[idx].expanded_uniform(gap)
     grid.update(idx, shapes[idx].bbox.expanded_uniform(gap))
 
 

@@ -1,18 +1,18 @@
 """The global router of §4.2: M-shortest routes plus random interchange."""
 
 from .interchange import InterchangeResult, RouteSelector
-from .mpaths import dijkstra, k_shortest_paths, path_edges
+from .mpaths import SearchGraph, dijkstra, k_shortest_paths, path_edges
 from .router import GlobalRouter, RoutingResult
 from .steiner import (
     RouteAlternative,
     m_shortest_routes,
     prim_order,
-    prim_order_geometric,
 )
 
 __all__ = [
     "InterchangeResult",
     "RouteSelector",
+    "SearchGraph",
     "dijkstra",
     "k_shortest_paths",
     "path_edges",
@@ -21,5 +21,4 @@ __all__ = [
     "RouteAlternative",
     "m_shortest_routes",
     "prim_order",
-    "prim_order_geometric",
 ]

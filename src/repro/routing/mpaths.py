@@ -11,18 +11,83 @@ the router needs:
   equivalent pin group.
 
 Both are realized with virtual terminals, kept out of returned paths.
+Every search runs on a :class:`SearchGraph`, the channel graph prepared
+once per router.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
-
-#: neighbors(node) -> iterable of (neighbor, edge length).
-NeighborFn = Callable[[int], Iterable[Tuple[int, float]]]
+from typing import Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 Path = Tuple[float, Tuple[int, ...]]  # (length, node sequence)
+
+#: node -> the (neighbor, edge length) pairs a search relaxes from it.
+Relax = Dict[int, List[Tuple[int, float]]]
+
+
+class SearchGraph:
+    """A channel graph prepared for the router's searches.
+
+    Built once from ``adjacency`` (node -> (neighbor, length) pairs; every
+    node is a key, lengths are non-negative, parallel edges allowed):
+
+    * ``adjacency`` — each node's edges, in the given order;
+    * ``through`` — the same lists without the edges into *dead ends*,
+      nodes joined to a single other node (a pin's projection node with
+      its one access edge, Fig. 9);
+    * ``lengths`` — directed pair (u, v) -> the shortest of the u -> v
+      edges.
+
+    A dead end that is not a target is never worth entering.  Entered
+    from its one neighbor at distance d, it can only relax that neighbor
+    again, at d plus a non-negative length, which never beats the
+    neighbor's own distance by the searches' strict 1e-12 margin; and it
+    is never on a returned path.  So a search relaxes ``through`` edges,
+    plus the edges into the dead-end targets of its own target set
+    (:meth:`toward`).  Dropping the other heap entries changes no pop
+    order: heap entries are distinct tuples under a total order.
+    """
+
+    def __init__(self, adjacency: Mapping[int, Iterable[Tuple[int, float]]]) -> None:
+        self.adjacency: Relax = {u: list(edges) for u, edges in adjacency.items()}
+        joined: Dict[int, Set[int]] = {u: set() for u in self.adjacency}
+        for u, edges in self.adjacency.items():
+            for v, _ in edges:
+                if v != u:
+                    joined[u].add(v)
+                    joined.setdefault(v, set()).add(u)
+        #: dead end -> the one node it is joined to.
+        self.dead_ends: Dict[int, int] = {
+            u: next(iter(others)) for u, others in joined.items() if len(others) == 1
+        }
+        dead = self.dead_ends
+        self.through: Relax = {
+            u: [(v, length) for v, length in edges if v not in dead]
+            for u, edges in self.adjacency.items()
+        }
+        self.lengths: Dict[Tuple[int, int], float] = {}
+        for u, edges in self.adjacency.items():
+            for v, length in edges:
+                step = self.lengths.get((u, v))
+                if step is None or length < step:
+                    self.lengths[(u, v)] = length
+
+    def toward(self, targets: Collection[int]) -> Relax:
+        """The edges a search toward ``targets`` relaxes: ``through``,
+        with each dead-end target's neighbor given its edges into it
+        (in adjacency order).  One table serves every search toward the
+        same targets."""
+        dead = self.dead_ends
+        relax = self.through.copy()
+        for host in {dead[t] for t in targets if t in dead}:
+            relax[host] = [
+                (v, length)
+                for v, length in self.adjacency[host]
+                if v not in dead or v in targets
+            ]
+        return relax
 
 
 class ManhattanHeuristic(dict):
@@ -58,13 +123,14 @@ class ManhattanHeuristic(dict):
 
 
 def dijkstra(
-    neighbors: NeighborFn,
+    graph: SearchGraph,
     sources: Dict[int, float],
     targets: Set[int],
     banned_nodes: Optional[Set[int]] = None,
     banned_edges: Optional[Set[Tuple[int, int]]] = None,
     positions: Optional[Dict[int, Tuple[float, float]]] = None,
     heuristic: Optional[Dict[int, float]] = None,
+    relax: Optional[Relax] = None,
 ) -> Optional[Path]:
     """Shortest path from any source (with initial costs) to any target.
 
@@ -72,11 +138,14 @@ def dijkstra(
     may not be traversed.  When ``positions`` is given the search runs as
     A* with the Manhattan distance-to-nearest-target heuristic, which is
     admissible here because every edge's length is the Manhattan distance
-    between its endpoints (triangle inequality).  ``heuristic`` passes in
-    a shared :class:`ManhattanHeuristic` toward the same ``targets``
-    instead of building one.  Returns (length, path) or None.
+    between its endpoints (triangle inequality).  ``heuristic`` and
+    ``relax`` pass in a shared :class:`ManhattanHeuristic` and
+    :meth:`SearchGraph.toward` table for the same ``targets`` instead of
+    building them.  Sources must be nodes of ``graph``.  Returns
+    (length, path) or None.
     """
     h = heuristic if heuristic is not None else ManhattanHeuristic(positions, targets)
+    edges = relax if relax is not None else graph.toward(targets)
     #: tail node -> heads it may not be left for.
     banned_from: Dict[int, Set[int]] = {}
     for u, v in banned_edges or ():
@@ -108,7 +177,7 @@ def dijkstra(
             path.reverse()
             return (d, tuple(path))
         blocked = banned_from.get(node)
-        for nxt, length in neighbors(node):
+        for nxt, length in edges[node]:
             nd = d + length
             if nd < dist_get(nxt, inf) - 1e-12 and (
                 blocked is None or nxt not in blocked
@@ -130,22 +199,27 @@ DEFAULT_MAX_SPURS = 12
 
 
 def k_shortest_paths(
-    neighbors: NeighborFn,
+    graph: SearchGraph,
     sources: Dict[int, float],
     targets: Set[int],
     k: int,
     max_spurs: int = DEFAULT_MAX_SPURS,
     positions: Optional[Dict[int, Tuple[float, float]]] = None,
     heuristic: Optional[Dict[int, float]] = None,
+    relax: Optional[Relax] = None,
 ) -> List[Path]:
     """Yen's algorithm: up to k shortest loopless source-to-target paths.
 
-    Sources act as a single virtual origin (deviations never re-enter
-    another source) and targets as a single virtual destination, so the
-    result is the k best ways of joining the source set to the target
-    set — exactly what connecting a pin group to a partial route needs.
-    Every search runs toward the same targets, so all of them share one
-    heuristic table (``heuristic``, or one built from ``positions``).
+    Sources act as a single virtual origin and targets as a single
+    virtual destination, so the result is the k best ways of joining the
+    source set to the target set — what connecting a pin group to a
+    partial route needs.  The virtual origin is only approximate: a spur
+    search starts from its spur node alone and bans only the root's
+    nodes, so a deviation may pass through another source node (the
+    path then joins the source set twice).  Every search runs toward the
+    same targets, so all of them share one heuristic table
+    (``heuristic``, or one built from ``positions``) and one
+    :meth:`SearchGraph.toward` table (``relax``, or one built here).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -153,7 +227,9 @@ def k_shortest_paths(
         raise ValueError("max_spurs must be at least 1")
     if heuristic is None:
         heuristic = ManhattanHeuristic(positions, targets)
-    first = dijkstra(neighbors, sources, targets, heuristic=heuristic)
+    if relax is None:
+        relax = graph.toward(targets)
+    first = dijkstra(graph, sources, targets, heuristic=heuristic, relax=relax)
     if first is None:
         return []
     found: List[Path] = [first]
@@ -170,7 +246,7 @@ def k_shortest_paths(
         for i in spur_indices:
             spur = base_path[i]
             root = base_path[: i + 1]
-            root_len = _path_cost(neighbors, root, sources)
+            root_len = _path_cost(graph, root, sources)
             if root_len is None:
                 continue
             banned_edges: Set[Tuple[int, int]] = set()
@@ -181,12 +257,13 @@ def k_shortest_paths(
             # Nodes of the source set other than the root's own origin
             # stay usable only if not already on the root.
             spur_result = dijkstra(
-                neighbors,
+                graph,
                 {spur: 0.0},
                 targets,
                 banned_nodes=banned_nodes,
                 banned_edges=banned_edges,
                 heuristic=heuristic,
+                relax=relax,
             )
             if spur_result is None:
                 continue
@@ -204,17 +281,15 @@ def k_shortest_paths(
 
 
 def _path_cost(
-    neighbors: NeighborFn, path: Tuple[int, ...], sources: Dict[int, float]
+    graph: SearchGraph, path: Tuple[int, ...], sources: Dict[int, float]
 ) -> Optional[float]:
     """Cost of a concrete path, honoring per-source initial costs."""
     if path[0] not in sources:
         return None
     total = sources[path[0]]
-    for u, v in zip(path, path[1:]):
-        step = None
-        for nxt, length in neighbors(u):
-            if nxt == v and (step is None or length < step):
-                step = length
+    lengths = graph.lengths
+    for edge in zip(path, path[1:]):
+        step = lengths.get(edge)
         if step is None:
             return None
         total += step

@@ -16,6 +16,7 @@ from ..netlist import Circuit
 from ..resilience.faults import fault_point
 from ..telemetry import current_tracer
 from .interchange import InterchangeResult, RouteSelector
+from .mpaths import SearchGraph
 from .steiner import RouteAlternative, m_shortest_routes
 
 EdgeKey = Tuple[int, int]
@@ -67,6 +68,10 @@ class GlobalRouter:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.graph = graph
+        #: The finished graph prepared once for every phase-one search.
+        self.search = SearchGraph(
+            {node: graph.neighbors(node) for node in graph.nodes()}
+        )
         self.m_routes = m_routes
         self.rng = rng if rng is not None else random.Random(seed)
         #: Process-pool size for the phase-one per-net fan-out; 1 routes
@@ -100,10 +105,7 @@ class GlobalRouter:
     def route_net(self, groups: Sequence[Sequence[int]]) -> List[RouteAlternative]:
         """Phase one for a single net: up to M stored alternatives."""
         return m_shortest_routes(
-            self.graph.neighbors,
-            groups,
-            self.m_routes,
-            positions=self.graph.positions,
+            self.search, groups, self.m_routes, positions=self.graph.positions
         )
 
     def route(self, circuit: Circuit) -> RoutingResult:
@@ -133,7 +135,11 @@ class GlobalRouter:
                     from ..parallel.routing import route_nets_parallel
 
                     records = route_nets_parallel(
-                        self.graph, tasks, self.m_routes, self.workers
+                        self.search,
+                        self.graph.positions,
+                        tasks,
+                        self.m_routes,
+                        self.workers,
                     )
                     for (net_name, groups), record in zip(tasks, records):
                         alts = record["alternatives"]
@@ -267,10 +273,7 @@ class GlobalRouter:
         try:
             fault_point("router.route_net_retry", net=net_name)
             alts = m_shortest_routes(
-                self.graph.neighbors,
-                groups,
-                relaxed,
-                positions=self.graph.positions,
+                self.search, groups, relaxed, positions=self.graph.positions
             )
             retried[net_name] = f"rerouted with M={relaxed} after {first}"
             return alts

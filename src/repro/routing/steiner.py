@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .mpaths import ManhattanHeuristic, NeighborFn, k_shortest_paths, path_edges
+from .mpaths import ManhattanHeuristic, SearchGraph, k_shortest_paths, path_edges
 
 
 @dataclass(frozen=True)
@@ -37,19 +37,22 @@ class RouteAlternative:
 
 
 def _group_distances(
-    neighbors: NeighborFn,
+    graph: SearchGraph,
     from_nodes: Set[int],
     group_nodes: Dict[int, Set[int]],
 ) -> Dict[int, float]:
     """Multi-source Dijkstra that stops once every group has been reached.
 
     Returns group id -> shortest distance from the source set.  Groups
-    unreachable from the sources are absent from the result.
+    unreachable from the sources are absent from the result.  Every
+    group node is a target, so dead ends of the graph enter the search
+    only as group members (see :class:`SearchGraph`).
     """
     node_groups: Dict[int, List[int]] = {}
     for gid, nodes in group_nodes.items():
         for n in nodes:
             node_groups.setdefault(n, []).append(gid)
+    edges = graph.toward(node_groups)
     pending = set(group_nodes)
     settled: Dict[int, float] = {}
 
@@ -70,7 +73,7 @@ def _group_distances(
                     settled[gid] = d
             if not pending:
                 break
-        for nxt, length in neighbors(node):
+        for nxt, length in edges[node]:
             nd = d + length
             if nd < dist_get(nxt, inf) - 1e-12:
                 dist[nxt] = nd
@@ -79,7 +82,7 @@ def _group_distances(
 
 
 def prim_order(
-    neighbors: NeighborFn, groups: Sequence[Sequence[int]]
+    graph: SearchGraph, groups: Sequence[Sequence[int]]
 ) -> List[int]:
     """Order in which pin groups are connected: Prim's nearest-next rule,
     starting (arbitrarily, like the paper) from the first group.
@@ -96,7 +99,7 @@ def prim_order(
     connected: Set[int] = set(groups[0])
     while remaining:
         dist = _group_distances(
-            neighbors, connected, {g: set(groups[g]) for g in remaining}
+            graph, connected, {g: set(groups[g]) for g in remaining}
         )
         best = None
         best_d = math.inf
@@ -115,46 +118,8 @@ def prim_order(
     return order
 
 
-def prim_order_geometric(
-    positions: dict, groups: Sequence[Sequence[int]]
-) -> List[int]:
-    """Prim's nearest-next group ordering using Manhattan distances
-    between node positions — no graph searches, so it scales to nets on
-    pin-heavy graphs (the ordering only seeds the beam; route lengths are
-    still measured on the graph)."""
-    if not groups:
-        return []
-
-    def gdist(a: Sequence[int], b_nodes: List[int]) -> float:
-        best = math.inf
-        for u in a:
-            pu = positions[u]
-            for v in b_nodes:
-                pv = positions[v]
-                d = abs(pu[0] - pv[0]) + abs(pu[1] - pv[1])
-                if d < best:
-                    best = d
-        return best
-
-    remaining = set(range(1, len(groups)))
-    order = [0]
-    connected: List[int] = list(groups[0])
-    while remaining:
-        best = None
-        best_d = math.inf
-        for g in sorted(remaining):
-            d = gdist(groups[g], connected)
-            if d < best_d:
-                best_d = d
-                best = g
-        order.append(best)
-        remaining.discard(best)
-        connected.extend(groups[best])
-    return order
-
-
 def m_shortest_routes(
-    neighbors: NeighborFn,
+    graph: SearchGraph,
     groups: Sequence[Sequence[int]],
     m: int,
     positions: Optional[dict] = None,
@@ -177,7 +142,7 @@ def m_shortest_routes(
         node = groups[0][0]
         return [RouteAlternative(frozenset(), frozenset([node]), 0.0)]
 
-    order = prim_order(neighbors, groups)
+    order = prim_order(graph, groups)
     start_group = groups[order[0]]
 
     # Seed one partial route per member of the starting group.
@@ -190,6 +155,7 @@ def m_shortest_routes(
         targets = set(groups[gidx])
         # Every partial of this level searches toward the same targets.
         heuristic = ManhattanHeuristic(positions, targets)
+        relax = graph.toward(targets)
         extensions: List[RouteAlternative] = []
         seen: Set[FrozenSet[Tuple[int, int]]] = set()
         # Path-budget policy: branch hard at the first connection (the M
@@ -212,7 +178,7 @@ def m_shortest_routes(
                     extensions.append(partial)
                 continue
             for length, path in k_shortest_paths(
-                neighbors, sources, targets, k_each, heuristic=heuristic
+                graph, sources, targets, k_each, heuristic=heuristic, relax=relax
             ):
                 new_edges = partial.edges | path_edges(path)
                 if new_edges in seen:
@@ -222,7 +188,7 @@ def m_shortest_routes(
                     RouteAlternative(
                         edges=new_edges,
                         nodes=partial.nodes | frozenset(path),
-                        length=_edge_total(neighbors, new_edges),
+                        length=_edge_total(graph, new_edges),
                     )
                 )
         if not extensions:
@@ -233,16 +199,14 @@ def m_shortest_routes(
     return partials
 
 
-def _edge_total(neighbors: NeighborFn, edges: FrozenSet[Tuple[int, int]]) -> float:
+def _edge_total(graph: SearchGraph, edges: FrozenSet[Tuple[int, int]]) -> float:
     """Total length of an undirected edge set (a tree's length is the sum
     of its edges, which de-duplicates shared segments across paths)."""
     total = 0.0
-    for u, v in edges:
-        step = None
-        for nxt, length in neighbors(u):
-            if nxt == v and (step is None or length < step):
-                step = length
+    lengths = graph.lengths
+    for edge in edges:
+        step = lengths.get(edge)
         if step is None:
-            raise KeyError(f"edge ({u}, {v}) not present in graph")
+            raise KeyError(f"edge {edge} not present in graph")
         total += step
     return total

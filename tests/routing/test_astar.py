@@ -1,12 +1,12 @@
-"""A* search and geometric ordering: equivalence with plain Dijkstra."""
+"""A* search: equivalence with plain Dijkstra."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.routing import dijkstra, k_shortest_paths, m_shortest_routes, mpaths
-from repro.routing import prim_order, prim_order_geometric
+from repro.routing import SearchGraph, dijkstra, k_shortest_paths, m_shortest_routes, mpaths
+from repro.routing import prim_order
 from repro.routing.mpaths import ManhattanHeuristic
 
 
@@ -28,7 +28,7 @@ def random_geometric_graph(seed, n=25):
                 adj[i].append((j, d))
             if all(v != i for v, _ in adj[j]):
                 adj[j].append((i, d))
-    return (lambda u: adj[u]), positions
+    return SearchGraph(adj), positions
 
 
 class TestAStarEquivalence:
@@ -67,10 +67,9 @@ class TestAStarEquivalence:
 
 class TestGeometricOrdering:
     def test_matches_graph_order_on_grid(self):
-        # On a unit grid, geometric and graph distances agree.
+        # On a unit grid, Prim's rule takes the nearest group next.
         n = 5
         adj = {}
-        positions = {}
 
         def node(x, y):
             return y * n + x
@@ -78,7 +77,6 @@ class TestGeometricOrdering:
         for y in range(n):
             for x in range(n):
                 u = node(x, y)
-                positions[u] = (float(x), float(y))
                 adj.setdefault(u, [])
                 for dx, dy in ((1, 0), (0, 1)):
                     if x + dx < n and y + dy < n:
@@ -86,12 +84,7 @@ class TestGeometricOrdering:
                         adj[u].append((v, 1.0))
                         adj.setdefault(v, []).append((u, 1.0))
         groups = [[node(0, 0)], [node(4, 4)], [node(1, 0)], [node(0, 3)]]
-        graph_order = prim_order(lambda u: adj[u], groups)
-        geo_order = prim_order_geometric(positions, groups)
-        assert geo_order == graph_order
-
-    def test_empty(self):
-        assert prim_order_geometric({}, []) == []
+        assert prim_order(SearchGraph(adj), groups) == [0, 2, 3, 1]
 
     def test_routes_same_quality_with_positions(self):
         nb, positions = random_geometric_graph(3)
@@ -118,10 +111,10 @@ def fresh_heuristics(monkeypatch, positions):
     a fresh, unmemoized one toward its own targets."""
     search = mpaths.dijkstra
 
-    def fresh_search(neighbors, sources, targets, *args, heuristic, **kwargs):
+    def fresh_search(graph, sources, targets, *args, heuristic, **kwargs):
         assert isinstance(heuristic, ManhattanHeuristic)
         fresh = FreshHeuristic(positions, targets)
-        return search(neighbors, sources, targets, *args, heuristic=fresh, **kwargs)
+        return search(graph, sources, targets, *args, heuristic=fresh, **kwargs)
 
     monkeypatch.setattr(mpaths, "dijkstra", fresh_search)
 
@@ -140,7 +133,7 @@ def grid_graph(seed, n=6):
                     w = 1.0 + rng.choice((0.0, 0.0, 0.5))
                     adj[u].append((v, w))
                     adj[v].append((u, w))
-    return (lambda u: adj[u]), positions
+    return SearchGraph(adj), positions
 
 
 def pin_groups(seed, nodes, count):

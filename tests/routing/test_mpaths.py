@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.routing import dijkstra, k_shortest_paths, path_edges
+from repro.routing import SearchGraph, dijkstra, k_shortest_paths, path_edges
 
 
 def grid(n=4, weight=1.0):
@@ -21,7 +21,7 @@ def grid(n=4, weight=1.0):
                     v = node(x + dx, y + dy)
                     adj[u].append((v, weight))
                     adj.setdefault(v, []).append((u, weight))
-    return (lambda u: adj[u]), node
+    return SearchGraph(adj), node
 
 
 class TestDijkstra:
@@ -56,7 +56,7 @@ class TestDijkstra:
 
     def test_unreachable(self):
         adj = {0: [], 1: []}
-        assert dijkstra(lambda u: adj[u], {0: 0.0}, {1}) is None
+        assert dijkstra(SearchGraph(adj), {0: 0.0}, {1}) is None
 
     def test_banned_nodes(self):
         nb, node = grid(3)
@@ -98,7 +98,7 @@ class TestKShortest:
     def test_exhausts_small_graph(self):
         # A path graph has exactly one route.
         adj = {0: [(1, 1.0)], 1: [(0, 1.0), (2, 1.0)], 2: [(1, 1.0)]}
-        paths = k_shortest_paths(lambda u: adj[u], {0: 0.0}, {2}, 5)
+        paths = k_shortest_paths(SearchGraph(adj), {0: 0.0}, {2}, 5)
         assert len(paths) == 1
 
     def test_diamond_two_routes(self):
@@ -108,7 +108,7 @@ class TestKShortest:
             2: [(0, 2.0), (3, 2.0)],
             3: [(1, 1.0), (2, 2.0)],
         }
-        paths = k_shortest_paths(lambda u: adj[u], {0: 0.0}, {3}, 5)
+        paths = k_shortest_paths(SearchGraph(adj), {0: 0.0}, {3}, 5)
         assert [p[0] for p in paths] == [2.0, 4.0]
 
     def test_k_validation(self):
@@ -118,7 +118,7 @@ class TestKShortest:
 
     def test_no_path(self):
         adj = {0: [], 1: []}
-        assert k_shortest_paths(lambda u: adj[u], {0: 0.0}, {1}, 3) == []
+        assert k_shortest_paths(SearchGraph(adj), {0: 0.0}, {1}, 3) == []
 
     def test_multi_target(self):
         nb, node = grid()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.routing import m_shortest_routes, prim_order
+from repro.routing import SearchGraph, m_shortest_routes, prim_order
 
 
 def grid(n=5):
@@ -20,7 +20,7 @@ def grid(n=5):
                     v = node(x + dx, y + dy)
                     adj[u].append((v, 1.0))
                     adj.setdefault(v, []).append((u, 1.0))
-    return (lambda u: adj[u]), node
+    return SearchGraph(adj), node
 
 
 class TestPrimOrder:
@@ -150,7 +150,7 @@ class TestDegenerateCases:
 
     def test_disconnected_returns_empty(self):
         adj = {0: [], 1: []}
-        assert m_shortest_routes(lambda u: adj[u], [[0], [1]], 3) == []
+        assert m_shortest_routes(SearchGraph(adj), [[0], [1]], 3) == []
 
     def test_m_validation(self):
         nb, _ = grid()
@@ -172,7 +172,7 @@ class TestGroupDistances:
         from repro.routing.steiner import _group_distances
 
         adj = {0: [(1, 1.0)], 1: [(0, 1.0)], 9: []}
-        settled = _group_distances(lambda u: adj[u], {0}, {1: {1}, 2: {9}})
+        settled = _group_distances(SearchGraph(adj), {0}, {1: {1}, 2: {9}})
         assert settled == {1: 1.0}
 
     def test_group_with_multiple_members_takes_nearest(self):
