@@ -394,17 +394,20 @@ MAX_NULL_OVERHEAD_PCT = 3.0
 #: per-move bookkeeping.
 MAX_PROFILER_OVERHEAD_PCT = 5.0
 
-#: Shortest acceptable timed pass for the overhead measurement.  A
-#: sub-50ms pass is dominated by scheduler noise — that is how earlier
-#: artifacts recorded a *negative* file-sink overhead — so the step
-#: count is scaled until one untraced pass takes at least this long.
-MIN_MEASURE_SECONDS = 0.25
+#: Shortest timed pass for the overhead measurement: the step count is
+#: scaled until one untraced pass takes at least this long.  Passes are
+#: kept short so that the four passes of a round sit close together in
+#: time.  On a shared 2-vCPU host the same loop ran anywhere from 0.17
+#: to 0.28 s over 20 back-to-back passes, drifting over seconds; an
+#: overhead taken as a ratio within one round cancels that drift, and
+#: many short rounds estimate it better than a few long ones.
+MIN_MEASURE_SECONDS = 0.05
 
-#: Repeats per variant for the overhead measurement; the reported rate
-#: is the per-variant MEDIAN, which (unlike best-of) is an unbiased
-#: location estimate, so the overhead of two variants can be subtracted
-#: honestly.
-OVERHEAD_REPEATS = 5
+#: Rounds of the overhead measurement (one pass of every variant each).
+#: The reported rate is the per-variant MEDIAN, which (unlike best-of)
+#: is an unbiased location estimate; an overhead is the median of the
+#: per-round ratios to the baseline pass of the same round.
+OVERHEAD_REPEATS = 25
 
 
 def _mixed_rate(state: PlacementState, limiter, n_steps: int, seed: int) -> float:
@@ -440,12 +443,16 @@ def bench_telemetry_overhead(
     the sampling profiler attached at its default rate.
 
     Statistically honest protocol: the step count is first auto-scaled
-    so one untraced pass takes at least ``MIN_MEASURE_SECONDS``; the
-    three variants then run interleaved (round-robin per repeat) so slow
-    thermal/scheduler drift hits them equally, and the MEDIAN rate per
-    variant is reported.  ``null_overhead_pct`` is the instrumentation
-    cost of the default (disabled) telemetry path versus the untraced
-    hot loop — the number the CI gate bounds at 3 %.
+    so one untraced pass takes at least ``MIN_MEASURE_SECONDS``; every
+    timed pass then starts from the same saved placement, so all
+    variants replay the identical move sequence.  The variants run
+    interleaved, one pass each per round, with the order rotated each
+    round so no variant holds a fixed position in it.  A variant's
+    overhead is the median over rounds of its rate relative to the
+    baseline pass of the same round: pairing within a round cancels
+    host drift slower than one round.  ``null_overhead_pct`` is the
+    instrumentation cost of the default (disabled) telemetry path
+    versus the untraced hot loop — the number the CI gate bounds at 3 %.
     """
     import contextlib
     import os
@@ -455,6 +462,7 @@ def bench_telemetry_overhead(
 
     repeats = max(repeats, OVERHEAD_REPEATS)
     limiter = _make_limiter(state)
+    start_state = state.state_dict()
 
     # Calibrate the measurement window on the untraced loop.
     start = time.perf_counter()
@@ -471,10 +479,12 @@ def bench_telemetry_overhead(
         "file_sink": [],
         "profiler": [],
     }
+    modes = tuple(rates)
     profiler_samples = 0
     try:
-        for _ in range(repeats):
-            for mode in ("baseline", "null_sink", "file_sink", "profiler"):
+        for r in range(repeats):
+            for mode in modes[r % len(modes):] + modes[: r % len(modes)]:
+                state.load_state_dict(start_state)
                 if mode == "baseline":
                     ctx = contextlib.nullcontext()
                 elif mode == "null_sink":
@@ -498,9 +508,10 @@ def bench_telemetry_overhead(
     median = {mode: statistics.median(vals) for mode, vals in rates.items()}
 
     def overhead(variant: str) -> float:
-        if median["baseline"] <= 0:
+        ratios = [v / b for v, b in zip(rates[variant], rates["baseline"]) if b > 0]
+        if not ratios:
             return 0.0
-        return round(100.0 * (1.0 - median[variant] / median["baseline"]), 2)
+        return round(100.0 * (1.0 - statistics.median(ratios)), 2)
 
     return {
         "baseline_moves_per_sec": round(median["baseline"], 1),
@@ -516,7 +527,7 @@ def bench_telemetry_overhead(
         "trace_bytes": trace_bytes,
         "steps": n_steps,
         "repeats": repeats,
-        "estimator": "median",
+        "estimator": "median of per-round ratios to baseline",
         "min_measure_seconds": MIN_MEASURE_SECONDS,
     }
 

@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..config import TimberWolfConfig
 from ..netlist import Circuit, dumps
 from ..parallel.seeds import spawn_seed
-from ..placement.legalize import remove_overlaps
+from ..placement.legalize import remove_overlaps, warn_residual
 from ..placement.refine import RefinementResult, run_refinement
 from ..placement.stage1 import Stage1Result, run_stage1
 from ..placement.state import PlacementState
@@ -331,7 +331,10 @@ def _run_flow(
             # Record the stage-1 metrics on a *legal* placement so the
             # Table-3 comparison is apples-to-apples with stage 2.
             with tracer.span("stage1.legalize"):
-                remove_overlaps(stage1.state, min_gap=circuit.track_spacing)
+                residual = remove_overlaps(
+                    stage1.state, min_gap=circuit.track_spacing
+                )
+            warn_residual(residual, "after stage 1")
             stage1_teil = stage1.state.teil()
             stage1_area = stage1.state.chip_area()
             stage1_placement = {

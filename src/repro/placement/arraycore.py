@@ -455,12 +455,6 @@ class ArrayPlacementState(PlacementState):
         reproducing ``TileSet.overlap_area``'s loop order with cell i's
         tiles outermost (the object core always calls exp_i.overlap_area)."""
         tiles_j = self._ltiles[j]
-        if tiles_i is None and tiles_j is None:
-            jx2 = self._lex2[j]
-            jy2 = self._ley2[j]
-            return (min(x2, jx2) - max(x1, self._lex1[j])) * (
-                min(y2, jy2) - max(y1, self._ley1[j])
-            )
         a = ((x1, y1, x2, y2),) if tiles_i is None else tiles_i
         b = (
             ((self._lex1[j], self._ley1[j], self._lex2[j], self._ley2[j]),)
@@ -512,7 +506,12 @@ class ArrayPlacementState(PlacementState):
     def _partner_delta(self, i, x1, y1, x2, y2, tiles, skip, saved_over) -> None:
         """Border + partner-pair C2 delta for cell i (object-core order:
         border first, then grid-candidates ∪ adjacency, index-sorted,
-        with pair moves skipping the already-handled twin)."""
+        with pair moves skipping the already-handled twin).
+
+        A candidate outside ``adj[i]`` whose bbox misses cell i's had
+        zero overlap and still has: its pair would add ``0.0 - 0.0`` to
+        C2, so it is skipped before any dict work and never reaches
+        ``saved_over`` (``restore`` replays only pairs that changed)."""
         old_border = self._borders[i]
         new_border = self._border_flat(x1, y1, x2, y2, tiles)
         self._borders[i] = new_border
@@ -527,20 +526,24 @@ class ArrayPlacementState(PlacementState):
         ley1 = self._ley1
         lex2 = self._lex2
         ley2 = self._ley2
+        ltiles = self._ltiles
         for j in sorted(partners):
             if skip is not None and j in skip and j < i:
                 continue
-            key = (i, j) if i < j else (j, i)
-            old = overlaps.pop(key, 0.0)
-            if (
-                lex1[j] >= x2
-                or lex2[j] <= x1
-                or ley1[j] >= y2
-                or ley2[j] <= y1
-            ):
+            jx1 = lex1[j]
+            jy1 = ley1[j]
+            jx2 = lex2[j]
+            jy2 = ley2[j]
+            if jx1 >= x2 or jx2 <= x1 or jy1 >= y2 or jy2 <= y1:
+                if j not in ai:
+                    continue
                 new = 0.0
+            elif tiles is None and ltiles[j] is None:
+                new = (min(x2, jx2) - max(x1, jx1)) * (min(y2, jy2) - max(y1, jy1))
             else:
                 new = self._pair_area_flat(x1, y1, x2, y2, tiles, j)
+            key = (i, j) if i < j else (j, i)
+            old = overlaps.pop(key, 0.0)
             if new > 0.0:
                 overlaps[key] = new
                 ai.add(j)

@@ -30,8 +30,7 @@ nor aspect ratios), so it is carried as a constant.
 Layout notes
 ------------
 
-numpy dispatch cost, not arithmetic, bounds this kernel, so the arrays
-are shaped to keep every hot operation a contiguous-input ufunc call:
+numpy dispatch and memory layout, not arithmetic, bound this kernel:
 
 * Tiles live in four parallel coordinate vectors (``sx1``..``sy2``)
   rather than an (n, 4) matrix — broadcasting two strided column
@@ -47,6 +46,24 @@ are shaped to keep every hot operation a contiguous-input ufunc call:
 * Net membership is padded with a zero-weight *sentinel net* (and net
   member rows padded by repeating a real member), which makes padded
   entries exact no-ops without a single ``np.where`` mask.
+* The owner-slot axis of the span tables (``nowner``, ``noffmin``/
+  ``noffmax``, ``nhi``/``nlo``, ``own``, ``mine``, ``bhi``/``blo``)
+  sits before the net axes, so each halving step of the max/min
+  reductions is one ufunc call over whole contiguous planes; with the
+  slot axis last, every step strode through the table.  The price is
+  the per-commit gather of ``bhi``/``blo``, which now moves single
+  elements instead of whole slot rows: it is one 1-D ``take`` through
+  a precomputed flat index (``c1_idx``), not a ``take`` along axis 2.
+* Every ``np.take`` into an ``out=`` buffer passes ``mode="clip"``.
+  Under the default ``mode="raise"`` numpy stages ``out`` through a
+  temporary copy; the indices are in range by construction, so
+  clipping never changes a value.
+* Not every hot operation is a contiguous ufunc call: the interchange
+  batch gathers its cells' rows with fancy indexing, and ``_own_sum``
+  and the per-commit refresh gather single elements through flat
+  indices.  The ``_buf`` pool keeps the displacement batch and the
+  refreshes free of new scratch arrays in steady state; the proposal
+  draws, the accepted subsets and the interchange batch still allocate.
 """
 
 from __future__ import annotations
@@ -279,21 +296,21 @@ class BatchKernel:
         # np.maximum calls doesn't.
         cm = max((len(g) for g in groups), default=1)
         cm = 1 << (cm - 1).bit_length()
-        self.nowner = np.zeros((R, cm), dtype=np.int64)
-        self.noffmin = np.zeros((2, R, cm), dtype=np.float64)
-        self.noffmax = np.zeros((2, R, cm), dtype=np.float64)
+        self.nowner = np.zeros((cm, R), dtype=np.int64)
+        self.noffmin = np.zeros((2, cm, R), dtype=np.float64)
+        self.noffmax = np.zeros((2, cm, R), dtype=np.float64)
         for r, by_owner in enumerate(groups):
             for s, (c, g) in enumerate(by_owner.items()):
-                self.nowner[r, s] = c
-                self.noffmin[0, r, s] = g[0]
-                self.noffmin[1, r, s] = g[1]
-                self.noffmax[0, r, s] = g[2]
-                self.noffmax[1, r, s] = g[3]
+                self.nowner[s, r] = c
+                self.noffmin[0, s, r] = g[0]
+                self.noffmin[1, s, r] = g[1]
+                self.noffmax[0, s, r] = g[2]
+                self.noffmax[1, s, r] = g[3]
             w = len(by_owner)
             if w:
-                self.nowner[r, w:] = self.nowner[r, 0]
-                self.noffmin[:, r, w:] = self.noffmin[:, r, 0:1]
-                self.noffmax[:, r, w:] = self.noffmax[:, r, 0:1]
+                self.nowner[w:, r] = self.nowner[0, r]
+                self.noffmin[:, w:, r] = self.noffmin[:, 0:1, r]
+                self.noffmax[:, w:, r] = self.noffmax[:, 0:1, r]
         hw = np.asarray(state._nh, dtype=np.float64)
         vw = np.asarray(state._nv, dtype=np.float64)
         self.w2 = np.zeros((2, R), dtype=np.float64)
@@ -316,11 +333,15 @@ class BatchKernel:
         # Only `bhi`/`blo`/`cs_cell` depend on live centers;
         # _refresh_c1_tables rebuilds them after each commit.
         self.cm = cm
-        self.own = self.nowner[self.cnet]
+        self.own = self.nowner[:, self.cnet]
         self.mine = (
-            self.own == np.arange(n)[:, None, None]
+            self.own == np.arange(n)[None, :, None]
         ).astype(np.float64)
         self.wcell = self.w2[:, self.cnet]
+        #: Flat (2, cm, n, netmax) index of each cell-net slot into the
+        #: raveled (2, cm, R) net tables: one 1-D take per refresh.
+        planes = np.arange(2 * cm, dtype=np.intp).reshape(2, cm, 1, 1)
+        self.c1_idx = planes * R + self.cnet
 
         core = state.core
         self.core_lo = np.array([core.x1, core.y1])
@@ -330,11 +351,11 @@ class BatchKernel:
         # session so the per-commit refreshes are pure out= ufunc calls.
         self.R = R
         self.netmax = netmax
-        self.nhi = np.empty((2, R, cm))
-        self.nlo = np.empty((2, R, cm))
+        self.nhi = np.empty((2, cm, R))
+        self.nlo = np.empty((2, cm, R))
         self.cur_s = np.empty((2, R))
-        self.bhi = np.empty((2, n, netmax, cm))
-        self.blo = np.empty((2, n, netmax, cm))
+        self.bhi = np.empty((2, cm, n, netmax))
+        self.blo = np.empty((2, cm, n, netmax))
         self.cs_cell = np.empty((2, n, netmax))
         self.O_tile = np.empty(S)
         self.O_cell = np.empty(n)
@@ -390,43 +411,43 @@ class BatchKernel:
 
     @staticmethod
     def _hmax(g: np.ndarray) -> np.ndarray:
-        """max over the (power-of-two) last axis via pairwise maximum."""
-        s = g.shape[-1]
+        """max over the (power-of-two) owner axis 1 via pairwise maximum."""
+        s = g.shape[1]
         while s > 1:
             s //= 2
-            g = np.maximum(g[..., :s], g[..., s:])
-        return g[..., 0]
+            g = np.maximum(g[:, :s], g[:, s:])
+        return g[:, 0]
 
     @staticmethod
     def _hmin(g: np.ndarray) -> np.ndarray:
-        s = g.shape[-1]
+        s = g.shape[1]
         while s > 1:
             s //= 2
-            g = np.minimum(g[..., :s], g[..., s:])
-        return g[..., 0]
+            g = np.minimum(g[:, :s], g[:, s:])
+        return g[:, 0]
 
     @staticmethod
     def _hmax_i(g: np.ndarray) -> np.ndarray:
         """In-place variant of _hmax for scratch buffers (the buffer's
-        leading slice is clobbered; the reduced view is returned)."""
-        s = g.shape[-1]
+        leading owner planes are clobbered; the reduced view is returned)."""
+        s = g.shape[1]
         while s > 1:
             s //= 2
-            np.maximum(g[..., :s], g[..., s : 2 * s], out=g[..., :s])
-        return g[..., 0]
+            np.maximum(g[:, :s], g[:, s : 2 * s], out=g[:, :s])
+        return g[:, 0]
 
     @staticmethod
     def _hmin_i(g: np.ndarray) -> np.ndarray:
-        s = g.shape[-1]
+        s = g.shape[1]
         while s > 1:
             s //= 2
-            np.minimum(g[..., :s], g[..., s : 2 * s], out=g[..., :s])
-        return g[..., 0]
+            np.minimum(g[:, :s], g[:, s : 2 * s], out=g[:, :s])
+        return g[:, 0]
 
     def _refresh_spans(self) -> None:
         """Per-net (x, y) spans from the collapsed owner tables."""
-        base = self._buf("span_base", (2, self.R, self.cm))
-        np.take(self.cxy, self.nowner, axis=1, out=base)
+        base = self._buf("span_base", (2, self.cm, self.R))
+        np.take(self.cxy, self.nowner, axis=1, out=base, mode="clip")
         np.add(base, self.noffmax, out=self.nhi)
         np.add(base, self.noffmin, out=self.nlo)
         hi = self._buf("span_hi", self.nhi.shape)
@@ -438,9 +459,9 @@ class BatchKernel:
     def _refresh_c1_tables(self) -> None:
         """Re-gather the center-dependent per-cell C1 tables (staged
         through the net-level extreme tables _refresh_spans just built)."""
-        np.take(self.nhi, self.cnet, axis=1, out=self.bhi)
-        np.take(self.nlo, self.cnet, axis=1, out=self.blo)
-        np.take(self.cur_s, self.cnet, axis=1, out=self.cs_cell)
+        np.take(self.nhi.reshape(-1), self.c1_idx, out=self.bhi, mode="clip")
+        np.take(self.nlo.reshape(-1), self.c1_idx, out=self.blo, mode="clip")
+        np.take(self.cur_s, self.cnet, axis=1, out=self.cs_cell, mode="clip")
 
     def _refresh_overlaps(self) -> None:
         """Recompute the exact C2 total and the per-tile / per-cell
@@ -480,10 +501,10 @@ class BatchKernel:
         k = len(cells)
         if not self.dynamic:
             out = self._buf((tag, "stat"), (k, 4))
-            np.take(self.stat, cells, axis=0, out=out)
+            np.take(self.stat, cells, axis=0, out=out, mode="clip")
             return out
         pts = self._buf((tag, "pts"), (k, 6))
-        np.take(self.obb6, cells, axis=0, out=pts)
+        np.take(self.obb6, cells, axis=0, out=pts, mode="clip")
         pts[:, :3] += centers[:, 0:1]
         pts[:, 3:] += centers[:, 1:2]
         np.subtract(pts, self._tc, out=pts)
@@ -495,10 +516,10 @@ class BatchKernel:
         # right = fx(x2)·fy(yc), top = fx(xc)·fy(y2)
         a = self._buf((tag, "ea"), (k, 4))
         b = self._buf((tag, "eb"), (k, 4))
-        np.take(pts, self._exp_i1, axis=1, out=a)
-        np.take(pts, self._exp_i2, axis=1, out=b)
+        np.take(pts, self._exp_i1, axis=1, out=a, mode="clip")
+        np.take(pts, self._exp_i2, axis=1, out=b, mode="clip")
         np.multiply(a, b, out=a)
-        np.take(self.basefrp, cells, axis=0, out=b)
+        np.take(self.basefrp, cells, axis=0, out=b, mode="clip")
         np.multiply(a, b, out=a)
         return a
 
@@ -515,7 +536,7 @@ class BatchKernel:
         np.add(centers[:, 0], e[:, 2], out=off[2])
         np.add(centers[:, 1], e[:, 3], out=off[3])
         w = self._buf((tag, "wt"), (4, k, self.tmax))
-        np.take(self.lt, cells, axis=1, out=w)
+        np.take(self.lt, cells, axis=1, out=w, mode="clip")
         np.add(w, off[:, :, None], out=w)
         return w[0], w[1], w[2], w[3]
 
@@ -550,13 +571,13 @@ class BatchKernel:
         """(K,) total of ``ov`` columns owned by each proposal's cell
         (ov is (k*tmax, S) row-major by proposal, C-contiguous)."""
         cols = self._buf((tag, "cols"), (k, self.tmax), dtype=np.int64)
-        np.take(self.slotidx, cells, axis=0, out=cols)
+        np.take(self.slotidx, cells, axis=0, out=cols, mode="clip")
         rows = self._irows(k)
         flat = self._buf((tag, "flat"), (k, self.tmax, self.tmax), dtype=np.int64)
         np.multiply(rows[:, :, None], self.S, out=flat)
         np.add(flat, cols[:, None, :], out=flat)
         g = self._buf((tag, "own"), (k, self.tmax, self.tmax))
-        np.take(ov.reshape(-1), flat, out=g)
+        np.take(ov.reshape(-1), flat, out=g, mode="clip")
         out = self._buf((tag, "osum"), (k,))
         np.sum(g, axis=(1, 2), out=out)
         return out
@@ -584,7 +605,7 @@ class BatchKernel:
         df[cells] = d
         hi = self._buf("disp_hi", self.bhi.shape)
         lo = self._buf("disp_lo", self.blo.shape)
-        np.multiply(df.T[:, :, None, None], self.mine, out=hi)
+        np.multiply(df.T[:, None, :, None], self.mine, out=hi)
         np.add(self.blo, hi, out=lo)
         np.add(self.bhi, hi, out=hi)
         ns = self._buf("disp_ns", self.cs_cell.shape)
@@ -593,7 +614,7 @@ class BatchKernel:
         dall = self._buf("disp_dall", (self.n,))
         np.einsum("cnm,cnm->n", self.wcell, ns, out=dall)
         out = self._buf("disp_dc1", (len(cells),))
-        np.take(dall, cells, out=out)
+        np.take(dall, cells, out=out, mode="clip")
         return out
 
     # ------------------------------------------------------------------
@@ -617,7 +638,7 @@ class BatchKernel:
         k = min(batch, len(self.movable))
         cells = rng.permutation(self.movable)[:k]
         cur = self._buf("disp_cur", (k, 2))
-        np.take(self.centers, cells, axis=0, out=cur)
+        np.take(self.centers, cells, axis=0, out=cur, mode="clip")
         step = rng.uniform(-1.0, 1.0, size=(k, 2))
         step[:, 0] *= window[0]
         step[:, 1] *= window[1]
@@ -633,7 +654,7 @@ class BatchKernel:
         np.sum(rowsum.reshape(k, self.tmax), axis=1, out=d_c2)
         np.subtract(d_c2, self._own_sum(ov, k, cells, "d"), out=d_c2)
         oc = self._buf("disp_oc", (k,))
-        np.take(self.O_cell, cells, out=oc)
+        np.take(self.O_cell, cells, out=oc, mode="clip")
         np.subtract(d_c2, oc, out=d_c2)
 
         move = self._buf("disp_move", (k, 2))
@@ -702,12 +723,12 @@ class BatchKernel:
         da = cb - ca
 
         def contrib(rows):
-            ow = self.own[rows]
-            shift = da.T[:, :, None, None] * (ow == a[:, None, None]) - da.T[
-                :, :, None, None
-            ] * (ow == b[:, None, None])
-            ns = self._hmax(self.bhi[:, rows] + shift) - self._hmin(
-                self.blo[:, rows] + shift
+            ow = self.own[:, rows]
+            shift = da.T[:, None, :, None] * (ow == a[:, None]) - da.T[
+                :, None, :, None
+            ] * (ow == b[:, None])
+            ns = self._hmax(self.bhi[:, :, rows] + shift) - self._hmin(
+                self.blo[:, :, rows] + shift
             )
             return (
                 self.wcell[:, rows] * (ns - self.cs_cell[:, rows])

@@ -20,7 +20,6 @@ schedule.  Three passes suffice for the TEIL and chip area to converge.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -49,7 +48,7 @@ from ..resilience.faults import fault_point
 from ..routing import GlobalRouter, RoutingResult
 from ..telemetry import current_tracer
 from .compact import compact
-from .legalize import remove_overlaps
+from .legalize import remove_overlaps, warn_residual
 from .moves import MoveGenerator, PlacementAnnealingState
 from .stage1 import Stage1Result
 from .state import PlacementState
@@ -200,13 +199,7 @@ def run_refinement(
             # so every adjacency still admits a channel.
             with tracer.span("stage2.legalize"):
                 residual = remove_overlaps(state, min_gap=t_s)
-            if residual > 0:
-                warnings.warn(
-                    f"legalization left {residual:.1f} units^2 of cell overlap "
-                    f"before refinement pass {pass_index}; channels may be "
-                    "missing where cells still overlap",
-                    stacklevel=2,
-                )
+            warn_residual(residual, f"before refinement pass {pass_index}")
 
             routed = _define_route_expand(
                 circuit, state, config, rng, t_s, pass_index, control
@@ -222,7 +215,10 @@ def run_refinement(
             # every channel immediately has its required width; the anneal
             # below then re-optimizes wirelength under that constraint.
             with tracer.span("stage2.space"):
-                remove_overlaps(state, use_expanded=True)
+                spaced = remove_overlaps(state, use_expanded=True)
+            warn_residual(
+                spaced, f"in the spacing step of refinement pass {pass_index}"
+            )
 
             is_last = pass_index == config.refinement_passes - 1
             with tracer.span("stage2.refine_anneal", final=is_last):
@@ -268,7 +264,8 @@ def run_refinement(
     # budget ran dry first) the state is still in dynamic-estimator mode
     # and the expanded legalization does not apply.
     with tracer.span("stage2.final_legalize"):
-        remove_overlaps(state, use_expanded=not state.dynamic_expansion)
+        final = remove_overlaps(state, use_expanded=not state.dynamic_expansion)
+        warn_residual(final, "in the final legalization")
         if not state.dynamic_expansion:
             compact(state)
     return result

@@ -14,6 +14,12 @@ The grid is unbounded: bins are stored sparsely in a dict keyed by
 integer bin coordinates, so items may live anywhere (cells legitimately
 spill outside the target core during annealing).  Items larger than one
 bin are simply registered in every bin their box covers.
+
+:meth:`UniformGridIndex.neighbourhood` memoizes the sorted candidate
+tuple of an item.  A candidate set only changes when a bin the item
+occupies gains or loses an occupant, so every (re-)binning drops the
+memo of each occupant of the bins it touches; a shift that stays inside
+its bin range costs the memo nothing.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ class UniformGridIndex:
     items touch many bins, much larger and every bin holds many items.
     """
 
-    __slots__ = ("bin_size", "_inv", "_bins", "_ranges")
+    __slots__ = ("bin_size", "_inv", "_bins", "_ranges", "_near")
 
     def __init__(self, bin_size: float) -> None:
         if not bin_size > 0.0:
@@ -45,6 +51,8 @@ class UniformGridIndex:
         self._inv = 1.0 / self.bin_size
         self._bins: Dict[Tuple[int, int], Set[Hashable]] = {}
         self._ranges: Dict[Hashable, _BinRange] = {}
+        #: item -> memoized ``tuple(sorted(candidates(item)))``.
+        self._near: Dict[Hashable, Tuple[Hashable, ...]] = {}
 
     @staticmethod
     def for_bboxes(bboxes: Iterable[Rect], scale: float = 1.0) -> "UniformGridIndex":
@@ -80,6 +88,7 @@ class UniformGridIndex:
         for bx in range(bx1, bx2 + 1):
             for by in range(by1, by2 + 1):
                 bins.setdefault((bx, by), set()).add(item)
+        self._forget(rng)
 
     def remove(self, item: Hashable) -> None:
         rng = self._ranges.pop(item)
@@ -109,6 +118,7 @@ class UniformGridIndex:
         for bx in range(bx1, bx2 + 1):
             for by in range(by1, by2 + 1):
                 bins.setdefault((bx, by), set()).add(item)
+        self._forget(new)
 
     def _unbin(self, item: Hashable, rng: _BinRange) -> None:
         bins = self._bins
@@ -120,6 +130,23 @@ class UniformGridIndex:
                 occupants.discard(item)
                 if not occupants:
                     del bins[key]
+        self._near.pop(item, None)
+        self._forget(rng)
+
+    def _forget(self, rng: _BinRange) -> None:
+        """Drop the memoized neighbourhood of every occupant of the bins
+        in ``rng`` (free while nothing is memoized)."""
+        near = self._near
+        if not near:
+            return
+        bins = self._bins
+        bx1, by1, bx2, by2 = rng
+        for bx in range(bx1, bx2 + 1):
+            for by in range(by1, by2 + 1):
+                occupants = bins.get((bx, by))
+                if occupants:
+                    for other in occupants:
+                        near.pop(other, None)
 
     # -- queries ---------------------------------------------------------
 
@@ -149,6 +176,15 @@ class UniformGridIndex:
                     out |= occupants
         out.discard(item)
         return out
+
+    def neighbourhood(self, item: Hashable) -> Tuple[Hashable, ...]:
+        """``tuple(sorted(candidates(item)))``, memoized until a bin the
+        item occupies gains or loses an occupant (items must be
+        mutually orderable)."""
+        near = self._near.get(item)
+        if near is None:
+            near = self._near[item] = tuple(sorted(self.candidates(item)))
+        return near
 
     def __contains__(self, item: Hashable) -> bool:
         return item in self._ranges

@@ -1,6 +1,7 @@
 """End-to-end integration: a suite circuit through the full flow."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -144,6 +145,25 @@ GOLDEN_PLACEMENT_SHA256 = (
 class TestGoldenCustomPlacement:
     def test_placement_fingerprint(self, p1_result):
         assert placement_fingerprint(p1_result) == GOLDEN_PLACEMENT_SHA256
+
+
+#: The batched stage-1 trajectory: ``SMOKE`` runs the serial mover, so
+#: neither hash above pins the batched kernel.  i1 smoke with
+#: ``mover="batched"``: placement, then routing fingerprint.
+GOLDEN_BATCHED_SHA256 = (
+    "be6907876704ed41f00e4d3e452bde6241d75cf613a4618a671345acc49e8640",
+    "c06c69a7df69e6138fd9295e67c74cda4969a8b189f61d1faedc794917e7a27a",
+)
+
+
+class TestGoldenBatchedPlacement:
+    def test_batched_fingerprints(self):
+        config = replace(SMOKE, mover="batched")
+        result = place_and_route(load_circuit("i1"), config)
+        assert (
+            placement_fingerprint(result),
+            routing_fingerprint(result),
+        ) == GOLDEN_BATCHED_SHA256
 
 
 class TestMediumCircuit:

@@ -77,3 +77,32 @@ class TestRawOverlap:
         a = TileSet.rectangle(4, 4)
         b = TileSet.rectangle(4, 4).translated(2, 0)
         assert raw_overlap([a, b]) == pytest.approx(8.0)
+
+
+class TestResidualWarnings:
+    def test_every_flow_legalize_call_warns_on_a_residual(self, monkeypatch):
+        """A legalize call that runs out of passes must not go unseen:
+        stage 1's, each pass's, the spacing step's and the final one."""
+        import repro.flow.timberwolf as flow
+        import repro.placement.refine as refine
+        from repro import TimberWolfConfig, place_and_route
+
+        def leaves_overlap(state, **kwargs):
+            remove_overlaps(state, **kwargs)
+            return 2.5
+
+        monkeypatch.setattr(flow, "remove_overlaps", leaves_overlap)
+        monkeypatch.setattr(refine, "remove_overlaps", leaves_overlap)
+        with pytest.warns(UserWarning) as caught:
+            place_and_route(make_macro_circuit(), TimberWolfConfig.smoke(seed=1))
+        messages = [str(w.message) for w in caught]
+        for where in (
+            "after stage 1",
+            "before refinement pass 0",
+            "in the spacing step of refinement pass 0",
+            "in the final legalization",
+        ):
+            assert any(
+                m.startswith("legalization left 2.5 units^2 of overlap " + where)
+                for m in messages
+            ), where

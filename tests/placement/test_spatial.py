@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Rect
 from repro.placement.spatial import UniformGridIndex
@@ -158,3 +159,53 @@ class TestBookkeeping:
         grid = UniformGridIndex(2.0)
         grid.insert("a", Rect(0, 0, 1, 1))
         assert "1 items" in repr(grid)
+
+
+class TestNeighbourhoodMemo:
+    """The memoized sorted neighbourhood never goes stale: after any
+    insert / update / remove sequence it equals a fresh sorted query."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        bin_size=st.sampled_from([2.0, 5.0, 20.0]),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "nudge", "jump", "remove"]),
+                st.integers(0, 15),
+            ),
+            max_size=80,
+        ),
+    )
+    def test_memo_matches_fresh_query(self, seed, bin_size, ops):
+        rng = random.Random(seed)
+        grid = UniformGridIndex(bin_size)
+        boxes = {}
+        for kind, item in ops:
+            if kind == "insert" and item not in boxes:
+                boxes[item] = random_rect(rng, span=20.0)
+                grid.insert(item, boxes[item])
+            elif kind == "nudge" and item in boxes:
+                # Small shifts usually stay inside the bin range.
+                dx, dy = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+                x1, y1, x2, y2 = boxes[item]
+                boxes[item] = Rect(x1 + dx, y1 + dy, x2 + dx, y2 + dy)
+                grid.update_coords(item, x1 + dx, y1 + dy, x2 + dx, y2 + dy)
+            elif kind == "jump" and item in boxes:
+                boxes[item] = random_rect(rng, span=20.0)
+                grid.update(item, boxes[item])
+            elif kind == "remove" and item in boxes:
+                del boxes[item]
+                grid.remove(item)
+            for i in boxes:
+                assert grid.neighbourhood(i) == tuple(sorted(grid.candidates(i)))
+
+    def test_memo_survives_moves_inside_the_bin_range(self):
+        grid = UniformGridIndex(10.0)
+        grid.insert(0, Rect(1.0, 1.0, 3.0, 3.0))
+        grid.insert(1, Rect(2.0, 2.0, 4.0, 4.0))
+        first = grid.neighbourhood(0)
+        grid.update(1, Rect(2.5, 2.5, 4.5, 4.5))
+        assert grid.neighbourhood(0) is first
+        grid.update(1, Rect(12.0, 12.0, 14.0, 14.0))
+        assert grid.neighbourhood(0) == ()
