@@ -2,23 +2,24 @@
 
 ``bench_moves_per_sec`` times the inner loop in isolation; this harness
 answers the question that actually matters for the flow: how much faster
-is a complete ``place`` run when stage 1 anneals on the batched sweep
+is a complete ``place`` run when the anneals run on the batched sweep
 kernel (``--mover batched``), and how much placement quality does the
 coarser move set cost?  For synthetic circuits at N ∈ {50, 100, 200}
 cells it runs the full two-stage flow twice per size — once per mover,
 same seed, same schedule — and records:
 
-* the stage-1 span wall-clock (from the run's own telemetry; this is
-  where the movers differ — stage 2 is identical code for both) and the
-  total flow wall-clock;
+* the stage-1 span wall-clock (from the run's own telemetry) and the
+  total flow wall-clock, which also carries the movers' difference in
+  the stage-2 refine anneal;
 * final TEIL / chip area / stage-1 residual overlap for both movers,
   plus the batched-vs-serial gaps in percent.
 
-The batched mover proposes displacements and interchanges only (no
-orientation / aspect / pin-group moves), so it is *not* bit-identical to
-the serial cascade — parity is a QoR gate, not an equality check.  The
-thresholds below were set empirically from smoke-effort runs and leave
-headroom over the observed gaps.
+The batched mover proposes displacements and interchanges only in stage
+1 (no orientation / aspect / pin-group moves) and displacement batches
+plus a serial pin round per temperature in the refine, so it is *not*
+bit-identical to the serial cascade — parity is a QoR gate, not an
+equality check.  The thresholds below were set empirically from
+smoke-effort runs and leave headroom over the observed gaps.
 
 ``--quick`` (the CI smoke mode) additionally enforces three gates at the
 gate size: stage-1 speedup >= 2x, TEIL/area parity within thresholds,

@@ -563,10 +563,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--mover",
         default="serial",
         choices=("serial", "batched"),
-        help="stage-1 move driver: one Metropolis move at a time "
-        "(default) or PARSAC-style synchronous batched sweeps on the "
-        "array core — QoR-parity-gated, not bit-identical to serial "
-        "(see docs/performance.md)",
+        help="move driver of both anneals (stage 1 and the stage-2 "
+        "refine): one Metropolis move at a time (default) or "
+        "PARSAC-style synchronous batched sweeps on the array core — "
+        "QoR-parity-gated, not bit-identical to serial (see "
+        "docs/performance.md)",
     )
     p_place.add_argument(
         "--batch-moves",
@@ -627,9 +628,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_resume.add_argument(
         "--mover",
         choices=("serial", "batched"),
-        help="pin the expected stage-1 mover: the checkpoint's own "
-        "config decides how the run continues, and a disagreeing pin "
-        "is refused with a clean error",
+        help="pin the expected mover (it drives both anneals): the "
+        "checkpoint's own config decides how the run continues, and a "
+        "disagreeing pin is refused with a clean error",
     )
     _add_output_options(p_resume)
     _add_budget_options(p_resume)

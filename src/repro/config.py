@@ -43,9 +43,9 @@ CORES = ("object", "array")
 #: both follow the measured r_accept).
 COOLING_SCHEDULES = ("table", "adaptive")
 
-#: Stage-1 move drivers: "serial" steps one Metropolis move at a time
-#: (bit-identical across cores); "batched" evaluates PARSAC-style
-#: synchronous sweeps on the array kernel (same schedule and
+#: Move drivers of both anneals: "serial" steps one Metropolis move at a
+#: time (bit-identical across cores); "batched" evaluates PARSAC-style
+#: synchronous sweeps on the array kernel (same schedules and
 #: accounting, a different — QoR-parity-gated — move stream).
 MOVERS = ("serial", "batched")
 
@@ -105,14 +105,16 @@ class TimberWolfConfig:
     #: "table" follows the paper's Tables 1/2; "adaptive" drives alpha
     #: and the displacement window from the measured acceptance ratio.
     cooling: str = "table"
-    #: Stage-1 move driver: "serial" (one move per Metropolis step) or
-    #: "batched" (synchronous sweeps on the array kernel; requires
-    #: ``core="array"``).  Batched runs resume bit-for-bit against
-    #: themselves but are QoR-parity-gated against serial, not
-    #: bit-identical to it.
+    #: Move driver of the stage-1 anneal and of the stage-2 refine
+    #: anneals: "serial" (one move per Metropolis step) or "batched"
+    #: (synchronous sweeps on the array kernel; requires
+    #: ``core="array"``).  The batched refine sweeps displacements only
+    #: and runs the pin-group moves serially once per temperature.
+    #: Batched runs resume bit-for-bit against themselves but are
+    #: QoR-parity-gated against serial, not bit-identical to it.
     mover: str = "serial"
-    #: Proposals evaluated per batched sweep (ignored by the serial
-    #: mover).
+    #: Proposals evaluated per batched sweep, in both anneals (ignored
+    #: by the serial mover).
     batch_moves: int = 48
     core_aspect_ratio: float = 1.0
     core_slack: float = 1.0
@@ -124,8 +126,9 @@ class TimberWolfConfig:
     max_temperatures: int = 240
     refine_attempts_per_cell: int = 0  # 0 = same as attempts_per_cell
     profile: ModulationProfile = field(default_factory=ModulationProfile)
-    #: Reconcile the incremental C1/C2/C3 accumulators against a full
-    #: recomputation every N temperature steps (0 disables the audit).
+    #: Reconcile the running C1/C2/C3 totals (the serial kernels'
+    #: incremental accumulators, or a batched session's totals) against a
+    #: full recomputation every N temperature steps (0 disables the audit).
     drift_check_every: int = 0
     #: Largest tolerated relative drift before ``drift_action`` applies.
     drift_tolerance: float = 1e-6

@@ -69,7 +69,7 @@ numpy dispatch and memory layout, not arithmetic, bound this kernel:
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -376,11 +376,14 @@ class BatchKernel:
         accumulators are left at the canonical from-scratch values — the
         same contract as ``PlacementState.resync()``.
         """
-        state = self.state
-        for i, rec in enumerate(state.records):
-            rec.center = (float(self.centers[i, 0]), float(self.centers[i, 1]))
-        state.rebuild()
+        self._write_centers()
+        self.state.rebuild()
         self._active = False
+
+    def _write_centers(self) -> None:
+        """Copy the session's centers into the records (no rebuild)."""
+        for i, rec in enumerate(self.state.records):
+            rec.center = (float(self.centers[i, 0]), float(self.centers[i, 1]))
 
     def export_state_dict(self) -> Dict[str, Any]:
         """A checkpoint payload of the *live* mid-session placement.
@@ -391,10 +394,8 @@ class BatchKernel:
         resume that loads this payload and calls :meth:`begin` lands on
         bit-for-bit the same kernel state this session is in.
         """
-        state = self.state
-        for i, rec in enumerate(state.records):
-            rec.center = (float(self.centers[i, 0]), float(self.centers[i, 1]))
-        data = state.state_dict()
+        self._write_centers()
+        data = self.state.state_dict()
         data["accumulators"] = {
             "c1": self.c1,
             "c2_raw": self.c2,
@@ -630,8 +631,10 @@ class BatchKernel:
     ) -> Tuple[int, int]:
         """One batch of range-limited single-cell displacements.
 
-        Returns (attempts, accepts).  ``window`` is the §3.2.2 range
-        limiter's (x, y) half-span at the current temperature.
+        Returns (attempts, accepts).  Each step is uniform in
+        ±``window`` per axis; ``BatchMoveGenerator`` passes the §3.2.2
+        range limiter's full (x, y) span W(T), twice the ±W/2 reach of
+        the serial Ds and Dr selectors.
         """
         if not self._active:
             raise RuntimeError("call begin() before running batches")
@@ -801,8 +804,9 @@ class BatchKernel:
 
 class BatchMoveGenerator:
     """Drives ``BatchKernel`` with the §3.2.1 displacement/interchange
-    mixture — the batched analogue of ``MoveGenerator`` for the
-    throughput anneal (no cascade, no pin/aspect moves)."""
+    mixture — the batched analogue of ``MoveGenerator`` (no cascade, no
+    orientation/aspect/pin moves).  With ``interchange_moves=False``
+    every step is a displacement batch: the stage-2 refine anneal."""
 
     def __init__(
         self,
@@ -812,6 +816,7 @@ class BatchMoveGenerator:
         batch: int = 48,
         seed: int = 0,
         metrics: Optional[MetricsRegistry] = None,
+        interchange_moves: bool = True,
     ) -> None:
         if r_ratio <= 0:
             raise ValueError("r_ratio must be positive")
@@ -820,6 +825,7 @@ class BatchMoveGenerator:
         self.kernel = BatchKernel(state)
         self.limiter = limiter
         self.displacement_probability = r_ratio / (1.0 + r_ratio)
+        self.interchange_moves = interchange_moves
         self.batch = batch
         self.rng = np.random.default_rng(seed)
         #: Per-kind attempt/accept counters in a MetricsRegistry, so the
@@ -857,8 +863,12 @@ class BatchMoveGenerator:
 
     def step(self, temperature: float) -> Tuple[int, int]:
         """One batch: displacement with probability r/(1+r), else
-        interchange.  Returns (attempts, accepts)."""
-        if self.rng.random() < self.displacement_probability:
+        interchange (always a displacement without interchange moves).
+        Returns (attempts, accepts)."""
+        if (
+            not self.interchange_moves
+            or self.rng.random() < self.displacement_probability
+        ):
             window = (
                 self.limiter.window_x(temperature),
                 self.limiter.window_y(temperature),
@@ -881,26 +891,43 @@ class BatchAnnealingState(AnnealingState):
     """Adapter presenting a BatchMoveGenerator session to the engine —
     the batched counterpart of ``PlacementAnnealingState``.
 
-    The engine's ``random.Random`` is ignored: every stochastic choice
-    of the batched anneal (kind mix, cells, steps, Metropolis draws)
-    comes from the generator's own numpy stream, which the cursor's
-    ``generator_state`` captures and restores, so a batched run resumes
-    bit-for-bit against itself.
+    Every stochastic choice of the batches (kind mix, cells, steps,
+    Metropolis draws) comes from the generator's own numpy stream, which
+    the cursor's ``generator_state`` captures and restores, so a batched
+    run resumes bit-for-bit against itself.
 
-    There is deliberately no ``cost_drift``: during a session the object
-    model's incremental accumulators are dormant (the kernel recomputes
-    exact totals at every commit), so the drift guard has nothing
-    meaningful to reconcile and skips states without the hook.
+    ``pin_round`` (the refine anneal's ``MoveGenerator.pin_round``;
+    stage 1 passes none) runs at the first step of each temperature,
+    with the session closed around it: pin moves rewrite pin sites and
+    C3, which the kernel holds fixed, so they run on the serial kernel.
+    Without it the whole anneal is one session.
     """
 
     def __init__(
-        self, state: ArrayPlacementState, generator: BatchMoveGenerator
+        self,
+        state: ArrayPlacementState,
+        generator: BatchMoveGenerator,
+        pin_round: Optional[
+            Callable[[float, random.Random], Tuple[int, int]]
+        ] = None,
     ) -> None:
         self.state = state
         self.generator = generator
+        self.pin_round = pin_round
+        self._pin_round_due = False
+
+    def on_temperature(self, temperature: float) -> None:
+        self._pin_round_due = self.pin_round is not None
 
     def step(self, temperature: float, rng: random.Random) -> Tuple[int, int]:
-        return self.generator.step(temperature)
+        if not self._pin_round_due:
+            return self.generator.step(temperature)
+        self._pin_round_due = False
+        self.generator.finish()
+        attempts, accepts = self.pin_round(temperature, rng)
+        self.generator.begin()
+        a, c = self.generator.step(temperature)
+        return (attempts + a, accepts + c)
 
     def cost(self) -> float:
         kernel = self.generator.kernel
@@ -909,10 +936,36 @@ class BatchAnnealingState(AnnealingState):
         return self.state.cost()
 
     def moves_per_iteration(self) -> int:
-        """Batches per A_c unit: ceil(N_c / batch), so a temperature
-        step evaluates ~A_c * N_c proposals like the serial mover."""
+        """Batches per A_c unit: ceil(N_c / batch).  A displacement
+        batch proposes min(batch, movable cells) moves, so a temperature
+        step evaluates A_c * N_c proposals only when N_c <= batch or
+        batch divides N_c, and up to about twice that otherwise: at
+        N_c = 50, batch 48 and A_c = 4, 384 proposals against the
+        serial mover's 200."""
         n = len(self.state.names)
         return max(1, -(-n // self.generator.batch))
+
+    def cost_drift(self) -> Dict[str, float]:
+        """The drift guard's audit of the session's running totals
+        against the object model's from-scratch recomputation at the
+        session's centers.  The kernel recomputes C1 and C2 at every
+        commit; C3 is carried in from ``begin()``, so this is what
+        checks the pin rounds' incremental C3."""
+        kernel = self.generator.kernel
+        if not kernel._active:
+            return self.state.cost_drift()
+        kernel._write_centers()
+        return self.state.cost_drift(held=(kernel.c1, kernel.c2, kernel.c3))
+
+    def resync(self) -> None:
+        """Canonical totals: a session is closed and reopened around the
+        object model's rebuild."""
+        kernel = self.generator.kernel
+        if not kernel._active:
+            self.state.resync()
+            return
+        self.generator.finish()
+        self.generator.begin()
 
     def state_dict(self) -> Dict:
         kernel = self.generator.kernel

@@ -104,6 +104,9 @@ class MoveGenerator:
                     allowed = pins[0].sides
                 sides.append((key, tuple(sorted(allowed))))
             self._group_sides.append(sides)
+        #: The movable custom cells with uncommitted pin groups: the
+        #: cells a ``pin_round`` visits.
+        self.pin_cells = [i for i in self._movable if self._group_sides[i]]
         #: Per-move-kind attempt/accept counters, kept in a MetricsRegistry
         #: so the same series the annealer accumulates is exportable to a
         #: trace.  Pre-resolved to (attempts, accepts) Counter pairs so the
@@ -251,6 +254,23 @@ class MoveGenerator:
             self._record("pin_group", accepted)
             if accepted:
                 accepts += 1
+        return (attempts, accepts)
+
+    def pin_round(
+        self, temperature: float, rng: random.Random, rounds: int = 1
+    ) -> Tuple[int, int]:
+        """``rounds`` pin-group attempt calls per cell of ``pin_cells``,
+        each round in an order shuffled with ``rng`` — the pin moves of
+        the batched refine anneal, whose batches only displace.
+        Returns (attempts, accepts)."""
+        attempts, accepts = 0, 0
+        cells = list(self.pin_cells)
+        for _ in range(rounds):
+            rng.shuffle(cells)
+            for i in cells:
+                a, c = self._pin_attempts(i, temperature, rng)
+                attempts += a
+                accepts += c
         return (attempts, accepts)
 
     def _aspect_attempt(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..annealing import (
@@ -47,6 +48,7 @@ from ..resilience.drift import DriftGuard
 from ..resilience.faults import fault_point
 from ..routing import GlobalRouter, RoutingResult
 from ..telemetry import current_tracer
+from .batch import BatchAnnealingState, BatchMoveGenerator
 from .compact import compact
 from .legalize import remove_overlaps, warn_residual
 from .moves import MoveGenerator, PlacementAnnealingState
@@ -305,13 +307,19 @@ def _refine_anneal(
     is_last: bool,
     control=None,
 ) -> "tuple[AnnealResult, Dict[str, List[int]]]":
+    """The §4.3 refinement anneal on the configured mover: serial steps,
+    or displacement batches on the batch kernel with the pin-group moves
+    in a serial pin round per temperature (see ``BatchAnnealingState``)."""
+    tracer = current_tracer()
     limiter = stage1.limiter
     # Eqn 28: T' makes the window the fraction mu of its full span.
     t_start = limiter.temperature_for_fraction(config.mu)
     schedule = stage2_schedule(
         stage1.plan.average_effective_cell_area, t_start=t_start
     )
-    generator = MoveGenerator(
+    # Orientations, instances and aspect ratios stay frozen (§4.3): the
+    # refine moves are displacements and pin-group moves only.
+    moves = MoveGenerator(
         state,
         limiter,
         r_ratio=config.r_ratio,
@@ -321,6 +329,28 @@ def _refine_anneal(
         pin_moves=True,
         interchange_moves=False,
     )
+    batched = config.mover == "batched"
+    if batched:
+        with tracer.span("batch.begin"):
+            # Seeded from the flow stream, which a stage-2 resume restores
+            # at the pass boundary: the resumed anneal replays this one.
+            generator = BatchMoveGenerator(
+                state,
+                limiter,
+                r_ratio=config.r_ratio,
+                batch=config.batch_moves,
+                seed=rng.getrandbits(64),
+                interchange_moves=False,
+            )
+            pin_round = None
+            if moves.pin_cells:
+                pin_round = partial(
+                    moves.pin_round, rounds=config.stage2_attempts_per_cell
+                )
+            anneal_state = BatchAnnealingState(state, generator, pin_round)
+            generator.begin()
+    else:
+        anneal_state = PlacementAnnealingState(state, moves)
     floor = FloorStop(schedule.scale * STAGE2_T_FLOOR)
     if is_last:
         # Final pass: stop when the cost is frozen for 3 inner loops.
@@ -345,9 +375,17 @@ def _refine_anneal(
         observers.append(guard.observer())
     if control is not None:
         observers.append(control.interrupt_observer())
-    result = annealer.run(
-        PlacementAnnealingState(state, generator),
-        budget=control.budget if control is not None else None,
-        observers=observers,
-    )
-    return result, {k: list(v) for k, v in generator.stats.items()}
+    try:
+        result = annealer.run(
+            anneal_state,
+            budget=control.budget if control is not None else None,
+            observers=observers,
+        )
+    finally:
+        if batched:
+            with tracer.span("batch.finish"):
+                generator.finish()
+    stats = moves.stats
+    if batched:
+        stats = {**generator.stats, "pin_group": stats["pin_group"]}
+    return result, {k: list(v) for k, v in stats.items()}

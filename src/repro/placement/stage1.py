@@ -206,7 +206,10 @@ def run_stage1(
     plan = _core_plan(circuit, config, control)
     schedule, limiter = stage1_cooling(plan, config)
 
-    state = make_placement_state(config.core, circuit, plan, kappa=config.kappa)
+    with tracer.span("stage1.make_state"):
+        state = make_placement_state(
+            config.core, circuit, plan, kappa=config.kappa
+        )
     cursor: Optional[AnnealCursor] = None
     if resume is not None:
         # p2 and the placement come from the snapshot; the calibration
@@ -237,14 +240,16 @@ def run_stage1(
         # The batched mover draws everything from its own numpy stream,
         # seeded from the run seed (spawn_seed(seed, 0) == seed, so the
         # single-chain driver and chain 0 of the coordinator agree).
-        generator = BatchMoveGenerator(
-            state,
-            limiter,
-            r_ratio=config.r_ratio,
-            batch=config.batch_moves,
-            seed=config.seed,
-        )
-        anneal_state = BatchAnnealingState(state, generator)
+        with tracer.span("batch.begin"):
+            generator = BatchMoveGenerator(
+                state,
+                limiter,
+                r_ratio=config.r_ratio,
+                batch=config.batch_moves,
+                seed=config.seed,
+            )
+            anneal_state = BatchAnnealingState(state, generator)
+            generator.begin()
     else:
         generator = MoveGenerator(
             state,
@@ -278,24 +283,17 @@ def run_stage1(
         observers.append(
             control.stage1_observer(anneal_state if batched else state)
         )
-    if batched:
-        generator.begin()
-        try:
-            result = annealer.run(
-                anneal_state,
-                budget=control.budget if control is not None else None,
-                resume=cursor,
-                observers=observers,
-            )
-        finally:
-            generator.finish()
-    else:
+    try:
         result = annealer.run(
             anneal_state,
             budget=control.budget if control is not None else None,
             resume=cursor,
             observers=observers,
         )
+    finally:
+        if batched:
+            with tracer.span("batch.finish"):
+                generator.finish()
     if tracer.enabled:
         generator.metrics.emit(tracer, "stage1.move_metrics")
         tracer.event(

@@ -1025,14 +1025,18 @@ class PlacementState:
         c3 = sum(self._cell_c3(i) for i in range(n))
         return c1, c2, c3
 
-    def cost_drift(self) -> Dict[str, float]:
+    def cost_drift(
+        self, held: Optional[Tuple[float, float, float]] = None
+    ) -> Dict[str, float]:
         """Accumulated-minus-fresh difference of each cost term, plus
-        the largest difference normalized by the term's magnitude."""
-        fresh_c1, fresh_c2, fresh_c3 = self.cost_breakdown_fresh()
-        pairs = (
-            (self._c1 - fresh_c1, fresh_c1),
-            (self._c2_raw - fresh_c2, fresh_c2),
-            (self._c3_total - fresh_c3, fresh_c3),
+        the largest difference normalized by the term's magnitude.
+        ``held`` audits other running (C1, C2_raw, C3) totals than the
+        accumulators: a batch session's."""
+        if held is None:
+            held = (self._c1, self._c2_raw, self._c3_total)
+        pairs = tuple(
+            (value - ref, ref)
+            for value, ref in zip(held, self.cost_breakdown_fresh())
         )
         return {
             "c1": pairs[0][0],

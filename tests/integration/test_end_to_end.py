@@ -147,22 +147,53 @@ class TestGoldenCustomPlacement:
         assert placement_fingerprint(p1_result) == GOLDEN_PLACEMENT_SHA256
 
 
-#: The batched stage-1 trajectory: ``SMOKE`` runs the serial mover, so
-#: neither hash above pins the batched kernel.  i1 smoke with
-#: ``mover="batched"``: placement, then routing fingerprint.
+def stage1_fingerprint(result) -> str:
+    """sha256 over the legalized stage-1 placement and every stage-1
+    temperature's (attempts, accepts, cost_after)."""
+    h = hashlib.sha256()
+
+    def put(*items):
+        h.update(repr(items).encode())
+
+    put(sorted(result.stage1_placement.items()))
+    for step in result.stage1.anneal.steps:
+        put(step.attempts, step.accepts, step.cost_after)
+    return h.hexdigest()
+
+
+#: The batched stage-1 trajectory of i1 smoke with ``mover="batched"``
+#: (``SMOKE`` runs the serial mover, so neither hash above pins the
+#: batched kernel).  Work on the refine anneal must leave it unchanged.
+GOLDEN_BATCHED_STAGE1_SHA256 = (
+    "2f23672711268606da2a7c25f19dbc3ca35323371a9eec5409d2821d3847f3b4"
+)
+
+#: The same run's final placement, then routing fingerprint.  Moved
+#: when the refine anneal of ``mover="batched"`` went onto the batch
+#: kernel: its displacements are now synchronous batches drawn from a
+#: numpy stream seeded from the flow RNG.  Stage 1 (above) did not
+#: move, nor did the routes of this one-pass flow, which precede the
+#: refine anneal: the routing fingerprint moved only through the final
+#: TEIL and chip area it ends with.
 GOLDEN_BATCHED_SHA256 = (
-    "be6907876704ed41f00e4d3e452bde6241d75cf613a4618a671345acc49e8640",
-    "c06c69a7df69e6138fd9295e67c74cda4969a8b189f61d1faedc794917e7a27a",
+    "76dc287b801174fe96086e9f1e6f9c52b3cd0ea6a7488a1407ca884724e43bd8",
+    "b8153c13848ea5a5bfffb63f1a6fcb411cb5954aa16cb911513bfc82a018a4dd",
 )
 
 
 class TestGoldenBatchedPlacement:
-    def test_batched_fingerprints(self):
+    @pytest.fixture(scope="class")
+    def batched_result(self):
         config = replace(SMOKE, mover="batched")
-        result = place_and_route(load_circuit("i1"), config)
+        return place_and_route(load_circuit("i1"), config)
+
+    def test_stage1_fingerprint(self, batched_result):
+        assert stage1_fingerprint(batched_result) == GOLDEN_BATCHED_STAGE1_SHA256
+
+    def test_batched_fingerprints(self, batched_result):
         assert (
-            placement_fingerprint(result),
-            routing_fingerprint(result),
+            placement_fingerprint(batched_result),
+            routing_fingerprint(batched_result),
         ) == GOLDEN_BATCHED_SHA256
 
 

@@ -2,6 +2,7 @@
 and the per-temperature records reconcile with the engine's own stats."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -120,6 +121,40 @@ class TestSpanCoverage:
             route + "/router.phase2",
             "flow/stage2/stage2.pass/router.congestion",
             "flow/stage2/stage2.pass/stage2.expansions",
+        ):
+            assert path in paths, path
+
+    @pytest.fixture(scope="class")
+    def batched_events(self):
+        from repro.bench import load_circuit
+
+        mem = MemorySink()
+        config = replace(TimberWolfConfig.smoke(seed=7), mover="batched")
+        place_and_route(
+            load_circuit("i1"), config, tracer=Tracer(mem), collect_trace=False
+        )
+        return mem.events
+
+    def test_batched_stage1_and_refine_anneal_are_covered_by_children(
+        self, batched_events
+    ):
+        """Under ``mover="batched"`` the kernel session's set-up and
+        write-back run in child spans too."""
+        names = {"stage1", "stage2.refine_anneal"}
+        coverage = child_coverage(batched_events, names)
+        assert {name for name, _ in coverage} == names
+        for name, fraction in coverage:
+            assert fraction >= 0.95, (name, fraction)
+
+    def test_batched_session_spans_nest_where_expected(self, batched_events):
+        paths = set(span_paths(batched_events).values())
+        refine = "flow/stage2/stage2.pass/stage2.refine_anneal"
+        for path in (
+            "flow/stage1/stage1.make_state",
+            "flow/stage1/batch.begin",
+            "flow/stage1/batch.finish",
+            refine + "/batch.begin",
+            refine + "/batch.finish",
         ):
             assert path in paths, path
 

@@ -1,5 +1,6 @@
 """The batched mover in the flow: config gating, stage-1 QoR,
-kill/resume determinism, and multi-chain worker invariance.
+kill/resume determinism in both anneals, and multi-chain worker
+invariance.
 
 The serial mover's kill/resume property rests on the engine's
 ``random.Random`` state in the cursor; the batched mover adds two more
@@ -23,10 +24,16 @@ from repro import (
     resume_place_and_route,
 )
 from repro.annealing import RangeLimiter
+from repro.bench import CircuitSpec, generate_circuit
 from repro.config import MOVERS
-from repro.netlist import dumps, loads
+from repro.netlist import CustomCell, dumps, loads
 from repro.parallel.multichain import run_multichain_stage1
-from repro.placement import BatchMoveGenerator, make_placement_state, run_stage1
+from repro.placement import (
+    BatchAnnealingState,
+    BatchMoveGenerator,
+    make_placement_state,
+    run_stage1,
+)
 from repro.resilience import (
     CheckpointPolicy,
     Fault,
@@ -48,6 +55,21 @@ def fixture_circuit():
     # Same round-trip discipline as the serial kill/resume tests: the
     # resumed process anneals the checkpoint's serialized circuit.
     return loads(dumps(make_macro_circuit()))
+
+
+def custom_fixture_circuit():
+    """Macros plus three custom cells with uncommitted pin groups: the
+    refine anneal's per-temperature pin round runs, over a shuffled
+    order."""
+    spec = CircuitSpec(
+        name="custom",
+        num_cells=12,
+        num_nets=24,
+        num_pins=60,
+        seed=5,
+        custom_fraction=0.25,
+    )
+    return loads(dumps(generate_circuit(spec)))
 
 
 class TestConfigGate:
@@ -161,6 +183,97 @@ class TestBatchedKillResume:
         resumed = resume_place_and_route(ckpt)
         assert resumed.placement() == baseline.placement()
         assert resumed.teil == baseline.teil
+
+
+class TestBatchedStage2KillResume:
+    """A kill inside the batched refine anneal resumes from the stage-2
+    pass boundary.  The refine generator's numpy stream is seeded from
+    the flow RNG, which that checkpoint restores, so the resumed refine
+    replays the interrupted one."""
+
+    @pytest.mark.parametrize(
+        "make", [fixture_circuit, custom_fixture_circuit], ids=["macro", "pins"]
+    )
+    def test_refine_kill_resumes_bit_for_bit(self, make, tmp_path):
+        baseline = place_and_route(make(), BATCHED)
+        kill_at = baseline.stage1.anneal.num_temperatures + 3
+        policy = CheckpointPolicy(directory=tmp_path, every_temperatures=1)
+        with inject_faults(
+            Fault(site="anneal.temperature", at=kill_at, kind="kill")
+        ):
+            with pytest.raises(SimulatedKill):
+                place_and_route(make(), BATCHED, checkpoint=policy)
+
+        ckpt = latest_checkpoint(tmp_path)
+        _, payload = read_checkpoint(ckpt)
+        assert payload["phase"] == "stage2"
+        resumed = resume_place_and_route(ckpt)
+        assert resumed.placement() == baseline.placement()
+        assert resumed.teil == baseline.teil
+        assert resumed.chip_area == baseline.chip_area
+
+    def test_pin_round_runs_once_per_temperature(self):
+        """Each refine temperature makes ``stage2_attempts_per_cell``
+        pin-attempt calls per custom cell (one attempt per group, at
+        most four per call), and the batches only displace."""
+        circuit = custom_fixture_circuit()
+        result = place_and_route(circuit, BATCHED)
+        final = result.refinement.final_pass
+        per_round = sum(
+            min(len(cell.pin_groups()), 4)
+            for cell in circuit.cells.values()
+            if isinstance(cell, CustomCell)
+        )
+        attempts, accepts = final.move_stats["pin_group"]
+        assert attempts == (
+            final.anneal.num_temperatures
+            * BATCHED.stage2_attempts_per_cell
+            * per_round
+        )
+        assert attempts >= accepts > 0
+        assert final.move_stats["displace_batch"][0] > 0
+        assert final.move_stats["interchange_batch"] == [0, 0]
+
+
+class TestBatchedDriftAudit:
+    """``drift_check_every`` audits batched anneals: the session's
+    running totals against the object model's from-scratch
+    recomputation at the session's centers."""
+
+    def test_audit_runs_in_both_anneals_and_changes_nothing(self):
+        baseline = place_and_route(custom_fixture_circuit(), BATCHED)
+        audited = replace(BATCHED, drift_check_every=1, drift_action="raise")
+        result = place_and_route(custom_fixture_circuit(), audited)
+        assert result.placement() == baseline.placement()
+        gauges = [
+            e for e in result.trace_events if e.get("name") == "anneal.cost_drift"
+        ]
+        temperatures = result.stage1.anneal.num_temperatures + sum(
+            p.anneal.num_temperatures for p in result.refinement.passes
+        )
+        assert len(gauges) == temperatures
+        assert max(g["value"] for g in gauges) < 1e-9
+
+    def test_audit_sees_a_carried_c3_error_and_resync_clears_it(self):
+        circuit = custom_fixture_circuit()
+        state = make_placement_state("array", circuit, determine_core(circuit))
+        state.randomize(random.Random(3))
+        core = state.core
+        limiter = RangeLimiter(
+            full_span_x=core.width, full_span_y=core.height, t_infinity=100.0
+        )
+        generator = BatchMoveGenerator(state, limiter, batch=4, seed=9)
+        adapter = BatchAnnealingState(state, generator)
+        generator.begin()
+        generator.step(1e9)
+        assert adapter.cost_drift()["max_relative"] < 1e-9
+        generator.kernel.c3 += 1.0
+        drift = adapter.cost_drift()
+        assert drift["c3"] == pytest.approx(1.0)
+        assert drift["max_relative"] > 1e-6
+        adapter.resync()
+        assert adapter.cost_drift()["max_relative"] < 1e-9
+        generator.finish()
 
 
 class TestBatchedMultichain:
