@@ -33,11 +33,11 @@ prints the checkpoint to resume from), ``--budget-seconds /
 layer: K-chain stage-1 annealing with best-of-K exchange plus the
 per-net router fan-out; see ``docs/parallel.md``), and
 ``--rundir DIR / --registry DB / --metrics-textfile PATH`` (the
-observability layer: run manifest + live heartbeat in the rundir, a QoR
-row in the SQLite run registry, Prometheus textfile exposition; see
-``docs/qor.md``), and ``--core array|object / --cooling table|adaptive``
-(stage-1 inner-loop implementation and cooling schedule; see
-``docs/performance.md``).
+observability layer: run manifest, run log and live heartbeat in the
+rundir, a QoR row in the SQLite run registry, Prometheus textfile
+exposition; see ``docs/qor.md``), and ``--core array|object /
+--cooling table|adaptive`` (stage-1 inner-loop implementation and
+cooling schedule; see ``docs/performance.md``).
 
 Setting the ``REPRO_FAULTS`` environment variable (e.g.
 ``router.route_net@3:error``) arms the fault-injection harness for the
@@ -142,20 +142,26 @@ def _recorder(args: argparse.Namespace, run_id=None, trace_id=None):
         registry=args.registry or None,
         run_id=run_id,
         metrics_textfile=getattr(args, "metrics_textfile", None),
-        heartbeat_interval=getattr(args, "heartbeat_interval", 0.0) or 0.0,
         trace_id=trace_id,
     )
 
 
-def _tracer(args: argparse.Namespace, recorder=None):
-    """The run's tracer: the ``--trace`` JSONL file and the recorder's
-    sinks (QoR record and heartbeat); None when neither is asked for."""
+def _tracer(args: argparse.Namespace, recorder, ctx):
+    """The run's tracer, stamped with the trace context: the recorder's
+    (QoR record, heartbeat and the run log in the rundir, plus any
+    ``--trace`` file elsewhere), else the ``--trace`` JSONL file alone;
+    None when neither is asked for."""
     from .telemetry import FileSink, Tracer
 
-    sinks = [FileSink(args.trace)] if getattr(args, "trace", None) else []
+    trace = getattr(args, "trace", None)
     if recorder is not None:
-        sinks.extend(recorder.sinks)
-    return Tracer(sinks) if sinks else None
+        tracer = recorder.open_tracer(trace)
+    elif trace:
+        tracer = Tracer(FileSink(trace))
+    else:
+        return None
+    tracer.set_context(trace_id=ctx.trace_id, trace_span=ctx.span_id)
+    return tracer
 
 
 def _trace_context(existing_trace_id=None):
@@ -279,29 +285,27 @@ def cmd_place(args: argparse.Namespace) -> int:
         )
     ctx = _trace_context()
     recorder = _recorder(args, trace_id=ctx.trace_id)
-    tracer = _tracer(args, recorder)
-    if recorder is not None:
-        recorder.begin(circuit, config, command="place")
-    if tracer is not None:
-        tracer.set_context(trace_id=ctx.trace_id, trace_span=ctx.span_id)
-    try:
-        with _profiling(
-            args, tracer, recorder.rundir if recorder is not None else None
-        ):
-            result = _run_recorded(
-                recorder,
-                lambda: place_and_route(
-                    circuit,
-                    config,
-                    tracer=tracer,
-                    budget=_budget(args),
-                    checkpoint=_checkpoint(
-                        args,
-                        run_id=recorder.run_id if recorder is not None else None,
-                        trace_id=ctx.trace_id,
-                    ),
+    tracer = _tracer(args, recorder, ctx)
+    rundir = recorder.rundir if recorder is not None else None
+
+    def run():
+        with _profiling(args, tracer, rundir):
+            return place_and_route(
+                circuit,
+                config,
+                tracer=tracer,
+                budget=_budget(args),
+                checkpoint=_checkpoint(
+                    args,
+                    run_id=recorder.run_id if recorder is not None else None,
+                    trace_id=ctx.trace_id,
                 ),
             )
+
+    try:
+        if recorder is not None:
+            recorder.begin(circuit, config, command="place")
+        result = _run_recorded(recorder, run)
     except FlowInterrupted as exc:
         print(f"interrupted: {exc}", file=sys.stderr)
         if exc.checkpoint_path:
@@ -314,18 +318,17 @@ def cmd_place(args: argparse.Namespace) -> int:
         if tracer is not None:
             tracer.close()
     if recorder is not None:
-        recorder.finish(result)
         print(f"recorded run {recorder.run_id} in {recorder.rundir}")
     return _emit_result(result, args)
 
 
 def _run_recorded(recorder, run):
-    """Run the flow callable, closing out the registry row on interrupt
-    or failure."""
+    """Run the flow callable and close the run out: QoR on success, the
+    interrupted or failed record otherwise."""
     if recorder is None:
         return run()
     try:
-        return run()
+        result = run()
     except FlowInterrupted as exc:
         recorder.interrupted(
             str(exc.checkpoint_path) if exc.checkpoint_path else None
@@ -334,6 +337,8 @@ def _run_recorded(recorder, run):
     except BaseException as exc:
         recorder.failed(exc)
         raise
+    recorder.finish(result)
+    return result
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
@@ -396,37 +401,36 @@ def _resume(args: argparse.Namespace, expect_sha) -> int:
     # checkpoint payload carries the run id AND the distributed trace
     # id, so a retry/resume extends the same trace instead of forking.
     ctx = _trace_context(payload.get("trace_id"))
-    recorder = None
-    if getattr(args, "rundir", None) or getattr(args, "registry", None):
+    recorder = _recorder(
+        args, run_id=payload.get("run_id"), trace_id=ctx.trace_id
+    )
+    if recorder is not None:
         from .flow.resume import checkpoint_inputs
 
         circuit, config = checkpoint_inputs(args.checkpoint, payload)
-        recorder = _recorder(
-            args, run_id=payload.get("run_id"), trace_id=ctx.trace_id
-        )
-        recorder.begin(
-            circuit, config, command="resume", resumed_from=str(args.checkpoint)
-        )
-    tracer = _tracer(args, recorder)
-    if tracer is not None:
-        tracer.set_context(trace_id=ctx.trace_id, trace_span=ctx.span_id)
-    try:
-        with _profiling(
-            args, tracer, recorder.rundir if recorder is not None else None
-        ):
-            result = _run_recorded(
-                recorder,
-                lambda: resume_place_and_route(
-                    args.checkpoint,
-                    tracer=tracer,
-                    budget=_budget(args),
-                    checkpoint=CheckpointPolicy(
-                        directory=_Path(args.checkpoint).parent,
-                        trace_id=ctx.trace_id,
-                    ),
-                    expect_circuit_sha=expect_sha,
+    tracer = _tracer(args, recorder, ctx)
+    rundir = recorder.rundir if recorder is not None else None
+
+    def run():
+        with _profiling(args, tracer, rundir):
+            return resume_place_and_route(
+                args.checkpoint,
+                tracer=tracer,
+                budget=_budget(args),
+                checkpoint=CheckpointPolicy(
+                    directory=_Path(args.checkpoint).parent,
+                    trace_id=ctx.trace_id,
                 ),
+                expect_circuit_sha=expect_sha,
             )
+
+    try:
+        if recorder is not None:
+            recorder.begin(
+                circuit, config, command="resume",
+                resumed_from=str(args.checkpoint),
+            )
+        result = _run_recorded(recorder, run)
     except FlowInterrupted as exc:
         print(f"interrupted: {exc}", file=sys.stderr)
         if exc.checkpoint_path:
@@ -439,7 +443,6 @@ def _resume(args: argparse.Namespace, expect_sha) -> int:
         if tracer is not None:
             tracer.close()
     if recorder is not None:
-        recorder.finish(result)
         print(f"recorded run {recorder.run_id} in {recorder.rundir}")
     print(f"resumed from {result.resumed_from}")
     return _emit_result(result, args)
@@ -469,7 +472,11 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--report", action="store_true", help="print the full engineering report"
     )
-    p.add_argument("--trace", help="write a JSONL telemetry trace")
+    p.add_argument(
+        "--trace",
+        help="write a JSONL telemetry trace (inside the --rundir it names "
+        "the run log, unless an earlier attempt wrote it)",
+    )
     p.add_argument(
         "--profile",
         action="store_true",
@@ -494,7 +501,8 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
 def _add_observability_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--rundir",
-        help="write manifest.json / heartbeat.json / qor.json here "
+        help="write manifest.json / heartbeat.json / qor.json and the "
+        "run log (the trace JSONL of each attempt) here "
         "(default runs/<run_id> when --registry is given)",
     )
     p.add_argument(
@@ -506,14 +514,6 @@ def _add_observability_options(p: argparse.ArgumentParser) -> None:
         "--metrics-textfile",
         help="also render each heartbeat as Prometheus text format here "
         "(node-exporter textfile collector)",
-    )
-    p.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="minimum seconds between heartbeat writes (default 0 = "
-        "every progress boundary)",
     )
 
 

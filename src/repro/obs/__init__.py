@@ -8,14 +8,15 @@ optional run registry:
 * :mod:`~repro.obs.routes` / :mod:`~repro.obs.server` — the HTTP
   surface (``/runs``, ``/runs/<id>``, ``/runs/<id>/health``,
   ``/runs/<id>/events``, ``/metrics``);
-* :mod:`~repro.obs.sse` — Server-Sent-Events streaming of heartbeat
-  history;
+* :mod:`~repro.obs.sse` — Server-Sent-Events streaming of the beats
+  folded from a run's log;
 * :mod:`~repro.obs.health` — anneal-health analytics (Fig.-3
   acceptance trajectory, cost plateau, ETA, divergence).
 
 The flow never imports this package: a run publishes its progress
-through its tracer, whose heartbeat sink
-(:class:`~repro.qor.HeartbeatWriter`) writes the files served here.
+through its tracer, whose sinks write the files served here — the run
+log every beat is folded from, and the heartbeat snapshot
+(:class:`~repro.qor.HeartbeatWriter`).
 
 See ``docs/observability.md``.
 """
@@ -24,11 +25,10 @@ from .fleet import Fleet, beat_age, classify_state
 from .health import analyze_health, fig3_ideal_acceptance
 from .routes import Response, handle_request
 from .server import ObsServer, serve
-from .sse import HeartbeatTailer, format_sse, stream_events
+from .sse import format_sse, stream_events
 
 __all__ = [
     "Fleet",
-    "HeartbeatTailer",
     "ObsServer",
     "Response",
     "analyze_health",

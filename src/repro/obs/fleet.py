@@ -1,9 +1,9 @@
 """The fleet model: every run the observability server can see.
 
 A :class:`Fleet` watches a *runs root* (a directory whose children are
-rundirs — each holding ``manifest.json`` / ``heartbeat.json`` /
-``heartbeat.history.jsonl`` / ``qor.json``) and, optionally, a SQLite
-run registry.  It joins the two read-only sources into one live view:
+rundirs — each holding ``manifest.json`` / ``heartbeat.json`` / its run
+logs ``trace*.jsonl`` / ``qor.json``) and, optionally, a SQLite run
+registry.  It joins the two read-only sources into one live view:
 
 * the **registry** contributes identity and lifecycle (circuit, config
   hash, seed, recorded status) for every run ever registered;
@@ -34,9 +34,10 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from ..qor.heartbeat import history_path, read_heartbeat, read_history
+from ..qor.heartbeat import read_heartbeat
 from ..qor.monitor import (  # noqa: F401  (classifier shared with status/watch)
     STALE_AFTER,
+    BeatReader,
     beat_age,
     classify_state,
     load_rundir,
@@ -277,15 +278,18 @@ class Fleet:
 
     def history(self, run_id: str, since_seq: Optional[int] = None,
                 limit: Optional[int] = None) -> List[Dict[str, Any]]:
-        """The run's heartbeat history ring (empty when unknown/absent)."""
+        """The run's beats, folded from its newest log (empty when the
+        run or its log is unknown); ``since_seq`` keeps the beats after
+        that seq, ``limit`` the newest N of those."""
         rundir = self.find_rundir(run_id)
         if rundir is None:
             return []
-        return read_history(
-            history_path(rundir / RunRecorder.HEARTBEAT_NAME),
-            since_seq=since_seq,
-            limit=limit,
-        )
+        beats = BeatReader(rundir).poll()
+        if since_seq is not None:
+            beats = [beat for beat in beats if beat["seq"] > since_seq]
+        if limit is not None:
+            beats = beats[-limit:]
+        return beats
 
     def heartbeats(self) -> List[Dict[str, Any]]:
         """The freshest beat of every rundir (the ``/metrics`` feed)."""

@@ -1,11 +1,12 @@
-"""Anneal-health analytics from a run's heartbeat history.
+"""Anneal-health analytics from a run's beat history.
 
 Sechen's own diagnostics for a healthy anneal are the acceptance-ratio
 trajectory (Fig. 3: ~1 at T∞, a smooth sigmoid decline through the
 productive mid-range, ~0 in the quench) and the cost-vs-iteration curve
 (Fig. 5: monotone-ish descent flattening into the freeze).  This module
-recomputes those signals live from the ``heartbeat.history.jsonl`` ring
-and turns them into operator-facing verdicts:
+recomputes those signals live from the run's beats — folded from the
+``anneal.temperature`` events of its log, the paper's per-temperature
+diagnostics — and turns them into operator-facing verdicts:
 
 * **acceptance trajectory** vs. the Fig.-3 ideal — a logistic decline
   in annealing progress — with *too-hot* (still accepting nearly
@@ -207,8 +208,8 @@ def analyze_health(
 ) -> Dict[str, Any]:
     """The full ``/runs/<id>/health`` document for one run.
 
-    ``history`` is the parsed heartbeat ring (oldest first); ``beat``
-    the latest snapshot (defaults to the newest history entry).
+    ``history`` is the run's beats folded from its log (oldest first);
+    ``beat`` the latest snapshot (defaults to the newest history entry).
     """
     now = now if now is not None else time.time()
     if beat is None and history:

@@ -12,7 +12,8 @@ Endpoints:
 ``GET /healthz``      server liveness probe
 ``GET /runs``         fleet listing: registry rows joined with heartbeats
 ``GET /runs/<id>``    one run's manifest + heartbeat + QoR + registry row
-``GET /runs/<id>/history``  the raw heartbeat ring (``?since_seq&limit``)
+``GET /runs/<id>/history``  the run's beats, folded from its log
+                      (``?since_seq&limit``)
 ``GET /runs/<id>/health``   anneal-health analytics (see ``obs.health``)
 ``GET /runs/<id>/events``   SSE progress stream (``?since_seq&timeout``)
 ``GET /runs/<id>/trace``    merged span tree + waterfall of the run's

@@ -1,20 +1,16 @@
-"""Server-Sent Events: the wire format and the heartbeat tailer.
+"""Server-Sent Events: the wire format and the run's event stream.
 
 SSE (``text/event-stream``) is the simplest push channel a browser —
-or the future job API — can consume without polling: one long-lived
-HTTP response carrying ``event:``/``data:`` frames.  The tailer turns a
-run's atomic heartbeat snapshot plus its ``heartbeat.history.jsonl``
-ring into an ordered event stream:
+or the job API — can consume without polling: one long-lived HTTP
+response carrying ``event:``/``data:`` frames.  A run's stream folds its
+log (:class:`~repro.qor.monitor.BeatReader`) into ordered frames:
 
-* ``beat`` — every heartbeat the run publishes, in ``seq`` order (the
-  ring supplies the beats that landed between two polls, so a fast
-  annealer does not alias down to the poll rate);
+* ``beat`` — every heartbeat the run publishes, in ``seq`` order;
 * ``stage`` — a flow stage/phase transition (start → anneal → route →
   done), emitted alongside the beat that revealed it;
 * ``final`` — the run's last beat; the stream closes after it.
 
-The tailer never touches the writer's files other than to read them,
-and tolerates snapshot replacement and ring compaction mid-read.
+The stream never touches the run's files other than to read them.
 """
 
 from __future__ import annotations
@@ -23,11 +19,12 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar, Union
 
-from ..qor.heartbeat import history_path, read_heartbeat, read_history
-from ..qor.monitor import FINAL_PHASES
-from ..qor.recorder import RunRecorder
+from ..qor.monitor import BeatReader, is_final
+from ..telemetry import follow
+
+T = TypeVar("T")
 
 
 def format_sse(
@@ -53,78 +50,23 @@ def keepalive() -> bytes:
     return b": keepalive\n\n"
 
 
-class HeartbeatTailer:
-    """Follows one rundir's heartbeat as an ordered beat iterator.
-
-    Polls the atomic snapshot for the newest ``seq`` and backfills the
-    intermediate beats from the history ring, so consumers observe every
-    published beat exactly once and in order (ring permitting — beats
-    compacted away before the first poll are gone, like any ring).
-    """
-
-    def __init__(
-        self,
-        rundir: Union[str, Path],
-        poll_interval: float = 0.25,
-        since_seq: int = 0,
-    ) -> None:
-        self.rundir = Path(rundir)
-        self.snapshot_path = self.rundir / RunRecorder.HEARTBEAT_NAME
-        self.history_file = history_path(self.snapshot_path)
-        self.poll_interval = poll_interval
-        self.last_seq = since_seq
-
-    def poll(self) -> Iterator[Dict[str, Any]]:
-        """Every beat newer than the cursor, oldest first (may be empty)."""
-        snapshot = read_heartbeat(self.snapshot_path)
-        if snapshot is None:
-            return
-        newest = int(snapshot.get("seq", 0) or 0)
-        if newest <= self.last_seq:
-            return
-        backfill = read_history(self.history_file, since_seq=self.last_seq)
-        emitted = False
-        for beat in backfill:
-            seq = int(beat.get("seq", 0) or 0)
-            if seq <= self.last_seq:
-                continue
-            self.last_seq = seq
-            emitted = True
-            yield beat
-        if newest > self.last_seq or not emitted:
-            # No ring (or the snapshot outran it): emit the snapshot.
-            self.last_seq = newest
-            yield snapshot
-
-    def beats(
-        self,
-        stop: Optional[threading.Event] = None,
-        timeout: Optional[float] = None,
-        max_beats: Optional[int] = None,
-    ) -> Iterator[Dict[str, Any]]:
-        """Stream beats until the run's final beat, ``stop`` is set,
-        ``timeout`` seconds elapse, or ``max_beats`` were delivered.
-        Yields None between empty polls so callers can interleave
-        keepalives."""
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        delivered = 0
-        while True:
-            if stop is not None and stop.is_set():
-                return
-            if deadline is not None and time.monotonic() > deadline:
-                return
-            got = False
-            for beat in self.poll():
-                got = True
-                delivered += 1
-                yield beat
-                if beat.get("final") or beat.get("phase") in FINAL_PHASES:
-                    return
-                if max_beats is not None and delivered >= max_beats:
-                    return
-            if not got:
-                yield None  # idle poll: caller may emit a keepalive
-                time.sleep(self.poll_interval)
+def sse_body(
+    items: Iterable[Optional[T]],
+    frames: Callable[[T], Iterable[bytes]],
+    keepalive_every: float = 15.0,
+) -> Iterator[bytes]:
+    """An SSE body over a :func:`~repro.telemetry.follow` stream: each
+    item's frames, and a keepalive once ``keepalive_every`` seconds
+    pass without one."""
+    last_emit = time.monotonic()
+    for item in items:
+        if item is None:
+            if time.monotonic() - last_emit >= keepalive_every:
+                last_emit = time.monotonic()
+                yield keepalive()
+            continue
+        yield from frames(item)
+        last_emit = time.monotonic()
 
 
 def stream_events(
@@ -139,20 +81,14 @@ def stream_events(
     """The ``/runs/<id>/events`` body: SSE frames for one run.
 
     Emits a ``stage`` event whenever the beat's phase or stage changed,
-    a ``beat`` event for every heartbeat, and a ``final`` event (then
-    ends) when the run publishes its last beat.
+    a ``beat`` event for every heartbeat after ``since_seq``, and a
+    ``final`` event (then ends) when the run publishes its last beat.
     """
-    tailer = HeartbeatTailer(
-        rundir, poll_interval=poll_interval, since_seq=since_seq
-    )
+    reader = BeatReader(rundir)
     last_marker: Optional[tuple] = None
-    last_emit = time.monotonic()
-    for beat in tailer.beats(stop=stop, timeout=timeout, max_beats=max_beats):
-        if beat is None:
-            if time.monotonic() - last_emit >= keepalive_every:
-                last_emit = time.monotonic()
-                yield keepalive()
-            continue
+
+    def frames(beat):
+        nonlocal last_marker
         marker = (beat.get("phase"), beat.get("stage"))
         seq = str(beat.get("seq", ""))
         if marker != last_marker:
@@ -167,6 +103,16 @@ def stream_events(
                 event="stage",
                 event_id=seq,
             )
-        final = bool(beat.get("final") or beat.get("phase") in FINAL_PHASES)
-        yield format_sse(beat, event="final" if final else "beat", event_id=seq)
-        last_emit = time.monotonic()
+        yield format_sse(
+            beat, event="final" if is_final(beat) else "beat", event_id=seq
+        )
+
+    beats = follow(
+        lambda: [b for b in reader.poll() if b["seq"] > since_seq],
+        until=is_final,
+        stop=stop,
+        timeout=timeout,
+        interval=poll_interval,
+        max_items=max_beats,
+    )
+    return sse_body(beats, frames, keepalive_every)

@@ -1,9 +1,9 @@
 """Trace views: span trees, waterfalls, and profiles from recorded runs.
 
-A run that traced itself (``--trace``, or a service worker's automatic
-``trace-attempt*.jsonl``) leaves JSONL event files in its rundir.  This
-module turns them into the documents the obs server and the ``repro
-trace`` CLI serve:
+Every recorded run leaves its log — one trace JSONL per attempt,
+``trace.jsonl`` (its ``--trace`` name) or ``trace-attempt-NN.jsonl`` —
+in its rundir.  This module turns them into the documents the obs
+server and the ``repro trace`` CLI serve:
 
 * :func:`span_tree` — nested spans (begin/end pairs joined, unclosed
   spans kept with ``end: null`` so a crashed attempt is still legible);
@@ -27,12 +27,9 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from ..qor.recorder import run_logs
 from ..telemetry.profile import attribution_from_collapsed
 from ..telemetry.report import load_events
-
-#: Trace files a rundir may hold: the CLI's ``--trace`` convention is
-#: ``trace.jsonl``; service workers write ``trace-attempt-NN.jsonl``.
-TRACE_GLOB = "trace*.jsonl"
 
 #: The sampling profiler's output in a rundir.
 PROFILE_NAME = "profile.collapsed"
@@ -42,14 +39,6 @@ _SPAN_META = {
     "ev", "name", "t", "span", "parent", "t_origin", "trace_id", "trace_span",
     "chain",
 }
-
-
-def trace_files(rundir: Union[str, Path]) -> List[Path]:
-    """Every trace JSONL in a rundir, oldest attempt first."""
-    rundir = Path(rundir)
-    if not rundir.is_dir():
-        return []
-    return sorted(rundir.glob(TRACE_GLOB))
 
 
 def span_tree(events: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
@@ -157,12 +146,13 @@ def trace_document(
 ) -> Optional[Dict[str, Any]]:
     """One rundir's merged trace view, or None when it holds no trace.
 
-    One *process section* per trace file: a service job retried after a
-    SIGKILL leaves ``trace-attempt-01.jsonl`` and
-    ``trace-attempt-02.jsonl`` in the same rundir, and both attempts
-    appear here under the same trace id.
+    One *process section* per run log, oldest attempt first: a run
+    resumed in the same rundir (or a service job retried after a
+    SIGKILL) leaves ``trace-attempt-01.jsonl`` and
+    ``trace-attempt-02.jsonl``, and both attempts appear here under the
+    same trace id.
     """
-    files = trace_files(rundir)
+    files = run_logs(rundir)
     if not files:
         return None
     processes: List[Dict[str, Any]] = []

@@ -7,10 +7,11 @@ This package turns individual flow runs into a queryable population:
 * :mod:`~repro.qor.registry` — the append-only SQLite run registry
   (``runs`` / ``qor`` / ``bench`` tables);
 * :mod:`~repro.qor.recorder` — :class:`RunRecorder`, the per-run glue
-  (manifest + heartbeat + QoR sink + registry rows);
-* :mod:`~repro.qor.heartbeat` — atomic live-progress files, written by
-  a tracer sink that turns the flow's events into beats;
-* :mod:`~repro.qor.monitor` — ``status`` / ``watch`` rendering;
+  (manifest + run log + heartbeat + QoR sink + registry rows);
+* :mod:`~repro.qor.heartbeat` — the fold that turns the flow's trace
+  events into beats, and the atomic snapshot its tracer sink writes;
+* :mod:`~repro.qor.monitor` — ``status`` / ``watch`` rendering, and the
+  :class:`BeatReader` that folds a rundir's run log;
 * :mod:`~repro.qor.gate` — QoR comparison and regression gating;
 * :mod:`~repro.qor.prometheus` — textfile-collector exposition.
 """
@@ -29,11 +30,9 @@ from .gate import (
 )
 from .heartbeat import (
     HEARTBEAT_VERSION,
-    HISTORY_LIMIT,
+    BeatFold,
     HeartbeatWriter,
-    history_path,
     read_heartbeat,
-    read_history,
 )
 from .manifest import (
     build_manifest,
@@ -43,13 +42,13 @@ from .manifest import (
     new_run_id,
     package_version,
 )
-from .monitor import load_rundir, progress_line, render_status, watch
+from .monitor import BeatReader, load_rundir, progress_line, render_status, watch
 from .prometheus import (
     parse_prometheus,
     render_prometheus,
     render_prometheus_fleet,
 )
-from .recorder import QorSink, RunRecorder, qor_from_result
+from .recorder import QorSink, RunRecorder, attempt_log, qor_from_result, run_logs
 from .registry import QOR_METRICS, RegistryError, RunRegistry, SCHEMA_VERSION
 
 __all__ = [
@@ -61,7 +60,8 @@ __all__ = [
     "GateRule",
     "GateThresholds",
     "HEARTBEAT_VERSION",
-    "HISTORY_LIMIT",
+    "BeatFold",
+    "BeatReader",
     "HeartbeatWriter",
     "MetricDelta",
     "QOR_METRICS",
@@ -74,8 +74,8 @@ __all__ = [
     "circuit_fingerprint_of",
     "compare_records",
     "config_fingerprint",
+    "attempt_log",
     "gate_records",
-    "history_path",
     "host_metadata",
     "load_rundir",
     "new_run_id",
@@ -84,9 +84,9 @@ __all__ = [
     "progress_line",
     "qor_from_result",
     "read_heartbeat",
-    "read_history",
     "render_prometheus",
     "render_prometheus_fleet",
     "render_status",
+    "run_logs",
     "watch",
 ]

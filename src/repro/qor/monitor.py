@@ -1,10 +1,11 @@
 """Live flow monitoring: render a rundir's manifest + heartbeat.
 
 ``python -m repro status <rundir>`` prints one snapshot; ``watch``
-re-renders on an interval (line-mode refresh: one compact progress line
-per beat, a full header when the phase changes) until the run's final
-beat lands.  Both read only the atomic files the run publishes — they
-never touch the run's process.
+follows the run (line-mode refresh: one compact progress line per beat,
+a full header when the phase changes) until the run's final beat lands.
+``status`` reads the atomic heartbeat snapshot; ``watch`` — like every
+reader of the beat stream — folds the run's log with a
+:class:`BeatReader`.  Neither ever touches the run's process.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, TextIO, Union
+from typing import Any, Dict, List, Optional, TextIO, Union
 
-from .heartbeat import read_heartbeat
-from .recorder import RunRecorder
+from ..telemetry import JsonlTailer, follow
+from .heartbeat import BeatFold, read_heartbeat
+from .recorder import RunRecorder, run_logs
 
 #: Heartbeats older than this (seconds) are flagged as stale in renders.
 STALE_AFTER = 30.0
@@ -41,7 +43,7 @@ def classify_state(
     if beat is None:
         return "pending"
     phase = beat.get("phase")
-    if beat.get("final") or phase in FINAL_PHASES:
+    if is_final(beat):
         return phase if phase in FINAL_PHASES else "done"
     now = now if now is not None else time.time()
     age = max(0.0, now - float(beat.get("updated", now)))
@@ -56,6 +58,36 @@ def beat_age(
         return None
     now = now if now is not None else time.time()
     return round(max(0.0, now - float(beat["updated"])), 3)
+
+
+def is_final(beat: Dict[str, Any]) -> bool:
+    """Whether a beat is its run's last."""
+    return bool(beat.get("final") or beat.get("phase") in FINAL_PHASES)
+
+
+class BeatReader:
+    """Folds a rundir's newest run log into beats, one poll at a time.
+
+    The log is resolved on the first poll that finds one, then tailed
+    (a torn last line waits for the next poll); each :meth:`poll`
+    returns the beats completed since the previous one, exactly as the
+    run's heartbeat writer folded them.
+    """
+
+    def __init__(self, rundir: Union[str, Path]) -> None:
+        self.rundir = Path(rundir)
+        self._tailer: Optional[JsonlTailer] = None
+        self._fold = BeatFold()
+
+    def poll(self) -> List[Dict[str, Any]]:
+        if self._tailer is None:
+            logs = run_logs(self.rundir)
+            if not logs:
+                return []
+            self._tailer = JsonlTailer(logs[-1])
+        return [
+            beat for beat in map(self._fold, self._tailer.poll()) if beat is not None
+        ]
 
 
 def load_rundir(rundir: Union[str, Path]) -> Dict[str, Any]:
@@ -167,36 +199,39 @@ def watch(
     max_updates: Optional[int] = None,
     stream: Optional[TextIO] = None,
 ) -> int:
-    """Line-mode watch: print a progress line whenever the heartbeat
-    advances, until a final beat (exit 0) or ``max_updates`` renders
-    (exit 0) — or immediately exit 1 if the rundir never produces one.
+    """Line-mode watch: print the run's current beat, then every later
+    one, until a final beat (exit 0) or ``max_updates`` renders (exit 0)
+    — or exit 1 once ``max_updates`` polls found no beat at all.
     """
     stream = stream if stream is not None else sys.stdout
-    rundir = Path(rundir)
-    last_seq: Optional[int] = None
+    reader = BeatReader(rundir)
+    started = False
+
+    def poll() -> List[Dict[str, Any]]:
+        nonlocal started
+        beats = reader.poll()
+        if not started and beats:
+            started = True
+            return beats[-1:]  # start at the current beat
+        return beats
+
     last_phase: Optional[str] = None
     updates = 0
-    polls = 0
-    saw_beat = False
-    while True:
-        beat = read_heartbeat(rundir / RunRecorder.HEARTBEAT_NAME)
-        if beat is not None and beat.get("seq") != last_seq:
-            saw_beat = True
-            last_seq = beat.get("seq")
-            if beat.get("phase") != last_phase:
-                last_phase = beat.get("phase")
-                run_id = beat.get("run_id") or "?"
-                print(f"-- {run_id} entered phase {last_phase}", file=stream)
-            age = max(0.0, time.time() - float(beat.get("updated", 0.0)))
-            print(f"{progress_line(beat)}  ({age:.1f}s ago)", file=stream, flush=True)
-            updates += 1
-            if beat.get("final") or beat.get("phase") in FINAL_PHASES:
-                return 0
-        polls += 1
-        # Silent polls count toward max_updates too, so a rundir that
-        # never produces a beat cannot hang a bounded watch.
-        if max_updates is not None and (
-            updates >= max_updates or (not saw_beat and polls >= max_updates)
-        ):
-            return 0 if saw_beat else 1
-        time.sleep(interval)
+    idle = 0
+    for beat in follow(poll, until=is_final, interval=interval, max_items=max_updates):
+        if beat is None:
+            # Silent polls count toward max_updates while no beat has
+            # come, so a rundir that never beats cannot hang a bounded
+            # watch.
+            idle += 1
+            if max_updates is not None and not updates and idle >= max_updates:
+                return 1
+            continue
+        if beat.get("phase") != last_phase:
+            last_phase = beat.get("phase")
+            run_id = beat.get("run_id") or "?"
+            print(f"-- {run_id} entered phase {last_phase}", file=stream)
+        age = max(0.0, time.time() - float(beat.get("updated", 0.0)))
+        print(f"{progress_line(beat)}  ({age:.1f}s ago)", file=stream, flush=True)
+        updates += 1
+    return 0

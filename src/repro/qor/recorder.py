@@ -1,37 +1,81 @@
 """RunRecorder: the glue between one flow run and the observability layer.
 
 One recorder per run.  It owns the rundir (``manifest.json``,
-``heartbeat.json``, ``qor.json``), the registry rows, and two Tracer
-sinks: a :class:`QorSink`, through which span timings and
-``MetricsRegistry`` snapshots flow into the QoR record, and the
-:class:`~repro.qor.heartbeat.HeartbeatWriter`, which turns the flow's
-trace events into live beats.  No flow-layer code is aware of either.
+``heartbeat.json``, ``qor.json`` and the run log), the registry rows,
+and the run's tracer, whose sinks are a :class:`QorSink`, through which
+span timings and ``MetricsRegistry`` snapshots flow into the QoR record,
+the :class:`~repro.qor.heartbeat.HeartbeatWriter`, which folds the
+flow's trace events into live beats, and the run log: a
+:class:`~repro.telemetry.FileSink` on this attempt's trace JSONL.  No
+flow-layer code is aware of any of them.
 
 Lifecycle::
 
     recorder = RunRecorder(rundir, registry=path)
-    recorder.begin(circuit, config, command="place")   # "start" beat
-    tracer = Tracer([*recorder.sinks, ...])             # QoR + heartbeat
+    tracer = recorder.open_tracer()                     # the run log
+    recorder.begin(circuit, config, command="place")   # run.start
     result = place_and_route(circuit, config, tracer=tracer)
-    recorder.finish(result)                             # QoR -> registry
+    recorder.finish(result)                             # run.end, QoR
+    tracer.close()
 
-``begin``, ``finish``, ``interrupted`` and ``failed`` write the run's
-lifecycle beats directly; everything in between comes from the tracer.
-A run resumed from a checkpoint passes the checkpoint's ``run_id`` so
-the registry keeps a single identity for the whole (interrupted,
-resumed, completed) run.
+``begin`` emits ``run.start`` and ``finish``, ``interrupted`` and
+``failed`` emit ``run.end`` through the run's tracer, so the run log
+holds the whole run and the heartbeat folds its lifecycle beats like
+any other.  A run resumed from a checkpoint passes the checkpoint's
+``run_id`` so the registry keeps a single identity for the whole
+(interrupted, resumed, completed) run; each attempt writes its own log
+(see :func:`attempt_log`), so a resume never truncates an earlier one.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from ..telemetry import Sink
+from ..telemetry import FileSink, Sink, Tracer
 from .heartbeat import HeartbeatWriter, _atomic_write
 from .manifest import build_manifest, new_run_id
 from .registry import RunRegistry
+
+#: Run logs a rundir may hold: ``trace.jsonl`` (or another ``--trace``
+#: name) or ``trace-attempt-NN.jsonl``, one per attempt.
+TRACE_GLOB = "trace*.jsonl"
+
+_ATTEMPT_LOG = re.compile(r"trace-attempt-(\d+)\.jsonl")
+
+
+PathLike = Union[str, Path]
+
+
+def run_logs(rundir: PathLike) -> List[Path]:
+    """Every run log in a rundir, oldest attempt first (by modification
+    time, then name): the last one is the newest attempt's."""
+    return sorted(
+        Path(rundir).glob(TRACE_GLOB), key=lambda p: (p.stat().st_mtime_ns, p.name)
+    )
+
+
+def attempt_log(rundir: PathLike, trace: Optional[PathLike] = None) -> Path:
+    """Where this attempt's run log goes: ``trace`` when it lies in the
+    rundir, is named like a run log and no earlier attempt wrote it;
+    otherwise ``trace-attempt-NN.jsonl``, one past the newest there."""
+    rundir = Path(rundir)
+    if trace is not None and _is_log_of(rundir, trace) and not Path(trace).exists():
+        return Path(trace)
+    numbers = [
+        int(match.group(1))
+        for match in (_ATTEMPT_LOG.fullmatch(p.name) for p in run_logs(rundir))
+        if match
+    ]
+    return rundir / f"trace-attempt-{max(numbers, default=0) + 1:02d}.jsonl"
+
+
+def _is_log_of(rundir: PathLike, path: PathLike) -> bool:
+    """Whether ``path`` names a run log of ``rundir`` (readers find it)."""
+    path = Path(path)
+    return path.parent.resolve() == Path(rundir).resolve() and path.match(TRACE_GLOB)
 
 
 class QorSink(Sink):
@@ -132,11 +176,10 @@ class RunRecorder:
 
     def __init__(
         self,
-        rundir: Union[str, Path],
-        registry: Optional[Union[str, Path, RunRegistry]] = None,
+        rundir: PathLike,
+        registry: Optional[Union[PathLike, RunRegistry]] = None,
         run_id: Optional[str] = None,
-        metrics_textfile: Optional[Union[str, Path]] = None,
-        heartbeat_interval: float = 0.0,
+        metrics_textfile: Optional[PathLike] = None,
         trace_id: Optional[str] = None,
     ) -> None:
         self.rundir = Path(rundir)
@@ -153,23 +196,32 @@ class RunRecorder:
             self._registry = RunRegistry(registry)
             self._owns_registry = True
         self.heartbeat = HeartbeatWriter(
-            self.rundir / self.HEARTBEAT_NAME,
-            run_id=self.run_id,
-            min_interval=heartbeat_interval,
-            metrics_textfile=metrics_textfile,
+            self.rundir / self.HEARTBEAT_NAME, metrics_textfile=metrics_textfile
         )
         self.sink = QorSink()
         self.manifest: Optional[Dict[str, Any]] = None
+        #: The run's tracer (see :meth:`open_tracer`).
+        self.tracer: Optional[Tracer] = None
 
     @property
     def registry(self) -> Optional[RunRegistry]:
         return self._registry
 
-    @property
-    def sinks(self) -> List[Sink]:
-        """The tracer sinks that record this run: the QoR aggregator
-        and the heartbeat."""
-        return [self.sink, self.heartbeat]
+    def open_tracer(self, trace: Optional[PathLike] = None) -> Tracer:
+        """Open this attempt's run log and return the run's tracer.
+
+        The tracer feeds the QoR sink, the heartbeat and a
+        :class:`FileSink` on the log (see :func:`attempt_log`; ``trace``
+        names it when it can).  A ``trace`` that is not a run log of this
+        rundir gets its own :class:`FileSink` too.  The caller closes the
+        tracer after the run's last event.
+        """
+        log = FileSink(str(attempt_log(self.rundir, trace)))
+        sinks: List[Sink] = [self.sink, self.heartbeat, log]
+        if trace is not None and not _is_log_of(self.rundir, trace):
+            sinks.append(FileSink(str(trace)))
+        self.tracer = Tracer(sinks)
+        return self.tracer
 
     def begin(
         self,
@@ -178,7 +230,8 @@ class RunRecorder:
         command: str = "place",
         resumed_from: Optional[str] = None,
     ) -> Dict[str, Any]:
-        """Write the manifest and register the run (status 'running')."""
+        """Write the manifest, register the run (status 'running'), and
+        emit ``run.start`` (opening the run's tracer if none is open)."""
         self.manifest = build_manifest(
             self.run_id, circuit, config, command=command, resumed_from=resumed_from
         )
@@ -190,8 +243,17 @@ class RunRecorder:
         )
         if self._registry is not None:
             self._registry.register_run(self.manifest)
-        self.heartbeat.set_context(circuit=circuit.name, trace_id=self.trace_id)
-        self.heartbeat.beat("start", command=command)
+        tracer = self.tracer if self.tracer is not None else self.open_tracer()
+        fields: Dict[str, Any] = {"circuit": circuit.name}
+        if self.trace_id is not None:
+            fields["trace_id"] = self.trace_id
+        tracer.event(
+            "run.start",
+            run_id=self.run_id,
+            command=command,
+            anchor=tracer.anchor,
+            **fields,
+        )
         return self.manifest
 
     def finish(self, result) -> Dict[str, Any]:
@@ -202,39 +264,31 @@ class RunRecorder:
             self.rundir / self.QOR_NAME,
             json.dumps(record, indent=2, sort_keys=True, default=str) + "\n",
         )
-        status = "truncated" if result.truncated else "ok"
         if self._registry is not None:
             self._registry.record_qor(self.run_id, record)
-            self._registry.finish_run(self.run_id, status)
-        self.heartbeat.beat(
-            "done",
-            final=True,
-            status=status,
+        self._end(
+            "truncated" if result.truncated else "ok",
             teil=record["teil"],
             chip_area=record["chip_area"],
             overflow=record["overflow"],
             wall_seconds=record["wall_seconds"],
         )
-        self._maybe_close_registry()
         return record
 
     def interrupted(self, checkpoint_path: Optional[str] = None) -> None:
         """The run was stopped by a signal after checkpointing."""
-        if self._registry is not None:
-            self._registry.finish_run(self.run_id, "interrupted")
-        self.heartbeat.beat(
-            "interrupted", final=True, checkpoint=checkpoint_path
-        )
-        self._maybe_close_registry()
+        self._end("interrupted", checkpoint=checkpoint_path)
 
     def failed(self, error: BaseException) -> None:
         """The run died on an unhandled error."""
-        if self._registry is not None:
-            self._registry.finish_run(self.run_id, "failed")
-        self.heartbeat.beat("failed", final=True, error=type(error).__name__)
-        self._maybe_close_registry()
+        self._end("failed", error=type(error).__name__)
 
-    def _maybe_close_registry(self) -> None:
-        if self._owns_registry and self._registry is not None:
-            self._registry.close()
-            self._registry = None
+    def _end(self, status: str, **fields: Any) -> None:
+        """Close out the registry row, then emit the run's final event."""
+        if self._registry is not None:
+            self._registry.finish_run(self.run_id, status)
+            if self._owns_registry:
+                self._registry.close()
+                self._registry = None
+        if self.tracer is not None:
+            self.tracer.event("run.end", status=status, **fields)

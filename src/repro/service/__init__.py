@@ -32,7 +32,7 @@ of subprocess workers with full fault tolerance:
 See ``docs/service.md`` for the architecture and the failure taxonomy.
 """
 
-from .events import EventLog, EventTailer, read_events
+from .events import EventLog, read_events
 from .policy import BackpressurePolicy, QueueFull, RetryPolicy
 from .spec import (
     JOB_STATES,
@@ -49,7 +49,6 @@ from .worker import ServicePaths, build_worker_command
 __all__ = [
     "BackpressurePolicy",
     "EventLog",
-    "EventTailer",
     "JOB_STATES",
     "Job",
     "JobSpec",

@@ -1,15 +1,16 @@
 """The service's append-only event journal (``events.jsonl``).
 
 Every job-lifecycle transition the supervisor or the submit path makes
-is recorded as one JSON line — the queue-event transcript the chaos
-gate uploads, and the feed behind the ``/jobs/events`` SSE stream.
+is recorded as one JSON line (``ts``, ``event``, ``job_id`` and the
+event's fields) — the queue-event transcript the chaos gate uploads, and
+the feed behind the ``/jobs/events`` SSE stream.
 
 Writes are single ``os.write`` calls on an ``O_APPEND`` descriptor, so
 concurrent writers (a submitter racing the supervisor) interleave at
 line granularity and a SIGKILL can at worst truncate the final line.
-Readers therefore skip torn trailing lines, and :class:`EventTailer`
-re-reads from its last byte offset — the same incremental-tail shape as
-the observability layer's ``HeartbeatTailer``.
+Readers go through :class:`~repro.telemetry.JsonlTailer`, the same
+tailer that reads a run's log: it leaves a torn last line for the next
+poll and skips garbage lines.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
+
+from ..telemetry import JsonlTailer, follow
 
 
 class EventLog:
@@ -46,42 +49,13 @@ class EventLog:
         return doc
 
 
-def _parse_lines(data: bytes) -> Tuple[List[Dict[str, Any]], int]:
-    """Parse complete lines out of ``data``; returns (docs, bytes_consumed).
-
-    A trailing chunk with no newline is a torn write in progress — it is
-    not consumed, so the next read retries it once complete.
-    """
-    docs: List[Dict[str, Any]] = []
-    consumed = 0
-    while True:
-        newline = data.find(b"\n", consumed)
-        if newline < 0:
-            break
-        raw = data[consumed:newline]
-        consumed = newline + 1
-        if not raw.strip():
-            continue
-        try:
-            doc = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            continue
-        if isinstance(doc, dict):
-            docs.append(doc)
-    return docs, consumed
-
-
 def read_events(
     path: Union[str, Path],
     job_id: Optional[str] = None,
     limit: Optional[int] = None,
 ) -> List[Dict[str, Any]]:
     """All events in the journal (oldest first), optionally filtered."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError:
-        return []
-    docs, _ = _parse_lines(data)
+    docs = JsonlTailer(path).poll()
     if job_id is not None:
         docs = [d for d in docs if d.get("job_id") == job_id]
     if limit is not None and limit >= 0:
@@ -104,67 +78,28 @@ def stream_job_events(
     Each journal line becomes one SSE frame whose ``event:`` field is
     the journal event name (``job_start``, ``job_retry``, ...).  Runs
     until ``stop`` is set or ``timeout`` elapses, interleaving comment
-    keepalives through idle stretches — same lifecycle as the run-level
-    ``/runs/<id>/events`` stream.
+    keepalives through idle stretches — the same follow loop as the
+    run-level ``/runs/<id>/events`` stream.
     """
-    from ..obs.sse import format_sse, keepalive
+    from ..obs.sse import format_sse, sse_body
 
-    tailer = EventTailer(path, from_start=from_start)
-    deadline = time.monotonic() + timeout if timeout is not None else None
-    last_emit = time.monotonic()
+    tailer = JsonlTailer(path, from_start=from_start)
     delivered = 0
-    while True:
-        if stop is not None and stop.is_set():
-            return
-        if deadline is not None and time.monotonic() > deadline:
-            return
-        got = False
-        for doc in tailer.poll():
-            if job_id is not None and doc.get("job_id") != job_id:
-                continue
-            got = True
-            delivered += 1
-            yield format_sse(
-                doc, event=str(doc.get("event", "event")),
-                event_id=str(delivered),
-            )
-            last_emit = time.monotonic()
-            if max_events is not None and delivered >= max_events:
-                return
-        if not got:
-            if time.monotonic() - last_emit >= keepalive_every:
-                last_emit = time.monotonic()
-                yield keepalive()
-            time.sleep(poll_interval)
 
+    def frames(doc):
+        nonlocal delivered
+        delivered += 1
+        yield format_sse(
+            doc, event=str(doc.get("event", "event")), event_id=str(delivered)
+        )
 
-class EventTailer:
-    """Incremental reader: each :meth:`poll` yields only new events."""
-
-    def __init__(self, path: Union[str, Path],
-                 from_start: bool = False) -> None:
-        self.path = Path(path)
-        self._offset = 0
-        if not from_start:
-            try:
-                self._offset = self.path.stat().st_size
-            except OSError:
-                self._offset = 0
-
-    def poll(self) -> Iterator[Dict[str, Any]]:
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            return
-        if size < self._offset:
-            # Journal truncated/rotated underneath us: start over.
-            self._offset = 0
-        if size == self._offset:
-            return
-        with open(self.path, "rb") as handle:
-            handle.seek(self._offset)
-            data = handle.read()
-        docs, consumed = _parse_lines(data)
-        self._offset += consumed
-        for doc in docs:
-            yield doc
+    docs = follow(
+        lambda: [
+            d for d in tailer.poll() if job_id is None or d.get("job_id") == job_id
+        ],
+        stop=stop,
+        timeout=timeout,
+        interval=poll_interval,
+        max_items=max_events,
+    )
+    return sse_body(docs, frames, keepalive_every)

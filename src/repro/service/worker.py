@@ -17,7 +17,8 @@ Service root layout::
         ckpt/                the job's checkpoint directory
         result.json          final flow result (written on success)
         attempt-N.log        captured stdout+stderr of attempt N
-      runs/<job_id>/         the job's rundir (manifest/heartbeat/qor)
+      runs/<job_id>/         the job's rundir (manifest/heartbeat/qor and
+                             one run log per attempt)
 """
 
 from __future__ import annotations
@@ -91,21 +92,13 @@ def build_worker_command(
     checkpoint from another circuit lands in the job directory exits 6
     and dead-letters instead of silently producing the wrong layout.
 
-    Every attempt traces itself into the job's rundir under a
-    per-attempt file name (``trace-attempt-NN.jsonl``) — the raw
-    material of the obs server's ``/runs/<id>/trace`` waterfall.  One
-    file per attempt, not one shared file, because ``--trace``
-    truncates on open: a retry must not erase the evidence of the
-    attempt it is recovering from.
+    Every attempt records into the job's rundir, so the CLI writes the
+    attempt's own run log there (``trace-attempt-NN.jsonl``, one past
+    the newest) — the raw material of the obs server's
+    ``/runs/<id>/trace`` waterfall — and a retry never truncates the
+    log of the attempt it is recovering from.
     """
     python = python if python is not None else sys.executable
-    trace = [
-        "--trace",
-        str(
-            paths.rundir(job.job_id)
-            / f"trace-attempt-{max(job.attempts, 1):02d}.jsonl"
-        ),
-    ]
     ckpt = job_checkpoint(paths, job.job_id)
     if ckpt is not None:
         return [
@@ -122,7 +115,6 @@ def build_worker_command(
             str(paths.rundir(job.job_id)),
             "--registry",
             str(paths.registry),
-            *trace,
         ]
     spec = job.spec
     return [
@@ -149,5 +141,4 @@ def build_worker_command(
         str(paths.rundir(job.job_id)),
         "--registry",
         str(paths.registry),
-        *trace,
     ]

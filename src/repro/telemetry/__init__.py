@@ -9,6 +9,8 @@ dependency instrumentation layer:
   :class:`FileSink`) — structured JSONL events: spans with wall/CPU
   durations, counters, gauges.  The null sink is the default, so
   instrumented hot loops cost approximately nothing when tracing is off.
+  :class:`JsonlTailer` reads any such JSONL file back incrementally, and
+  :func:`follow` turns its polls into a stream.
 * :class:`MetricsRegistry` — named counters/gauges/histograms for
   hot-loop aggregation (the per-move-kind attempt/accept statistics
   live here).
@@ -38,11 +40,13 @@ from .profile import SamplingProfiler, attribution_from_collapsed, parse_collaps
 from .tracer import (
     NULL_TRACER,
     FileSink,
+    JsonlTailer,
     MemorySink,
     NullSink,
     Sink,
     Tracer,
     current_tracer,
+    follow,
     use_tracer,
 )
 
@@ -61,10 +65,12 @@ __all__ = [
     "parse_collapsed",
     "NULL_TRACER",
     "FileSink",
+    "JsonlTailer",
     "MemorySink",
     "NullSink",
     "Sink",
     "Tracer",
     "current_tracer",
+    "follow",
     "use_tracer",
 ]

@@ -17,9 +17,9 @@ Propagation is deliberately boring:
 * **checkpoint** — the checkpoint payload records the trace id, so a
   ``resume`` — manual or a supervisor retry — continues the *same*
   trace instead of minting a new one;
-* **events** — every tracer event, heartbeat, events.jsonl journal
-  line, and registry run row is stamped with ``trace_id`` via
-  ``Tracer.set_context`` / ``HeartbeatWriter.set_context``.
+* **events** — every tracer event (and so every heartbeat folded from
+  them), events.jsonl journal line, and registry run row is stamped
+  with ``trace_id``; tracer events via ``Tracer.set_context``.
 
 The header format is the W3C one (``00-<trace>-<span>-<flags>``) so any
 external tooling that speaks traceparent can join our traces.

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..bench.metrics import format_table
+from .tracer import JsonlTailer
 
 Event = Dict[str, Any]
 Table = Tuple[List[str], List[List[Any]]]
@@ -34,25 +34,11 @@ def load_events(source: Union[str, Path, Iterable[Event]]) -> List[Event]:
 
     A trace from a crashed or killed run can end in a partial line (the
     FileSink is line-buffered, so at most the *final* line is cut off):
-    a malformed final line is silently skipped.  A malformed line with
-    valid JSON after it is real corruption and still raises.
+    a torn or malformed final line is silently skipped.  A malformed line
+    with valid JSON after it is real corruption and still raises.
     """
     if isinstance(source, (str, Path)):
-        events = []
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
-        while lines and not lines[-1]:
-            lines.pop()
-        for index, line in enumerate(lines):
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                if index == len(lines) - 1:
-                    break  # truncated tail of an interrupted run
-                raise
-        return events
+        return JsonlTailer(source, strict=True).poll()
     return list(source)
 
 

@@ -26,10 +26,23 @@ from __future__ import annotations
 
 import contextvars
 import json
+import os
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from typing import IO, Any, Dict, Iterator, List, Optional, Sequence, Union
+from pathlib import Path
+from typing import (
+    IO,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    TypeVar,
+    Union,
+)
 
 
 class Sink(ABC):
@@ -89,7 +102,7 @@ class FileSink(Sink):
 
     Files the sink opens itself are line-buffered, so at most the final
     line of a crashed run's trace can be truncated (the reader skips
-    it; see ``report.load_events``).  ``flush_every`` additionally
+    it; see :class:`JsonlTailer`).  ``flush_every`` additionally
     forces an explicit flush every N events for caller-supplied file
     objects with larger buffers.
     """
@@ -132,6 +145,102 @@ class FileSink(Sink):
         self._file = None
 
 
+class JsonlTailer:
+    """Reads a growing JSONL file one poll at a time: the reader side of
+    :class:`FileSink`, and of any other append-only JSONL file.
+
+    The tailer keeps a byte offset, so each :meth:`poll` parses only the
+    lines completed since the previous one; a torn last line (no newline
+    yet) is left for the next poll.  A file that shrinks restarts the
+    cursor at 0, and a missing file reads as empty.  ``from_start=False``
+    skips what the file already holds.
+
+    A malformed line is skipped, unless the tailer is ``strict`` and a
+    well-formed line follows it in the same poll: a writer tears at most
+    its last line, so that is corruption and :meth:`poll` raises it.
+    """
+
+    def __init__(
+        self, path: Union[str, Path], from_start: bool = True, strict: bool = False
+    ) -> None:
+        self.path = Path(path)
+        self.strict = strict
+        self.offset = 0
+        if not from_start:
+            try:
+                self.offset = self.path.stat().st_size
+            except OSError:
+                pass
+
+    def poll(self) -> List[Dict[str, Any]]:
+        """The documents completed since the last poll, oldest first."""
+        try:
+            with open(self.path, "rb") as handle:
+                if os.fstat(handle.fileno()).st_size < self.offset:
+                    self.offset = 0
+                handle.seek(self.offset)
+                data = handle.read()
+        except OSError:
+            return []
+        end = data.rfind(b"\n") + 1
+        self.offset += end
+        docs: List[Dict[str, Any]] = []
+        error: Optional[ValueError] = None
+        for line in data[:end].split(b"\n"):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+            except ValueError as exc:
+                error = exc
+                continue
+            if not isinstance(doc, dict):
+                error = ValueError(f"not a JSON object: {line[:80]!r}")
+                continue
+            if error is not None and self.strict:
+                raise error
+            docs.append(doc)
+        return docs
+
+
+T = TypeVar("T")
+
+
+def follow(
+    poll: Callable[[], Sequence[T]],
+    until: Optional[Callable[[T], bool]] = None,
+    stop: Optional[Any] = None,
+    timeout: Optional[float] = None,
+    interval: float = 0.25,
+    max_items: Optional[int] = None,
+) -> Iterator[Optional[T]]:
+    """Yield what repeated ``poll()`` calls return, until an item
+    satisfies ``until``, ``stop`` (a ``threading.Event``) is set,
+    ``timeout`` seconds pass, or ``max_items`` items were yielded.
+
+    Each idle poll yields ``None`` and then sleeps ``interval`` seconds,
+    so a caller can interleave keepalives or count silent polls.
+    """
+    deadline = time.monotonic() + timeout if timeout is not None else None
+    delivered = 0
+    while True:
+        if stop is not None and stop.is_set():
+            return
+        if deadline is not None and time.monotonic() > deadline:
+            return
+        items = poll()
+        for item in items:
+            delivered += 1
+            yield item
+            if until is not None and until(item):
+                return
+            if max_items is not None and delivered >= max_items:
+                return
+        if not items:
+            yield None
+            time.sleep(interval)
+
+
 class _SpanHandle:
     """Identity of an open span (returned by ``Tracer.span``)."""
 
@@ -161,6 +270,9 @@ class Tracer:
             sinks = list(sink)
         self._sinks = sinks
         self._t0 = time.monotonic()
+        #: Wall-clock time (``time.time``) of the monotonic origin: an
+        #: event stamped ``t`` happened at about ``anchor + t``.
+        self.anchor = time.time()
         self._next_span_id = 1
         self._span_stack: List[_SpanHandle] = []
         self._context: Dict[str, Any] = {}

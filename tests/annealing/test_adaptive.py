@@ -347,17 +347,17 @@ class TestAdaptiveEta:
         assert window.floor_estimate(stats) is None
 
     def test_adaptive_heartbeat_etas_are_flagged_estimates(self, tmp_path):
-        from repro.qor import HeartbeatWriter
-        from repro.telemetry import Tracer, use_tracer
-        from repro.qor.heartbeat import history_path, read_history
+        from repro.telemetry import MemorySink, Tracer, use_tracer
+
+        from ..conftest import fold_beats
 
         annealer, _ = make_adaptive_annealer(max_temperatures=30)
-        writer = HeartbeatWriter(tmp_path / "hb.json", run_id="r1")
-        with use_tracer(Tracer(writer)):
+        memory = MemorySink()
+        with use_tracer(Tracer(memory)):
             annealer.run(QuadraticState(50.0))
         beats = [
             b
-            for b in read_history(history_path(tmp_path / "hb.json"))
+            for b in fold_beats(memory.events)
             if b["phase"] == "anneal"
         ]
         assert beats
@@ -373,9 +373,9 @@ class TestAdaptiveEta:
         """No ETA anchor at all: the beat says eta: null out loud
         instead of omitting the field or inventing a number."""
         from repro.annealing import StoppingCriterion
-        from repro.qor import HeartbeatWriter
-        from repro.telemetry import Tracer, use_tracer
-        from repro.qor.heartbeat import history_path, read_history
+        from repro.telemetry import MemorySink, Tracer, use_tracer
+
+        from ..conftest import fold_beats
 
         class StepBudget(StoppingCriterion):
             def __init__(self, steps):
@@ -390,12 +390,12 @@ class TestAdaptiveEta:
             schedule, StepBudget(5), attempts_per_cell=5, seed=7,
             max_temperatures=10,
         )
-        writer = HeartbeatWriter(tmp_path / "hb.json", run_id="r1")
-        with use_tracer(Tracer(writer)):
+        memory = MemorySink()
+        with use_tracer(Tracer(memory)):
             annealer.run(QuadraticState(50.0))
         beats = [
             b
-            for b in read_history(history_path(tmp_path / "hb.json"))
+            for b in fold_beats(memory.events)
             if b["phase"] == "anneal"
         ]
         assert beats
@@ -407,9 +407,9 @@ class TestAdaptiveEta:
     def test_table_schedule_etas_stay_unflagged(self, tmp_path):
         """The fixed-table path is not an estimate: no eta_estimated
         flag, and no eta keys at all when there is no floor anchor."""
-        from repro.qor import HeartbeatWriter
-        from repro.telemetry import Tracer, use_tracer
-        from repro.qor.heartbeat import history_path, read_history
+        from repro.telemetry import MemorySink, Tracer, use_tracer
+
+        from ..conftest import fold_beats
 
         from .test_engine import geometric_schedule
 
@@ -420,12 +420,12 @@ class TestAdaptiveEta:
             seed=3,
             eta_floor=10.0,
         )
-        writer = HeartbeatWriter(tmp_path / "hb.json", run_id="r1")
-        with use_tracer(Tracer(writer)):
+        memory = MemorySink()
+        with use_tracer(Tracer(memory)):
             annealer.run(QuadraticState(20.0))
         beats = [
             b
-            for b in read_history(history_path(tmp_path / "hb.json"))
+            for b in fold_beats(memory.events)
             if b["phase"] == "anneal"
         ]
         assert beats

@@ -64,6 +64,23 @@ def make_mixed_circuit(seed: int = 11) -> Circuit:
     return Circuit("mixed", cells)
 
 
+#: Tracers the running test opened files for (see :func:`closing`).
+_OPEN_TRACERS: list = []
+
+
+def closing(tracer):
+    """Register ``tracer`` to be closed after the running test."""
+    _OPEN_TRACERS.append(tracer)
+    return tracer
+
+
+@pytest.fixture(autouse=True)
+def _close_tracers():
+    yield
+    while _OPEN_TRACERS:
+        _OPEN_TRACERS.pop().close()
+
+
 @pytest.fixture
 def macro_circuit() -> Circuit:
     return make_macro_circuit()
@@ -72,3 +89,57 @@ def macro_circuit() -> Circuit:
 @pytest.fixture
 def mixed_circuit() -> Circuit:
     return make_mixed_circuit()
+
+
+def fold_beats(events):
+    """Every beat an event stream folds to, in order."""
+    from repro.qor import BeatFold
+
+    fold = BeatFold()
+    return [beat for beat in map(fold, events) if beat is not None]
+
+
+class FakeRun:
+    """A recorded run without a flow, for the readers' tests.
+
+    Its tracer feeds the rundir's heartbeat snapshot and its run log,
+    exactly as a recorded flow's does; the methods emit the events a
+    flow would, so every beat takes the real fold.  Every run's log is
+    closed after the test that opened it.
+    """
+
+    def __init__(self, rundir, run_id="r1", circuit=None, log="trace-attempt-01.jsonl"):
+        from pathlib import Path
+
+        from repro.qor import HeartbeatWriter
+        from repro.telemetry import FileSink, Tracer
+
+        self.rundir = Path(rundir)
+        self.rundir.mkdir(parents=True, exist_ok=True)
+        self.log = self.rundir / log
+        self.tracer = closing(
+            Tracer(
+                [HeartbeatWriter(self.rundir / "heartbeat.json"), FileSink(str(self.log))]
+            )
+        )
+        start = {"circuit": circuit} if circuit is not None else {}
+        self.tracer.event(
+            "run.start",
+            run_id=run_id,
+            command="place",
+            anchor=self.tracer.anchor,
+            **start,
+        )
+
+    def anneal(self, step=0, **fields):
+        """One temperature step: an ``anneal`` beat."""
+        self.tracer.event("anneal.temperature", step=step, **fields)
+
+    def stage(self, name):
+        """Enter a flow stage: a ``flow`` beat that sets ``stage``."""
+        with self.tracer.span(name):
+            pass
+
+    def end(self, status="ok", **fields):
+        """The run's final beat (``done``, ``interrupted`` or ``failed``)."""
+        self.tracer.event("run.end", status=status, **fields)

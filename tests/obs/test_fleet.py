@@ -8,19 +8,25 @@ import pytest
 from repro.obs import beat_age, classify_state
 from repro.obs.fleet import Fleet
 from repro.qor import HeartbeatWriter, RunRegistry
+from repro.telemetry import Tracer
+
+from ..conftest import FakeRun
 
 
-def make_rundir(root, name, run_id=None, phase="anneal", final=False, **fields):
-    """A rundir with a manifest and one heartbeat."""
+def make_rundir(root, name, run_id=None, status=None, **fields):
+    """A rundir with a manifest and a run log: started, then one anneal
+    beat (``fields``), or ended with ``status``."""
     rundir = root / name
-    rundir.mkdir(parents=True, exist_ok=True)
     run_id = run_id or name
+    run = FakeRun(rundir, run_id=run_id)
     (rundir / "manifest.json").write_text(
         json.dumps({"run_id": run_id, "circuit": {"name": "fix"}})
     )
-    writer = HeartbeatWriter(rundir / "heartbeat.json", run_id=run_id)
-    writer.beat(phase, final=final, **fields)
-    return rundir, writer
+    if status is not None:
+        run.end(status)
+    else:
+        run.anneal(**fields)
+    return rundir, run
 
 
 class TestClassifyState:
@@ -60,7 +66,7 @@ class TestClassifyState:
 class TestFleet:
     def test_discovers_rundirs_and_summarizes(self, tmp_path):
         make_rundir(tmp_path, "run-a", step=3, T=10.0)
-        make_rundir(tmp_path, "run-b", phase="done", final=True)
+        make_rundir(tmp_path, "run-b", status="ok")
         fleet = Fleet(tmp_path)
         runs = fleet.runs()
         assert [r["run_id"] for r in runs] == ["run-a", "run-b"]
@@ -104,24 +110,27 @@ class TestFleet:
         doc = fleet.detail("run-a")
         assert doc["state"] == "running"
         assert doc["manifest"]["run_id"] == "run-a"
-        assert doc["heartbeat"]["seq"] == 1
+        assert doc["heartbeat"]["seq"] == 2
         assert doc["qor"]["teil"] == 12.5
         assert fleet.detail("unknown") is None
 
     def test_history_view(self, tmp_path):
-        _, writer = make_rundir(tmp_path, "run-a", step=1)
-        writer.beat("anneal", step=2)
-        writer.beat("anneal", step=3)
+        _, run = make_rundir(tmp_path, "run-a", step=1)
+        run.anneal(step=2)
+        run.anneal(step=3)
         fleet = Fleet(tmp_path)
         history = fleet.history("run-a")
-        assert [b["seq"] for b in history] == [1, 2, 3]
-        assert [b["seq"] for b in fleet.history("run-a", since_seq=2)] == [3]
+        assert [b["seq"] for b in history] == [1, 2, 3, 4]
+        assert [b["seq"] for b in fleet.history("run-a", since_seq=3)] == [4]
+        assert history[-1] == fleet.detail("run-a")["heartbeat"]
         assert fleet.history("unknown") == []
 
     def test_heartbeats_default_run_id_to_dirname(self, tmp_path):
         rundir = tmp_path / "bare"
         rundir.mkdir()
-        HeartbeatWriter(rundir / "heartbeat.json").beat("anneal", T=5.0)
+        Tracer(HeartbeatWriter(rundir / "heartbeat.json")).event(
+            "anneal.temperature", T=5.0
+        )
         fleet = Fleet(tmp_path)
         beats = fleet.heartbeats()
         assert len(beats) == 1

@@ -38,7 +38,7 @@ class TestBasics:
 class TestRuns:
     def test_runs_listing(self, tmp_path):
         make_rundir(tmp_path, "run-a", step=1)
-        make_rundir(tmp_path, "run-b", phase="done", final=True)
+        make_rundir(tmp_path, "run-b", status="ok")
         status, doc = get_json(Fleet(tmp_path), "/runs")
         assert status == 200
         assert [r["run_id"] for r in doc["runs"]] == ["run-a", "run-b"]
@@ -48,22 +48,22 @@ class TestRuns:
         fleet = Fleet(tmp_path)
         status, doc = get_json(fleet, "/runs/run-a")
         assert status == 200
-        assert doc["heartbeat"]["seq"] == 1
+        assert doc["heartbeat"]["seq"] == 2
         status, _ = get_json(fleet, "/runs/ghost")
         assert status == 404
 
     def test_history_with_query(self, tmp_path):
-        _, writer = make_rundir(tmp_path, "run-a", step=1)
-        writer.beat("anneal", step=2)
-        writer.beat("anneal", step=3)
+        _, run = make_rundir(tmp_path, "run-a", step=1)
+        run.anneal(step=2)
+        run.anneal(step=3)
         status, doc = get_json(
-            Fleet(tmp_path), "/runs/run-a/history", {"since_seq": "1", "limit": "1"}
+            Fleet(tmp_path), "/runs/run-a/history", {"since_seq": "2", "limit": "1"}
         )
         assert status == 200
-        assert [b["seq"] for b in doc["history"]] == [3]
+        assert [b["seq"] for b in doc["history"]] == [4]
 
     def test_health_route(self, tmp_path):
-        make_rundir(tmp_path, "run-a", phase="done", final=True)
+        make_rundir(tmp_path, "run-a", status="ok")
         status, doc = get_json(Fleet(tmp_path), "/runs/run-a/health")
         assert status == 200
         assert doc["run_id"] == "run-a"
@@ -91,8 +91,8 @@ class TestMetrics:
 
 class TestEvents:
     def test_sse_stream_delivers_beats(self, tmp_path):
-        _, writer = make_rundir(tmp_path, "run-a", step=1)
-        writer.beat("done", final=True)
+        _, run = make_rundir(tmp_path, "run-a", step=1)
+        run.end()
         response = get(
             Fleet(tmp_path), "/runs/run-a/events", {"timeout": "5"}
         )
@@ -109,7 +109,7 @@ class TestEvents:
     def test_timeout_query_is_clamped(self, tmp_path):
         from repro.obs.routes import MAX_STREAM_SECONDS
 
-        make_rundir(tmp_path, "run-a", phase="done", final=True)
+        make_rundir(tmp_path, "run-a", status="ok")
         response = get(
             Fleet(tmp_path),
             "/runs/run-a/events",

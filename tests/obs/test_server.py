@@ -17,7 +17,7 @@ from .test_fleet import make_rundir
 def served(tmp_path):
     """An ObsServer on an ephemeral port over a two-run root."""
     make_rundir(tmp_path, "run-live", step=1, T=50.0, cost=10.0)
-    make_rundir(tmp_path, "run-done", phase="done", final=True)
+    make_rundir(tmp_path, "run-done", status="ok")
     with ObsServer(tmp_path, port=0).start() as server:
         yield server, tmp_path
 
@@ -72,7 +72,7 @@ class TestHTTP:
 class TestSSEOverHTTP:
     def test_stream_delivers_live_beats(self, tmp_path):
         """An SSE client sees beats written *after* it connected."""
-        _, writer = make_rundir(tmp_path, "run-live", step=1, T=50.0)
+        _, run = make_rundir(tmp_path, "run-live", step=1, T=50.0)
         server = ObsServer(tmp_path, port=0).start()
         url = server.url + "/runs/run-live/events?timeout=10"
         chunks = []
@@ -91,8 +91,8 @@ class TestSSEOverHTTP:
         thread.start()
         try:
             assert connected.wait(timeout=10.0)
-            writer.beat("anneal", step=2, T=40.0)
-            writer.beat("done", final=True)
+            run.anneal(step=2, T=40.0)
+            run.end()
             thread.join(timeout=15.0)
             assert not thread.is_alive()
         finally:

@@ -1,11 +1,14 @@
-"""SSE framing and the heartbeat tailer: every beat, once, in order."""
+"""SSE framing and the run's event stream: every beat folded from the
+run log, once, in order."""
 
 import json
 import threading
 
 from repro.obs import format_sse, stream_events
-from repro.obs.sse import HeartbeatTailer, keepalive
-from repro.qor import HeartbeatWriter, history_path
+from repro.obs.sse import keepalive
+from repro.qor import BeatReader
+
+from ..conftest import FakeRun
 
 
 def parse_frames(raw: bytes):
@@ -41,75 +44,74 @@ class TestFormat:
 
 class TestTailer:
     def test_beats_in_order_exactly_once(self, tmp_path):
-        writer = HeartbeatWriter(tmp_path / "heartbeat.json", run_id="r1")
-        for step in range(5):
-            writer.beat("anneal", step=step)
-        tailer = HeartbeatTailer(tmp_path)
-        seqs = [b["seq"] for b in tailer.poll()]
+        run = FakeRun(tmp_path)
+        for step in range(4):
+            run.anneal(step=step)
+        reader = BeatReader(tmp_path)
+        seqs = [b["seq"] for b in reader.poll()]
         assert seqs == [1, 2, 3, 4, 5]
-        assert list(tailer.poll()) == []  # nothing new
-        writer.beat("anneal", step=5)
-        assert [b["seq"] for b in tailer.poll()] == [6]
+        assert reader.poll() == []  # nothing new
+        run.anneal(step=5)
+        assert [b["seq"] for b in reader.poll()] == [6]
 
     def test_since_seq_resumes_mid_stream(self, tmp_path):
-        writer = HeartbeatWriter(tmp_path / "heartbeat.json", run_id="r1")
-        for step in range(4):
-            writer.beat("anneal", step=step)
-        tailer = HeartbeatTailer(tmp_path, since_seq=2)
-        assert [b["seq"] for b in tailer.poll()] == [3, 4]
-
-    def test_snapshot_only_rundir_falls_back(self, tmp_path):
-        writer = HeartbeatWriter(
-            tmp_path / "heartbeat.json", run_id="r1", history_limit=0
-        )
-        writer.beat("anneal", step=1)
-        writer.beat("anneal", step=2)
-        tailer = HeartbeatTailer(tmp_path)
-        # No ring: only the newest snapshot is observable.
-        assert [b["seq"] for b in tailer.poll()] == [2]
+        run = FakeRun(tmp_path)
+        for step in range(3):
+            run.anneal(step=step)
+        run.end()
+        raw = b"".join(stream_events(tmp_path, timeout=5.0, since_seq=2))
+        seqs = [f[2]["seq"] for f in parse_frames(raw) if f[0] != "stage"]
+        assert seqs == [3, 4, 5]
 
     def test_empty_rundir_polls_empty(self, tmp_path):
-        assert list(HeartbeatTailer(tmp_path).poll()) == []
+        assert BeatReader(tmp_path).poll() == []
 
     def test_torn_final_ring_line_is_tolerated(self, tmp_path):
-        writer = HeartbeatWriter(tmp_path / "heartbeat.json", run_id="r1")
-        writer.beat("anneal", step=1)
-        writer.beat("anneal", step=2)
-        ring = history_path(tmp_path / "heartbeat.json")
-        with open(ring, "a", encoding="utf-8") as handle:
-            handle.write('{"seq": 3, "truncat')  # writer mid-append
-        tailer = HeartbeatTailer(tmp_path)
-        assert [b["seq"] for b in tailer.poll()] == [1, 2]
+        """A torn last log line is left for the next poll, which folds
+        it once the writer completes it."""
+        run = FakeRun(tmp_path)
+        run.anneal(step=1)
+        line = json.dumps({"ev": "event", "name": "anneal.temperature", "t": 1.0,
+                           "step": 2})
+        with open(run.log, "a", encoding="utf-8") as handle:
+            handle.write(line[:20])  # writer mid-append
+        reader = BeatReader(tmp_path)
+        assert [b["seq"] for b in reader.poll()] == [1, 2]
+        with open(run.log, "a", encoding="utf-8") as handle:
+            handle.write(line[20:] + "\n")
+        (beat,) = reader.poll()
+        assert (beat["seq"], beat["step"]) == (3, 2)
 
 
 class TestStreamEvents:
     def test_stage_beat_final_sequence(self, tmp_path):
-        writer = HeartbeatWriter(tmp_path / "heartbeat.json", run_id="r1")
-        writer.set_context(stage="stage1")
-        writer.beat("anneal", step=0)
-        writer.beat("anneal", step=1)
-        writer.set_context(stage=None)
-        writer.beat("done", final=True)
+        run = FakeRun(tmp_path)
+        run.stage("stage1")
+        run.anneal(step=0)
+        run.anneal(step=1)
+        run.end()
         raw = b"".join(stream_events(tmp_path, timeout=5.0))
         frames = parse_frames(raw)
         kinds = [f[0] for f in frames]
         # stage on entry, a beat per heartbeat, stage on change, final ends.
-        assert kinds == ["stage", "beat", "beat", "stage", "final"]
-        assert frames[0][2]["stage"] == "stage1"
+        assert kinds == [
+            "stage", "beat", "stage", "beat", "stage", "beat", "beat",
+            "stage", "final",
+        ]
+        assert frames[2][2]["stage"] == "stage1"
         assert frames[-1][2]["phase"] == "done"
 
     def test_max_beats_bounds_the_stream(self, tmp_path):
-        writer = HeartbeatWriter(tmp_path / "heartbeat.json", run_id="r1")
+        run = FakeRun(tmp_path)
         for step in range(10):
-            writer.beat("anneal", step=step)
+            run.anneal(step=step)
         raw = b"".join(stream_events(tmp_path, timeout=5.0, max_beats=3))
         beats = [f for f in parse_frames(raw) if f[0] == "beat"]
         assert len(beats) == 3
 
     def test_stop_event_unblocks_an_idle_stream(self, tmp_path):
         stop = threading.Event()
-        writer = HeartbeatWriter(tmp_path / "heartbeat.json", run_id="r1")
-        writer.beat("anneal", step=0)
+        FakeRun(tmp_path).anneal(step=0)
         collected = []
 
         def consume():
@@ -126,18 +128,17 @@ class TestStreamEvents:
 
     def test_live_writer_is_followed(self, tmp_path):
         """Beats written while the stream is open are delivered."""
-        writer = HeartbeatWriter(tmp_path / "heartbeat.json", run_id="r1")
-        writer.beat("anneal", step=0)
+        run = FakeRun(tmp_path)
 
         def produce():
             for step in range(1, 4):
-                writer.beat("anneal", step=step)
-            writer.beat("done", final=True)
+                run.anneal(step=step)
+            run.end()
 
         thread = threading.Thread(target=produce)
         frames_raw = []
         stream = stream_events(tmp_path, timeout=10.0, poll_interval=0.01)
-        frames_raw.append(next(stream))  # stage frame for 'anneal'
+        frames_raw.append(next(stream))  # stage frame for 'start'
         thread.start()
         frames_raw.extend(f for f in stream if f is not None)
         thread.join()

@@ -175,9 +175,17 @@ class TestTraceRoutes:
         assert b"<html>" in response.body
 
     def test_run_without_trace_404s(self, tmp_path):
-        from .test_fleet import make_rundir
+        """A rundir with no run log (recorded before every rundir kept
+        one) has no trace to serve."""
+        from repro.qor import HeartbeatWriter
+        from repro.telemetry import Tracer
 
-        make_rundir(tmp_path, "run-a")
+        rundir = tmp_path / "run-a"
+        rundir.mkdir()
+        (rundir / "manifest.json").write_text(json.dumps({"run_id": "run-a"}))
+        Tracer(HeartbeatWriter(rundir / "heartbeat.json")).event(
+            "anneal.temperature", step=0
+        )
         response = self.get(Fleet(tmp_path), "/runs/run-a/trace")
         assert response.status == 404
 

@@ -15,7 +15,7 @@ from repro.netlist import dump
 from repro.qor import RunRegistry
 from repro.qor.cli import EXIT_MISSING, EXIT_OK, EXIT_REGRESSION
 
-from ..conftest import make_macro_circuit
+from ..conftest import FakeRun, make_macro_circuit
 
 
 @pytest.fixture(scope="module")
@@ -268,16 +268,8 @@ class TestResumeIdentity:
 class TestStatusExitCodes:
     """Satellite: ``status`` distinguishes healthy, stale, and dead runs."""
 
-    @staticmethod
-    def _beat(tmp_path, phase, final=False, **fields):
-        from repro.qor import HeartbeatWriter
-
-        writer = HeartbeatWriter(tmp_path / "heartbeat.json", run_id="r1")
-        writer.beat(phase, final=final, **fields)
-        return writer
-
     def test_running_fresh_is_ok(self, tmp_path, capsys):
-        self._beat(tmp_path, "anneal", step=1)
+        FakeRun(tmp_path).anneal(step=1)
         assert main(["status", str(tmp_path)]) == EXIT_OK
 
     def test_stale_heartbeat_exits_4(self, tmp_path, capsys):
@@ -285,7 +277,7 @@ class TestStatusExitCodes:
 
         from repro.qor.cli import EXIT_STALE
 
-        self._beat(tmp_path, "anneal", step=1)
+        FakeRun(tmp_path).anneal(step=1)
         time.sleep(0.05)
         code = main(["status", str(tmp_path), "--stale-after", "0.01"])
         assert code == EXIT_STALE == 4
@@ -293,17 +285,17 @@ class TestStatusExitCodes:
     def test_failed_run_exits_5(self, tmp_path, capsys):
         from repro.qor.cli import EXIT_DEAD
 
-        self._beat(tmp_path, "failed", final=True, error="ValueError")
+        FakeRun(tmp_path).end("failed", error="ValueError")
         assert main(["status", str(tmp_path)]) == EXIT_DEAD == 5
 
     def test_interrupted_run_exits_5(self, tmp_path, capsys):
         from repro.qor.cli import EXIT_DEAD
 
-        self._beat(tmp_path, "interrupted", final=True)
+        FakeRun(tmp_path).end("interrupted")
         assert main(["status", str(tmp_path)]) == EXIT_DEAD
 
     def test_done_run_never_goes_stale(self, tmp_path, capsys):
-        self._beat(tmp_path, "done", final=True)
+        FakeRun(tmp_path).end("ok")
         code = main(["status", str(tmp_path), "--stale-after", "0.0"])
         assert code == EXIT_OK
 

@@ -1,5 +1,6 @@
-"""Heartbeat files: atomic writes, throttling, and the tracer sink that
-turns flow events into beats."""
+"""Heartbeats: the fold that turns flow events into beats, the atomic
+snapshot its tracer sink writes, and the beat history read back from the
+run log."""
 
 import json
 import threading
@@ -8,78 +9,69 @@ import pytest
 
 from repro.qor import (
     HEARTBEAT_VERSION,
+    BeatReader,
     HeartbeatWriter,
-    history_path,
+    attempt_log,
     parse_prometheus,
     read_heartbeat,
-    read_history,
 )
-from repro.telemetry import Tracer
+from repro.telemetry import FileSink, MemorySink, Tracer
+
+from ..conftest import FakeRun, closing, fold_beats
+
+
+def started(writer, run_id="r1", **fields):
+    """A tracer over ``writer`` whose run has started."""
+    tracer = Tracer(writer)
+    tracer.event(
+        "run.start", run_id=run_id, command="place", anchor=tracer.anchor, **fields
+    )
+    return tracer
 
 
 class TestWriter:
     def test_beat_round_trip(self, tmp_path):
         path = tmp_path / "hb.json"
-        writer = HeartbeatWriter(path, run_id="r1")
-        writer.beat("anneal", step=3, T=100.0)
+        tracer = started(HeartbeatWriter(path))
+        tracer.event("anneal.temperature", step=3, T=100.0)
         doc = read_heartbeat(path)
         assert doc["v"] == HEARTBEAT_VERSION
         assert doc["run_id"] == "r1"
         assert doc["phase"] == "anneal"
-        assert doc["seq"] == 1
+        assert doc["seq"] == 2  # the start beat was the first
         assert doc["step"] == 3 and doc["T"] == 100.0
         assert doc["final"] is False
-        assert doc["updated"] > 0
+        assert doc["updated"] == pytest.approx(tracer.anchor, abs=5.0)
 
     def test_context_merges_and_none_deletes(self, tmp_path):
+        """``run.start``'s circuit and trace id and the stage span's
+        stage ride on every later beat; a run without a trace id gets
+        no ``trace_id`` key at all."""
         path = tmp_path / "hb.json"
-        writer = HeartbeatWriter(path)
-        writer.set_context(stage="stage1", circuit="fix")
-        writer.beat("anneal")
-        assert read_heartbeat(path)["stage"] == "stage1"
-        writer.set_context(stage=None)
-        writer.beat("anneal")
+        tracer = started(HeartbeatWriter(path), circuit="fix", trace_id="ab" * 16)
+        with tracer.span("stage1"):
+            tracer.event("anneal.temperature", step=0)
         doc = read_heartbeat(path)
-        assert "stage" not in doc
+        assert (doc["circuit"], doc["trace_id"]) == ("fix", "ab" * 16)
+        assert doc["stage"] == "stage1"
+        tracer = started(HeartbeatWriter(path), circuit="fix")
+        tracer.event("anneal.temperature", step=0)
+        doc = read_heartbeat(path)
+        assert "trace_id" not in doc and "stage" not in doc
         assert doc["circuit"] == "fix"
-
-    def test_per_beat_fields_win_over_context(self, tmp_path):
-        path = tmp_path / "hb.json"
-        writer = HeartbeatWriter(path)
-        writer.set_context(stage="stage1")
-        writer.beat("anneal", stage="override")
-        assert read_heartbeat(path)["stage"] == "override"
-
-    def test_throttle_skips_fast_same_phase_beats(self, tmp_path):
-        path = tmp_path / "hb.json"
-        writer = HeartbeatWriter(path, min_interval=3600.0)
-        writer.beat("anneal", step=1)
-        writer.beat("anneal", step=2)  # throttled
-        assert read_heartbeat(path)["step"] == 1
-        writer.beat("route")  # phase change always writes
-        assert read_heartbeat(path)["phase"] == "route"
-        writer.beat("route", final=True, step=9)  # final always writes
-        doc = read_heartbeat(path)
-        assert doc["final"] is True and doc["step"] == 9
-
-    def test_negative_interval_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            HeartbeatWriter(tmp_path / "hb.json", min_interval=-1.0)
 
     def test_read_missing_is_none(self, tmp_path):
         assert read_heartbeat(tmp_path / "nope.json") is None
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "rundir" / "hb.json"
-        HeartbeatWriter(path).beat("start")
+        started(HeartbeatWriter(path))
         assert read_heartbeat(path)["phase"] == "start"
 
     def test_metrics_textfile_rendered_per_beat(self, tmp_path):
         prom = tmp_path / "metrics.prom"
-        writer = HeartbeatWriter(
-            tmp_path / "hb.json", run_id="r1", metrics_textfile=prom
-        )
-        writer.beat("anneal", T=50.0, cost=123.5)
+        tracer = started(HeartbeatWriter(tmp_path / "hb.json", metrics_textfile=prom))
+        tracer.event("anneal.temperature", T=50.0, cost=123.5)
         parsed = parse_prometheus(prom.read_text(encoding="utf-8"))
         label = '{run_id="r1"}'
         assert parsed["repro_T" + label] == 50.0
@@ -91,7 +83,8 @@ class TestAtomicity:
         """A writer hammering beats while a reader polls: every read either
         returns None (no file yet) or parses as a complete document."""
         path = tmp_path / "hb.json"
-        writer = HeartbeatWriter(path, run_id="race")
+        # A long sticky field makes a torn write easy to catch.
+        tracer = started(HeartbeatWriter(path), run_id="race", circuit="x" * 4096)
         stop = threading.Event()
         errors = []
 
@@ -99,8 +92,7 @@ class TestAtomicity:
             step = 0
             while not stop.is_set():
                 step += 1
-                # A long field value makes a torn write easy to catch.
-                writer.beat("anneal", step=step, pad="x" * 4096)
+                tracer.event("anneal.temperature", step=step)
 
         thread = threading.Thread(target=pound)
         thread.start()
@@ -114,7 +106,7 @@ class TestAtomicity:
                     break
                 if doc is not None:
                     seen += 1
-                    if doc["run_id"] != "race" or len(doc["pad"]) != 4096:
+                    if doc["run_id"] != "race" or len(doc["circuit"]) != 4096:
                         errors.append(f"partial document: {doc}")
                         break
         finally:
@@ -124,14 +116,17 @@ class TestAtomicity:
 
 
 class TestHeartbeatSink:
-    """The writer as a tracer sink: each beat comes from a flow event."""
+    """The writer as a tracer sink: each beat comes from a flow event,
+    and the run log folds back to the same beats."""
 
     def _traced(self, tmp_path):
-        writer = HeartbeatWriter(tmp_path / "hb.json", run_id="r1")
-        return writer, Tracer(writer)
+        writer = HeartbeatWriter(tmp_path / "hb.json")
+        return writer, closing(
+            Tracer([writer, FileSink(str(tmp_path / "trace.jsonl"))])
+        )
 
     def _ring(self, tmp_path):
-        return read_history(history_path(tmp_path / "hb.json"))
+        return BeatReader(tmp_path).poll()
 
     def test_stage_span_beats_and_sets_sticky_stage(self, tmp_path):
         writer, tracer = self._traced(tmp_path)
@@ -208,11 +203,14 @@ class TestHeartbeatSink:
 
     def test_parallel_round_beat(self, tmp_path):
         _, tracer = self._traced(tmp_path)
+        tracer.event("run.start", run_id="r1", anchor=tracer.anchor)
         tracer.event(
             "parallel.round", round=2, upto=30, costs={0: 5.0, 1: 3.0},
             done=[1], best=1,
         )
-        (beat,) = self._ring(tmp_path)
+        live = read_heartbeat(tmp_path / "hb.json")
+        _, beat = self._ring(tmp_path)
+        assert beat == live  # int chain ids survive the log's JSON
         assert beat["phase"] == "parallel"
         assert (beat["round"], beat["upto"]) == (2, 30)
         assert beat["best"] == 1 and beat["cost"] == 3.0
@@ -247,83 +245,97 @@ class TestHeartbeatSink:
         assert self._ring(tmp_path) == []
 
 
-class TestHistoryRing:
-    def test_every_beat_lands_in_the_ring(self, tmp_path):
-        from repro.qor import history_path, read_history
+class TestLifecycleEvents:
+    @pytest.mark.parametrize(
+        "status, fields, phase",
+        [
+            ("ok", {"teil": 5.0, "chip_area": 9.0}, "done"),
+            ("truncated", {"teil": 5.0}, "done"),
+            ("interrupted", {"checkpoint": "ckpt/x.ckpt"}, "interrupted"),
+            ("failed", {"error": "ValueError"}, "failed"),
+        ],
+    )
+    def test_run_end_is_the_final_beat(self, tmp_path, status, fields, phase):
+        run = FakeRun(tmp_path)
+        run.end(status, **fields)
+        beat = read_heartbeat(tmp_path / "heartbeat.json")
+        assert beat["phase"] == phase and beat["final"] is True
+        assert beat["status"] == status
+        assert {k: beat[k] for k in fields} == fields
 
-        writer = HeartbeatWriter(tmp_path / "hb.json", run_id="r1")
+    def test_start_beat_anchors_updated(self, tmp_path):
+        run = FakeRun(tmp_path, run_id="r9", circuit="fix")
+        run.anneal(step=1)
+        start, anneal = BeatReader(tmp_path).poll()
+        assert (start["phase"], start["command"], start["run_id"]) == (
+            "start", "place", "r9",
+        )
+        assert start["circuit"] == "fix"
+        (anneal_event,) = [
+            e for e in map(json.loads, run.log.read_text().splitlines())
+            if e["name"] == "anneal.temperature"
+        ]
+        assert anneal["updated"] == round(run.tracer.anchor + anneal_event["t"], 6)
+
+
+class TestHistoryRing:
+    """The beat history: the run log, folded back into beats."""
+
+    def test_every_beat_lands_in_the_ring(self, tmp_path):
+        run = FakeRun(tmp_path)
+        snapshots = [read_heartbeat(tmp_path / "heartbeat.json")]
         for step in range(5):
-            writer.beat("anneal", step=step)
-        ring = read_history(history_path(tmp_path / "hb.json"))
-        assert [b["seq"] for b in ring] == [1, 2, 3, 4, 5]
-        assert [b["step"] for b in ring] == [0, 1, 2, 3, 4]
+            run.anneal(step=step)
+            snapshots.append(read_heartbeat(tmp_path / "heartbeat.json"))
+        beats = BeatReader(tmp_path).poll()
+        assert beats == snapshots
+        assert [b["seq"] for b in beats] == [1, 2, 3, 4, 5, 6]
+        assert [b.get("step") for b in beats] == [None, 0, 1, 2, 3, 4]
 
     def test_ring_path_derivation(self, tmp_path):
-        from repro.qor import history_path
-
-        assert (
-            history_path(tmp_path / "heartbeat.json").name
-            == "heartbeat.history.jsonl"
+        """Each attempt's log is one past the newest; a ``--trace`` name
+        in the rundir is used only while no attempt has written it."""
+        assert attempt_log(tmp_path).name == "trace-attempt-01.jsonl"
+        (tmp_path / "trace-attempt-01.jsonl").write_text("")
+        assert attempt_log(tmp_path).name == "trace-attempt-02.jsonl"
+        assert attempt_log(tmp_path, tmp_path / "trace.jsonl").name == "trace.jsonl"
+        (tmp_path / "trace.jsonl").write_text("")
+        assert attempt_log(tmp_path, tmp_path / "trace.jsonl").name == (
+            "trace-attempt-02.jsonl"
         )
-
-    def test_compaction_bounds_the_file(self, tmp_path):
-        from repro.qor import history_path, read_history
-
-        writer = HeartbeatWriter(
-            tmp_path / "hb.json", run_id="r1", history_limit=10
+        assert attempt_log(tmp_path, tmp_path / "elsewhere" / "trace.jsonl").name == (
+            "trace-attempt-02.jsonl"
         )
-        for step in range(55):
-            writer.beat("anneal", step=step)
-        ring = read_history(history_path(tmp_path / "hb.json"))
-        # Never more than 2*limit lines survive; the newest always do.
-        assert len(ring) <= 20
-        assert ring[-1]["seq"] == 55
-        seqs = [b["seq"] for b in ring]
-        assert seqs == sorted(seqs)
-
-    def test_history_limit_zero_disables_the_ring(self, tmp_path):
-        from repro.qor import history_path
-
-        writer = HeartbeatWriter(
-            tmp_path / "hb.json", run_id="r1", history_limit=0
-        )
-        writer.beat("anneal", step=1)
-        assert not history_path(tmp_path / "hb.json").exists()
 
     def test_since_seq_and_limit_filters(self, tmp_path):
-        from repro.qor import history_path, read_history
+        from repro.obs.fleet import Fleet
 
-        writer = HeartbeatWriter(tmp_path / "hb.json", run_id="r1")
-        for step in range(6):
-            writer.beat("anneal", step=step)
-        ring_path = history_path(tmp_path / "hb.json")
-        assert [b["seq"] for b in read_history(ring_path, since_seq=4)] == [5, 6]
-        assert [b["seq"] for b in read_history(ring_path, limit=2)] == [5, 6]
+        run = FakeRun(tmp_path / "run-a", run_id="run-a")
+        for step in range(5):
+            run.anneal(step=step)
+        fleet = Fleet(tmp_path)
+        assert [b["seq"] for b in fleet.history("run-a", since_seq=4)] == [5, 6]
+        assert [b["seq"] for b in fleet.history("run-a", limit=2)] == [5, 6]
         assert [
-            b["seq"] for b in read_history(ring_path, since_seq=2, limit=2)
+            b["seq"] for b in fleet.history("run-a", since_seq=2, limit=2)
         ] == [5, 6]
 
     def test_torn_final_line_skipped_mid_file_corruption_raises(self, tmp_path):
-        from repro.qor import history_path, read_history
+        from repro.telemetry.report import load_events
 
-        writer = HeartbeatWriter(tmp_path / "hb.json", run_id="r1")
-        writer.beat("anneal", step=1)
-        ring_path = history_path(tmp_path / "hb.json")
-        with open(ring_path, "a", encoding="utf-8") as handle:
-            handle.write('{"seq": 2, "torn')
-        assert [b["seq"] for b in read_history(ring_path)] == [1]
-        ring_path.write_text('{"seq": 1, "bad\n{"seq": 2}\n', encoding="utf-8")
+        run = FakeRun(tmp_path)
+        run.anneal(step=1)
+        with open(run.log, "a", encoding="utf-8") as handle:
+            handle.write('{"ev": "event", "torn')
+        assert [b["seq"] for b in BeatReader(tmp_path).poll()] == [1, 2]
+        assert len(load_events(run.log)) == 2
+        run.log.write_text('{"ev": "event", "bad\n{"ev": "event"}\n', encoding="utf-8")
         with pytest.raises(json.JSONDecodeError):
-            read_history(ring_path)
+            load_events(run.log)
 
     def test_missing_ring_reads_empty(self, tmp_path):
-        from repro.qor import read_history
-
-        assert read_history(tmp_path / "absent.jsonl") == []
-
-    def test_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            HeartbeatWriter(tmp_path / "hb.json", history_limit=-1)
+        assert BeatReader(tmp_path / "absent").poll() == []
+        assert BeatReader(tmp_path).poll() == []
 
 
 class TestReadRetry:
@@ -341,8 +353,7 @@ class TestReadRetry:
         from pathlib import Path
 
         path = tmp_path / "hb.json"
-        writer = HeartbeatWriter(path, run_id="r1")
-        writer.beat("anneal", step=7)
+        started(HeartbeatWriter(path)).event("anneal.temperature", step=7)
         real_read_text = Path.read_text
         failures = {"left": 2}
 
@@ -358,28 +369,28 @@ class TestReadRetry:
         assert failures["left"] == 0
 
     def test_concurrent_writer_never_breaks_readers(self, tmp_path):
-        """Satellite: a watch-style reader polling while a writer beats
-        as fast as it can must never see a torn document or crash."""
-        from repro.qor import history_path, read_history
-
-        path = tmp_path / "hb.json"
-        writer = HeartbeatWriter(path, run_id="race2", history_limit=16)
+        """A watch-style reader polling the snapshot and the log while a
+        writer beats as fast as it can must never see a torn document, a
+        seq going backwards, or a beat out of order."""
+        run = FakeRun(tmp_path, run_id="race2")
         stop = threading.Event()
         errors = []
 
         def pound():
             step = 0
             while not stop.is_set():
-                writer.beat("anneal", step=step, pad="x" * 2048)
+                run.anneal(step=step)
                 step += 1
 
+        reader = BeatReader(tmp_path)
         thread = threading.Thread(target=pound)
         thread.start()
         try:
             reads = 0
             last_seq = 0
+            folded = 0
             while reads < 300:
-                doc = read_heartbeat(path)
+                doc = read_heartbeat(tmp_path / "heartbeat.json")
                 if doc is None:
                     continue
                 reads += 1
@@ -387,14 +398,48 @@ class TestReadRetry:
                     errors.append(f"seq went backwards: {doc['seq']}")
                     break
                 last_seq = doc["seq"]
-                ring = read_history(history_path(path))
-                ring_seqs = [b["seq"] for b in ring]
-                if ring_seqs != sorted(ring_seqs):
-                    errors.append(f"ring out of order: {ring_seqs}")
-                    break
+                for beat in reader.poll():
+                    folded += 1
+                    if beat["seq"] != folded:
+                        errors.append(f"log beat {beat['seq']} at {folded}")
+                        break
         except Exception as exc:  # noqa: BLE001 - the assertion target
             errors.append(exc)
         finally:
             stop.set()
             thread.join()
         assert not errors
+
+
+class TestFoldRoundTrip:
+    def test_two_chain_run_folds_the_same_from_json(self):
+        """Every event of a two-chain run, JSON round-tripped as the run
+        log stores it, folds to the same beats as the live events."""
+        from dataclasses import replace
+
+        from repro import TimberWolfConfig, place_and_route
+        from repro.config import ParallelConfig
+
+        from ..conftest import make_macro_circuit
+
+        memory = MemorySink()
+        tracer = Tracer(memory)
+        tracer.event("run.start", run_id="r1", anchor=tracer.anchor)
+        config = replace(
+            TimberWolfConfig.smoke(seed=3),
+            parallel=ParallelConfig(workers=1, chains=2, exchange_period=2),
+        )
+        place_and_route(make_macro_circuit(), config, tracer=tracer)
+        live = fold_beats(memory.events)
+        logged = fold_beats(
+            json.loads(json.dumps(e, default=str)) for e in memory.events
+        )
+        assert any(b["phase"] == "parallel" for b in live)
+        assert json.loads(json.dumps(logged)) == json.loads(json.dumps(live))
+        for beat in logged:
+            if beat["phase"] == "parallel":
+                assert beat["cost"] is not None
+        assert any(
+            c["done"] for b in logged if b["phase"] == "parallel"
+            for c in b["chains"].values()
+        )

@@ -2,10 +2,10 @@
 
 import io
 import json
+import threading
 import time
 
 from repro.qor import (
-    HeartbeatWriter,
     RunRecorder,
     load_rundir,
     progress_line,
@@ -13,6 +13,8 @@ from repro.qor import (
     watch,
 )
 from repro.qor.monitor import STALE_AFTER
+
+from ..conftest import FakeRun
 
 
 def write_manifest(rundir, run_id="r1"):
@@ -38,7 +40,7 @@ class TestLoadRundir:
 
     def test_picks_up_each_file(self, tmp_path):
         write_manifest(tmp_path)
-        HeartbeatWriter(tmp_path / RunRecorder.HEARTBEAT_NAME).beat("anneal")
+        FakeRun(tmp_path).anneal()
         (tmp_path / RunRecorder.QOR_NAME).write_text(json.dumps({"teil": 5.0}))
         info = load_rundir(tmp_path)
         assert info["manifest"]["run_id"] == "r1"
@@ -81,9 +83,7 @@ class TestProgressLine:
 class TestRenderStatus:
     def test_full_block(self, tmp_path):
         write_manifest(tmp_path)
-        HeartbeatWriter(tmp_path / RunRecorder.HEARTBEAT_NAME, run_id="r1").beat(
-            "anneal", step=1
-        )
+        FakeRun(tmp_path).anneal(step=1)
         (tmp_path / RunRecorder.QOR_NAME).write_text(
             json.dumps({"teil": 5.0, "chip_area": 9.0, "overflow": 0,
                         "wall_seconds": 1.5, "truncated": True})
@@ -101,35 +101,57 @@ class TestRenderStatus:
         assert "(no heartbeat yet)" in text
 
     def test_stale_beat_flagged(self, tmp_path):
-        HeartbeatWriter(tmp_path / RunRecorder.HEARTBEAT_NAME).beat("anneal")
+        run = FakeRun(tmp_path)
+        run.anneal()
         info = load_rundir(tmp_path)
         now = time.time() + STALE_AFTER + 5
         assert "[STALE]" in render_status(info, now=now)
         # A final beat is complete, not stale.
-        HeartbeatWriter(tmp_path / RunRecorder.HEARTBEAT_NAME).beat(
-            "done", final=True
-        )
+        run.end()
         assert "[STALE]" not in render_status(load_rundir(tmp_path), now=now)
 
 
 class TestWatch:
     def test_stops_on_final_beat(self, tmp_path):
-        writer = HeartbeatWriter(
-            tmp_path / RunRecorder.HEARTBEAT_NAME, run_id="r1"
-        )
-        writer.beat("done", final=True, status="ok")
+        FakeRun(tmp_path).end("ok")
         out = io.StringIO()
         assert watch(tmp_path, interval=0.01, stream=out) == 0
         text = out.getvalue()
         assert "-- r1 entered phase done" in text
         assert "[done]" in text
+        assert "[start]" not in text  # a watch starts at the current beat
 
     def test_no_beat_ever_is_failure(self, tmp_path):
         assert watch(tmp_path, interval=0.01, max_updates=1) == 1
 
     def test_max_updates_with_live_run(self, tmp_path):
-        writer = HeartbeatWriter(tmp_path / RunRecorder.HEARTBEAT_NAME)
-        writer.beat("anneal", step=1)
+        FakeRun(tmp_path).anneal(step=1)
         out = io.StringIO()
         assert watch(tmp_path, interval=0.01, max_updates=1, stream=out) == 0
         assert "[anneal] step=1" in out.getvalue()
+
+    def test_prints_every_later_beat(self, tmp_path):
+        """From the current beat on, a watch prints every beat the run
+        publishes, however fast they come."""
+        run = FakeRun(tmp_path)
+        run.anneal(step=0)
+        out = io.StringIO()
+        watcher = threading.Thread(
+            target=watch, args=(tmp_path,), kwargs={"interval": 0.01, "stream": out}
+        )
+        watcher.start()
+        deadline = time.monotonic() + 10.0
+        while "[anneal]" not in out.getvalue() and time.monotonic() < deadline:
+            time.sleep(0.005)  # the watch has printed the current beat
+        for step in range(1, 40):
+            run.anneal(step=step)
+        run.end("ok")
+        watcher.join(timeout=10.0)
+        assert not watcher.is_alive()
+        steps = [
+            int(line.split("step=")[1].split()[0])
+            for line in out.getvalue().splitlines()
+            if line.startswith("[anneal]")
+        ]
+        assert steps == list(range(40))
+        assert out.getvalue().splitlines()[-1].startswith("[done]")

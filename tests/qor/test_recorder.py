@@ -6,13 +6,12 @@ import pytest
 
 from repro import TimberWolfConfig, Tracer, place_and_route
 from repro.qor import (
+    BeatReader,
     QorSink,
     RunRecorder,
     RunRegistry,
-    history_path,
     qor_from_result,
     read_heartbeat,
-    read_history,
 )
 
 from ..conftest import make_macro_circuit
@@ -79,9 +78,11 @@ class TestRunRecorder:
         rundir = tmp_path / "rundir"
         recorder = RunRecorder(rundir, registry=registry_path, run_id=run_id)
         circuit = make_macro_circuit()
+        tracer = recorder.open_tracer()
         recorder.begin(circuit, SMOKE, command="place")
-        result = place_and_route(circuit, SMOKE, tracer=Tracer(recorder.sinks))
+        result = place_and_route(circuit, SMOKE, tracer=tracer)
         record = recorder.finish(result)
+        tracer.close()
         return rundir, recorder, record
 
     def test_rundir_files_written(self, tmp_path):
@@ -101,7 +102,8 @@ class TestRunRecorder:
 
     def test_flow_events_become_beats_in_phase_order(self, tmp_path):
         rundir, _, _ = self._run(tmp_path)
-        ring = read_history(history_path(rundir / RunRecorder.HEARTBEAT_NAME))
+        ring = BeatReader(rundir).poll()
+        assert ring[-1] == read_heartbeat(rundir / RunRecorder.HEARTBEAT_NAME)
         phases = [b["phase"] for b in ring]
         runs = [p for i, p in enumerate(phases) if i == 0 or phases[i - 1] != p]
         assert runs == ["start", "flow", "anneal", "flow", "route", "anneal", "done"]
@@ -122,6 +124,30 @@ class TestRunRecorder:
         assert stored["teil"] == record["teil"]
         assert "stage1" in stored["stage_times"]
 
+    def test_one_log_per_attempt_never_truncated(self, tmp_path):
+        """A second recorder in the same rundir (a resume) writes the
+        next attempt's log and leaves the first one whole."""
+        rundir, _, _ = self._run(tmp_path)
+        first = rundir / "trace-attempt-01.jsonl"
+        size = first.stat().st_size
+        again = RunRecorder(rundir)
+        again.begin(make_macro_circuit(), SMOKE, command="resume")
+        again.interrupted()
+        again.tracer.close()
+        assert first.stat().st_size == size
+        assert [b["phase"] for b in BeatReader(rundir).poll()] == [
+            "start", "interrupted",
+        ]
+
+    def test_trace_outside_the_rundir_is_written_too(self, tmp_path):
+        recorder = RunRecorder(tmp_path / "rundir")
+        tracer = recorder.open_tracer(tmp_path / "elsewhere.jsonl")
+        recorder.begin(make_macro_circuit(), SMOKE)
+        recorder.failed(ValueError("boom"))
+        tracer.close()
+        log = tmp_path / "rundir" / "trace-attempt-01.jsonl"
+        assert log.read_text() == (tmp_path / "elsewhere.jsonl").read_text()
+
     def test_explicit_run_id_preserved(self, tmp_path):
         """A resume passes the checkpoint's run id: same identity."""
         _, recorder, _ = self._run(tmp_path, run_id="resume-me")
@@ -132,6 +158,7 @@ class TestRunRecorder:
         recorder = RunRecorder(tmp_path / "r", registry=reg_path)
         recorder.begin(make_macro_circuit(), SMOKE)
         recorder.interrupted("ckpt/x.ckpt")
+        recorder.tracer.close()
         with RunRegistry(reg_path) as registry:
             assert registry.get_run(recorder.run_id)["status"] == "interrupted"
         beat = read_heartbeat(tmp_path / "r" / RunRecorder.HEARTBEAT_NAME)
@@ -143,6 +170,7 @@ class TestRunRecorder:
         recorder = RunRecorder(tmp_path / "r", registry=reg_path)
         recorder.begin(make_macro_circuit(), SMOKE)
         recorder.failed(ValueError("boom"))
+        recorder.tracer.close()
         with RunRegistry(reg_path) as registry:
             assert registry.get_run(recorder.run_id)["status"] == "failed"
         beat = read_heartbeat(tmp_path / "r" / RunRecorder.HEARTBEAT_NAME)
@@ -157,9 +185,10 @@ class TestRunRecorder:
         circuit = make_macro_circuit()
         recorder.begin(circuit, SMOKE)
         result = place_and_route(
-            circuit, SMOKE, tracer=Tracer(recorder.sinks), budget=Budget(temperatures=2)
+            circuit, SMOKE, tracer=recorder.tracer, budget=Budget(temperatures=2)
         )
         recorder.finish(result)
+        recorder.tracer.close()
         with RunRegistry(reg_path) as registry:
             run = registry.get_run(recorder.run_id)
             stored = registry.get_qor(recorder.run_id)

@@ -1,9 +1,13 @@
-"""The queue-event journal: append, tail, torn lines, SSE frames."""
+"""The queue-event journal: append, tail, torn lines, SSE frames.
+
+The journal is read through the same :class:`JsonlTailer` as a run's
+log; these tests pin the tailer's contract on the journal's lines."""
 
 import threading
 
-from repro.service import EventLog, EventTailer, read_events
+from repro.service import EventLog, read_events
 from repro.service.events import stream_job_events
+from repro.telemetry import JsonlTailer
 
 
 class TestEmitAndRead:
@@ -55,8 +59,8 @@ class TestTailer:
     def test_yields_only_new_events(self, tmp_path):
         log = EventLog(tmp_path / "events.jsonl")
         log.emit("before")
-        tailer = EventTailer(log.path)
-        assert list(tailer.poll()) == []
+        tailer = JsonlTailer(log.path, from_start=False)
+        assert tailer.poll() == []
         log.emit("after")
         assert [e["event"] for e in tailer.poll()] == ["after"]
         assert list(tailer.poll()) == []
@@ -64,12 +68,12 @@ class TestTailer:
     def test_from_start(self, tmp_path):
         log = EventLog(tmp_path / "events.jsonl")
         log.emit("first")
-        tailer = EventTailer(log.path, from_start=True)
+        tailer = JsonlTailer(log.path, from_start=True)
         assert [e["event"] for e in tailer.poll()] == ["first"]
 
     def test_torn_line_completes_across_polls(self, tmp_path):
         log = EventLog(tmp_path / "events.jsonl")
-        tailer = EventTailer(log.path, from_start=True)
+        tailer = JsonlTailer(log.path, from_start=True)
         with open(log.path, "ab") as handle:
             handle.write(b'{"event": "sp')
         assert list(tailer.poll()) == []
@@ -80,7 +84,7 @@ class TestTailer:
     def test_truncation_restarts(self, tmp_path):
         log = EventLog(tmp_path / "events.jsonl")
         log.emit("one")
-        tailer = EventTailer(log.path, from_start=True)
+        tailer = JsonlTailer(log.path, from_start=True)
         list(tailer.poll())
         log.path.write_bytes(b"")
         assert list(tailer.poll()) == []  # shrink observed: cursor resets
@@ -88,7 +92,7 @@ class TestTailer:
         assert [e["event"] for e in tailer.poll()] == ["fresh"]
 
     def test_missing_file_tolerated(self, tmp_path):
-        tailer = EventTailer(tmp_path / "nope.jsonl")
+        tailer = JsonlTailer(tmp_path / "nope.jsonl")
         assert list(tailer.poll()) == []
 
 

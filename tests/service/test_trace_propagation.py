@@ -104,30 +104,24 @@ class TestSubmitMintsTrace:
 
 class TestWorkerCommand:
     def test_attempt_trace_file_is_per_attempt(self, tmp_path):
-        # claim_next increments attempts before launch, so the claimed
-        # job's ``attempts`` is the 1-based attempt number.
-        paths = ServicePaths(tmp_path)
-        paths.ensure_job_dirs("j1")
-        first = Job(job_id="j1", spec=SPEC, attempts=1)
-        retry = Job(job_id="j1", spec=SPEC, attempts=2)
-        cmd1 = build_worker_command(paths, first, python="py")
-        cmd2 = build_worker_command(paths, retry, python="py")
-        trace1 = cmd1[cmd1.index("--trace") + 1]
-        trace2 = cmd2[cmd2.index("--trace") + 1]
-        assert trace1.endswith("trace-attempt-01.jsonl")
-        assert trace2.endswith("trace-attempt-02.jsonl")
-        assert trace1 != trace2  # a retry must not truncate attempt 1
+        """The worker leaves the log's name to the CLI, which writes each
+        attempt's log one past the newest in the job's rundir: a retry
+        never truncates attempt 1."""
+        from repro.qor import attempt_log
 
-    def test_trace_flag_appended_after_positional_verb(self, tmp_path):
-        """The supervisor classifies attempts by ``command[3]``; the
-        trace flag must ride at the end, not disturb the argv shape."""
         paths = ServicePaths(tmp_path)
         paths.ensure_job_dirs("j1")
         cmd = build_worker_command(
-            paths, Job(job_id="j1", spec=SPEC), python="py"
+            paths, Job(job_id="j1", spec=SPEC, attempts=1), python="py"
         )
-        assert cmd[3] == "place"
-        assert cmd[-2] == "--trace"
+        assert "--trace" not in cmd
+        rundir = cmd[cmd.index("--rundir") + 1]
+        assert rundir == str(paths.rundir("j1"))
+        first = attempt_log(rundir)
+        assert first.name == "trace-attempt-01.jsonl"
+        paths.rundir("j1").mkdir(parents=True)
+        first.write_text("")
+        assert attempt_log(rundir).name == "trace-attempt-02.jsonl"
 
 
 class TestSupervisorLaunchEnv:
