@@ -4,8 +4,14 @@
 The drill:
 
 1. Run the flow to completion in a subprocess → the reference JSON.
-2. Run it again with checkpointing armed, SIGTERM it mid-anneal, and
-   require exit status 3 (graceful interrupt) plus a checkpoint on disk.
+2. Run it again with checkpointing armed and its trace on disk, tail the
+   trace, and SIGTERM the victim in the phase the drill names: after
+   the ``--kill-at``-th ``anneal.temperature`` event of the stage-1
+   anneal (``--kill-phase stage1``) or of the refine anneal
+   (``--kill-phase refine``).  Require exit status 3 (graceful
+   interrupt) and that the newest checkpoint belongs to that phase
+   (``ckpt-stage1-t*``, or the ``ckpt-stage2-pass*`` boundary the
+   refine pass restarts from).
 3. Resume from the newest checkpoint with ``python -m repro resume`` and
    require the final JSON to match the reference exactly (all placement
    coordinates, costs, and routing — only wall-clock fields may differ).
@@ -15,9 +21,10 @@ checkpoints, both JSON dumps, the trace) are left in ``--workdir`` for
 the CI job to upload.
 
 With ``--chains K --workers W`` the same drill runs the multi-chain
-stage-1 (phase ``parallel1`` checkpoints at round boundaries); pick a
-small ``--exchange-period`` so a round-boundary checkpoint lands before
-the SIGTERM does.
+stage-1: the signal follows the ``--kill-at``-th ``parallel.round``
+event and the newest checkpoint must be a round boundary
+(``ckpt-parallel-r*``); pick a small ``--exchange-period`` so rounds
+are short.
 """
 
 from __future__ import annotations
@@ -25,17 +32,34 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+from repro.telemetry import JsonlTailer  # noqa: E402
+
 #: Fields that legitimately differ between the reference and resumed
 #: runs: wall-clock timings and resume provenance.
 VOLATILE_KEYS = {"elapsed_seconds", "seconds", "resumed_from", "budget_report"}
 
 EXIT_INTERRUPTED = 3
+
+#: The span enclosing each phase's anneal, and the checkpoint label a
+#: kill in that phase must leave newest.
+PHASES = {
+    "stage1": ("stage1", "ckpt-stage1-t"),
+    "refine": ("stage2.refine_anneal", "ckpt-stage2-pass"),
+}
+PARALLEL_CHECKPOINT = "ckpt-parallel-r"
+#: Trace polling period and the longest wait for the named event.
+POLL_S = 0.002
+DEADLINE_S = 300.0
 
 
 def scrub(value):
@@ -52,6 +76,49 @@ def run(cmd, env, **kwargs):
     return subprocess.run([str(c) for c in cmd], env=env, **kwargs)
 
 
+class PhaseCounter:
+    """Counts the trace's ``anneal.temperature`` events inside the span
+    named ``phase_span`` (or, with ``phase_span=None``, its
+    ``parallel.round`` events)."""
+
+    def __init__(self, phase_span):
+        self.phase_span = phase_span
+        self.spans = {}
+        self.count = 0
+
+    def _inside(self, span) -> bool:
+        while span is not None:
+            name, parent = self.spans.get(span, (None, None))
+            if name == self.phase_span:
+                return True
+            span = parent
+        return False
+
+    def feed(self, doc) -> None:
+        if doc.get("ev") == "span_begin":
+            self.spans[doc.get("span")] = (doc.get("name"), doc.get("parent"))
+        elif doc.get("ev") == "event":
+            if self.phase_span is None:
+                self.count += doc.get("name") == "parallel.round"
+            elif doc.get("name") == "anneal.temperature":
+                self.count += self._inside(doc.get("span"))
+
+
+def kill_in_phase(victim, trace, counter, kill_at) -> bool:
+    """SIGTERM ``victim`` once ``counter`` has seen ``kill_at`` events in
+    its trace; False if the victim exits (or the deadline passes) first."""
+    tailer = JsonlTailer(trace)
+    deadline = time.monotonic() + DEADLINE_S
+    while victim.poll() is None and time.monotonic() < deadline:
+        for doc in tailer.poll():
+            counter.feed(doc)
+        if counter.count >= kill_at:
+            victim.send_signal(signal.SIGTERM)
+            return True
+        time.sleep(POLL_S)
+    return False
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", default="/tmp/kill_resume")
@@ -59,10 +126,17 @@ def main() -> int:
     parser.add_argument("--preset", default="smoke")
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument(
-        "--kill-after",
-        type=float,
-        default=1.0,
-        help="seconds to let the victim run before SIGTERM",
+        "--kill-phase",
+        choices=sorted(PHASES),
+        default="stage1",
+        help="anneal to interrupt (multi-chain drills interrupt stage 1)",
+    )
+    parser.add_argument(
+        "--kill-at",
+        type=int,
+        default=5,
+        help="SIGTERM after this many temperatures of the named anneal "
+        "(rounds, for a multi-chain drill)",
     )
     parser.add_argument(
         "--chains",
@@ -82,7 +156,7 @@ def main() -> int:
         type=int,
         default=10,
         help="temperature decrements between chain exchanges (small "
-        "values land a checkpoint early, before the kill)",
+        "values keep rounds, and so the wait for the kill, short)",
     )
     parser.add_argument(
         "--mover",
@@ -92,13 +166,15 @@ def main() -> int:
         "resume bit-for-bit just like the serial mover",
     )
     args = parser.parse_args()
+    parallel = args.chains != 1 or args.workers != 1
+    if parallel and args.kill_phase != "stage1":
+        parser.error("a multi-chain drill interrupts stage 1")
 
     work = Path(args.workdir)
     work.mkdir(parents=True, exist_ok=True)
     ckpt_dir = work / "checkpoints"
     env = dict(os.environ)
-    repo = Path(__file__).resolve().parent.parent
-    env["PYTHONPATH"] = str(repo / "src")
+    env["PYTHONPATH"] = str(REPO / "src")
 
     circuit_file = work / f"{args.circuit}.twmc"
     base_json = work / "reference.json"
@@ -114,7 +190,7 @@ def main() -> int:
     ]
     if args.mover != "serial":
         place += ["--mover", args.mover]
-    if args.chains != 1 or args.workers != 1:
+    if parallel:
         place += [
             "--chains", str(args.chains),
             "--workers", str(args.workers),
@@ -122,24 +198,42 @@ def main() -> int:
         ]
     run(place + ["--json", base_json], env, check=True)
 
-    # The victim: checkpoint every temperature, killed mid-run.  A tight
-    # cadence guarantees a checkpoint exists whenever the signal lands.
+    # The victim: checkpoint every temperature, killed in the named
+    # phase.  A tight cadence guarantees a checkpoint exists whenever
+    # the signal lands; stale checkpoints and traces of an earlier drill
+    # in the same workdir must not count.
+    shutil.rmtree(ckpt_dir, ignore_errors=True)
+    trace = work / "interrupted_trace.jsonl"
+    trace.unlink(missing_ok=True)
     victim = subprocess.Popen(
         [str(c) for c in place] + [
             "--json", str(work / "interrupted.json"),
             "--checkpoint-dir", str(ckpt_dir),
             "--checkpoint-every", "1",
-            "--trace", str(work / "interrupted_trace.jsonl"),
+            "--trace", str(trace),
         ],
         env=env,
     )
-    time.sleep(args.kill_after)
-    victim.send_signal(signal.SIGTERM)
+    if parallel:
+        what, counter = "parallel.round", PhaseCounter(None)
+        expected = PARALLEL_CHECKPOINT
+    else:
+        span, expected = PHASES[args.kill_phase]
+        what, counter = f"{args.kill_phase} temperature", PhaseCounter(span)
+    if not kill_in_phase(victim, trace, counter, args.kill_at):
+        victim.kill()
+        victim.wait()
+        print(
+            f"victim ended before {what} event {args.kill_at} "
+            f"(saw {counter.count}); lower --kill-at",
+            file=sys.stderr,
+        )
+        return 1
     status = victim.wait(timeout=120)
     if status == 0:
         print(
-            f"victim finished before the SIGTERM landed (after "
-            f"{args.kill_after}s); lower --kill-after",
+            f"victim finished although the SIGTERM followed {what} event "
+            f"{args.kill_at}; lower --kill-at",
             file=sys.stderr,
         )
         return 1
@@ -156,6 +250,13 @@ def main() -> int:
         print("no checkpoint was written before the kill", file=sys.stderr)
         return 1
     newest = max(checkpoints, key=lambda p: (p.stat().st_mtime, p.name))
+    if not newest.name.startswith(expected):
+        print(
+            f"the kill after {what} event {args.kill_at} left {newest.name} "
+            f"newest, not a {expected}* checkpoint",
+            file=sys.stderr,
+        )
+        return 1
     print(f"killed at {newest.name}; resuming")
 
     run(

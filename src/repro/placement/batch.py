@@ -43,23 +43,28 @@ numpy dispatch and memory layout, not arithmetic, bound this kernel:
   other cells' tiles and the slabs — so a later proposal reads its
   "old contribution" with a single gather instead of a second overlap
   pass.
-* Net membership is padded with a zero-weight *sentinel net* (and net
-  member rows padded by repeating a real member), which makes padded
-  entries exact no-ops without a single ``np.where`` mask.
-* The owner-slot axis of the span tables (``nowner``, ``noffmin``/
-  ``noffmax``, ``nhi``/``nlo``, ``own``, ``mine``, ``bhi``/``blo``)
-  sits before the net axes, so each halving step of the max/min
-  reductions is one ufunc call over whole contiguous planes; with the
-  slot axis last, every step strode through the table.  The price is
-  the per-commit gather of ``bhi``/``blo``, which now moves single
-  elements instead of whole slot rows: it is one 1-D ``take`` through
-  a precomputed flat index (``c1_idx``), not a ``take`` along axis 2.
+* Net membership is padded with a zero-weight *sentinel net*, which
+  makes padded entries exact no-ops without a single ``np.where`` mask.
+* A net's span tables stack (hi_x, hi_y, -lo_x, -lo_y), so one max
+  covers both ends: a min is the negated max of negated values, and
+  max, min and negation are exact.  The owner-slot table ``ntab``
+  (cm, 4, R) is padded with -inf and refreshed per commit; one top-2
+  halving pass over its slots gives every net's span and its first and
+  second extremes, each step one contiguous ufunc call.
+* The per-cell C1 tables have no owner axis: each (cell, net) pair keeps
+  ``own`` (its own extremes) and ``others`` (the extremes over the net's
+  other owners: the second where it holds the first, else the first),
+  each (4, n, netmax).  A displacement's new extreme is
+  max(own + shift, others), so a batch's ΔC1 is a few calls over one
+  small table.  Both are gathered per commit by a 1-D ``take`` through
+  a precomputed flat index (``own_idx``, ``top_idx``).
 * Every ``np.take`` into an ``out=`` buffer passes ``mode="clip"``.
   Under the default ``mode="raise"`` numpy stages ``out`` through a
   temporary copy; the indices are in range by construction, so
   clipping never changes a value.
 * Not every hot operation is a contiguous ufunc call: the interchange
-  batch gathers its cells' rows with fancy indexing, and ``_own_sum``
+  batch gathers its cells' per-pair rows, and the owner-slot rows of the
+  nets both cells of a pair own, with fancy indexing, and ``_own_sum``
   and the per-commit refresh gather single elements through flat
   indices.  The ``_buf`` pool keeps the displacement batch and the
   refreshes free of new scratch arrays in steady state; the proposal
@@ -136,9 +141,11 @@ class BatchKernel:
         self.centers = np.array(
             [r.center for r in state.records], dtype=np.float64
         )
-        #: (2, n) contiguous coordinate rows of the same centers — the
-        #: hot C1 path gathers per-coordinate; kept in sync by _commit.
-        self.cxy = np.ascontiguousarray(self.centers.T)
+        #: (4, n) stacked coordinate rows (x, y, -x, -y) of the same
+        #: centers — the hot C1 path gathers per-coordinate; kept in
+        #: sync by _commit.  ``cxy`` is its (x, y) half.
+        self.cxy4 = np.concatenate([self.centers.T, -self.centers.T])
+        self.cxy = self.cxy4[:2]
 
         # Oriented local tiles.  Orientation, instance, and aspect are
         # all frozen during a session, so these tables are static.
@@ -267,10 +274,9 @@ class BatchKernel:
         # owner's static pin-offset extremes — a net's span only needs
         # each owner's min/max offset plus its live center, and the
         # collapsed width is the distinct-owner count, not the pin
-        # count.  Padding repeats the first slot (a duplicated point
-        # changes neither a max nor a min) and per-cell net lists are
-        # padded with the sentinel, whose zero weight makes its
-        # contribution exactly 0.0.  No masks anywhere.
+        # count.  Per-cell net lists are padded with the sentinel, whose
+        # zero weight makes its contribution exactly 0.0.  No masks
+        # anywhere.
         live = [e for e, mem in enumerate(state._nmem) if mem]
         nlive = len(live)
         R = nlive + 1
@@ -290,27 +296,6 @@ class BatchKernel:
                     g[2] = max(g[2], ox)
                     g[3] = max(g[3], oy)
             groups.append(by_owner)
-        # Owner slots padded to a power of two so the span reductions can
-        # run as log2(cm) pairwise maximum/minimum calls — numpy's axis
-        # reduce pays ~60ns per output slice, a chain of elementwise
-        # np.maximum calls doesn't.
-        cm = max((len(g) for g in groups), default=1)
-        cm = 1 << (cm - 1).bit_length()
-        self.nowner = np.zeros((cm, R), dtype=np.int64)
-        self.noffmin = np.zeros((2, cm, R), dtype=np.float64)
-        self.noffmax = np.zeros((2, cm, R), dtype=np.float64)
-        for r, by_owner in enumerate(groups):
-            for s, (c, g) in enumerate(by_owner.items()):
-                self.nowner[s, r] = c
-                self.noffmin[0, s, r] = g[0]
-                self.noffmin[1, s, r] = g[1]
-                self.noffmax[0, s, r] = g[2]
-                self.noffmax[1, s, r] = g[3]
-            w = len(by_owner)
-            if w:
-                self.nowner[w:, r] = self.nowner[0, r]
-                self.noffmin[:, w:, r] = self.noffmin[:, 0:1, r]
-                self.noffmax[:, w:, r] = self.noffmax[:, 0:1, r]
         hw = np.asarray(state._nh, dtype=np.float64)
         vw = np.asarray(state._nv, dtype=np.float64)
         self.w2 = np.zeros((2, R), dtype=np.float64)
@@ -325,23 +310,42 @@ class BatchKernel:
         self.cnet = np.full((n, netmax), nlive, dtype=np.int64)
         for i, ids in enumerate(cell_nets):
             self.cnet[i, : len(ids)] = ids
-
-        # Pre-gathered per-cell C1 tables over ALL cells, so the per
-        # batch ΔC1 path runs on plain contiguous ufuncs (advanced
-        # indexing costs ~10µs per call regardless of size — at these
-        # shapes the gathers, not the arithmetic, were the bottleneck).
-        # Only `bhi`/`blo`/`cs_cell` depend on live centers;
-        # _refresh_c1_tables rebuilds them after each commit.
-        self.cm = cm
-        self.own = self.nowner[:, self.cnet]
-        self.mine = (
-            self.own == np.arange(n)[None, :, None]
-        ).astype(np.float64)
         self.wcell = self.w2[:, self.cnet]
-        #: Flat (2, cm, n, netmax) index of each cell-net slot into the
-        #: raveled (2, cm, R) net tables: one 1-D take per refresh.
-        planes = np.arange(2 * cm, dtype=np.intp).reshape(2, cm, 1, 1)
-        self.c1_idx = planes * R + self.cnet
+
+        # Stacked (hi_x, hi_y, -lo_x, -lo_y) owner-slot tables, slot
+        # axis first: ``noff`` holds each owner's static offset extremes
+        # and ``ntab`` (refreshed per commit) its live extremes.  Slots
+        # are padded to a power of two (at least 2) with -inf, which no
+        # max ever picks, so no padded slot counts as another owner.
+        # The sentinel's slot 0 is cell 0's center with zero offsets, so
+        # its span is exactly 0.0; its slot 1 stays -inf and is every
+        # cell's own slot on it.
+        cm = max((len(g) for g in groups), default=1)
+        cm = max(2, 1 << (cm - 1).bit_length())
+        self.cm = cm
+        self.nowner = np.zeros((cm, R), dtype=np.int64)
+        self.noff = np.full((cm, 4, R), -np.inf)
+        self.noff[0, :, nlive] = 0.0
+        for r, by_owner in enumerate(groups):
+            for s, (c, g) in enumerate(by_owner.items()):
+                self.nowner[s, r] = c
+                self.noff[s, :, r] = (g[2], g[3], -g[0], -g[1])
+        slot = [{c: s for s, c in enumerate(g)} for g in groups]
+        own_slot = np.ones((n, netmax), dtype=np.int64)
+        for i, ids in enumerate(cell_nets):
+            own_slot[i, : len(ids)] = [slot[r][i] for r in ids]
+        planes = np.arange(4, dtype=np.int64)
+        #: Flat index of each (plane, slot, net) center into ``cxy4``.
+        self.base_idx = planes[None, :, None] * n + self.nowner[:, None, :]
+        #: Flat index of each (plane, cell, net) pair's own slot into the
+        #: raveled ``ntab``, and of its net's first and second extremes
+        #: into the raveled ``top`` (slot group 0): one 1-D take each per
+        #: refresh.
+        self.own_idx = (
+            (own_slot[None] * 4 + planes[:, None, None]) * R + self.cnet
+        )
+        top_planes = np.stack([planes, planes + 2 * cm])
+        self.top_idx = top_planes[:, :, None, None] * R + self.cnet
 
         core = state.core
         self.core_lo = np.array([core.x1, core.y1])
@@ -351,11 +355,18 @@ class BatchKernel:
         # session so the per-commit refreshes are pure out= ufunc calls.
         self.R = R
         self.netmax = netmax
-        self.nhi = np.empty((2, cm, R))
-        self.nlo = np.empty((2, cm, R))
+        self.ntab = np.empty((cm, 4, R))
+        #: Top-2 halving pass: ``top[0, j]``/``top[1, j]`` hold the
+        #: first/second extremes of slot group j, and group 0 ends with
+        #: every net's; ``top_min`` is the pass's scratch.
+        self.top = np.empty((2, cm // 2, 4, R))
+        self.top_min = np.empty((max(1, cm // 4), 4, R))
         self.cur_s = np.empty((2, R))
-        self.bhi = np.empty((2, cm, n, netmax))
-        self.blo = np.empty((2, cm, n, netmax))
+        self.own = np.empty((4, n, netmax))
+        #: (first, second) extremes of each pair's net; after a refresh
+        #: ``others`` (row 0) is the extreme over the net's other owners.
+        self.pair_top = np.empty((2, 4, n, netmax))
+        self.others = self.pair_top[0]
         self.cs_cell = np.empty((2, n, netmax))
         self.O_tile = np.empty(S)
         self.O_cell = np.empty(n)
@@ -410,59 +421,37 @@ class BatchKernel:
     # vectorized cost pieces
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _hmax(g: np.ndarray) -> np.ndarray:
-        """max over the (power-of-two) owner axis 1 via pairwise maximum."""
-        s = g.shape[1]
-        while s > 1:
-            s //= 2
-            g = np.maximum(g[:, :s], g[:, s:])
-        return g[:, 0]
-
-    @staticmethod
-    def _hmin(g: np.ndarray) -> np.ndarray:
-        s = g.shape[1]
-        while s > 1:
-            s //= 2
-            g = np.minimum(g[:, :s], g[:, s:])
-        return g[:, 0]
-
-    @staticmethod
-    def _hmax_i(g: np.ndarray) -> np.ndarray:
-        """In-place variant of _hmax for scratch buffers (the buffer's
-        leading owner planes are clobbered; the reduced view is returned)."""
-        s = g.shape[1]
-        while s > 1:
-            s //= 2
-            np.maximum(g[:, :s], g[:, s : 2 * s], out=g[:, :s])
-        return g[:, 0]
-
-    @staticmethod
-    def _hmin_i(g: np.ndarray) -> np.ndarray:
-        s = g.shape[1]
-        while s > 1:
-            s //= 2
-            np.minimum(g[:, :s], g[:, s : 2 * s], out=g[:, :s])
-        return g[:, 0]
-
     def _refresh_spans(self) -> None:
-        """Per-net (x, y) spans from the collapsed owner tables."""
-        base = self._buf("span_base", (2, self.cm, self.R))
-        np.take(self.cxy, self.nowner, axis=1, out=base, mode="clip")
-        np.add(base, self.noffmax, out=self.nhi)
-        np.add(base, self.noffmin, out=self.nlo)
-        hi = self._buf("span_hi", self.nhi.shape)
-        lo = self._buf("span_lo", self.nlo.shape)
-        np.copyto(hi, self.nhi)
-        np.copyto(lo, self.nlo)
-        np.subtract(self._hmax_i(hi), self._hmin_i(lo), out=self.cur_s)
+        """Per-net (x, y) spans, and each net's first and second extremes
+        per stacked plane, from one top-2 halving pass over the owner
+        slots (a tie at the extreme makes the second equal the first)."""
+        t = self.ntab
+        np.take(self.cxy4.reshape(-1), self.base_idx, out=t, mode="clip")
+        np.add(t, self.noff, out=t)
+        first, second = self.top
+        h = self.cm // 2
+        np.maximum(t[:h], t[h:], out=first)
+        np.minimum(t[:h], t[h:], out=second)
+        while h > 1:
+            g, h = h, h // 2
+            m = self.top_min[:h]
+            np.minimum(first[:h], first[h:g], out=m)
+            np.maximum(first[:h], first[h:g], out=first[:h])
+            np.maximum(second[:h], second[h:g], out=second[:h])
+            np.maximum(second[:h], m, out=second[:h])
+        np.add(first[0, :2], first[0, 2:], out=self.cur_s)
 
     def _refresh_c1_tables(self) -> None:
-        """Re-gather the center-dependent per-cell C1 tables (staged
-        through the net-level extreme tables _refresh_spans just built)."""
-        np.take(self.nhi.reshape(-1), self.c1_idx, out=self.bhi, mode="clip")
-        np.take(self.nlo.reshape(-1), self.c1_idx, out=self.blo, mode="clip")
-        np.take(self.cur_s, self.cnet, axis=1, out=self.cs_cell, mode="clip")
+        """Every (cell, net) pair's own extremes and its co-owners'
+        extremes: the net's second extreme where the pair holds its
+        first, the first otherwise."""
+        pt = self.pair_top
+        np.take(self.top.reshape(-1), self.top_idx, out=pt, mode="clip")
+        np.add(pt[0, :2], pt[0, 2:], out=self.cs_cell)
+        np.take(self.ntab.reshape(-1), self.own_idx, out=self.own, mode="clip")
+        held = self._buf("held", self.own.shape, dtype=np.bool_)
+        np.equal(self.own, pt[0], out=held)
+        np.copyto(pt[0], pt[1], where=held)
 
     def _refresh_overlaps(self) -> None:
         """Recompute the exact C2 total and the per-tile / per-cell
@@ -599,24 +588,56 @@ class BatchKernel:
 
     def _disp_dc1(self, cells: np.ndarray, d: np.ndarray) -> np.ndarray:
         """(K,) ΔC1 of displacing ``cells`` by ``d`` — computed for all
-        cells at once over the pre-gathered tables (unmoved cells get an
-        exactly-zero delta), then sliced to the batch."""
-        df = self._buf("disp_df", (self.n, 2))
+        cells at once over the per-pair tables (unmoved cells get an
+        exactly-zero delta), then sliced to the batch.  A moved cell's
+        new extreme on a net is max(own + shift, others): max, min and
+        negation are exact, so this equals a full re-reduction."""
+        df = self._buf("disp_df", (4, self.n))
         df.fill(0.0)
-        df[cells] = d
-        hi = self._buf("disp_hi", self.bhi.shape)
-        lo = self._buf("disp_lo", self.blo.shape)
-        np.multiply(df.T[:, None, :, None], self.mine, out=hi)
-        np.add(self.blo, hi, out=lo)
-        np.add(self.bhi, hi, out=hi)
+        df[:2, cells] = d.T
+        np.negative(df[:2], out=df[2:])
+        ext = self._buf("disp_ext", self.own.shape)
+        np.add(self.own, df[:, :, None], out=ext)
+        np.maximum(ext, self.others, out=ext)
         ns = self._buf("disp_ns", self.cs_cell.shape)
-        np.subtract(self._hmax_i(hi), self._hmin_i(lo), out=ns)
+        np.add(ext[:2], ext[2:], out=ns)
         np.subtract(ns, self.cs_cell, out=ns)
         dall = self._buf("disp_dall", (self.n,))
         np.einsum("cnm,cnm->n", self.wcell, ns, out=dall)
         out = self._buf("disp_dc1", (len(cells),))
         np.take(dall, cells, out=out, mode="clip")
         return out
+
+    def _swap_dc1(
+        self, a: np.ndarray, b: np.ndarray, da: np.ndarray
+    ) -> np.ndarray:
+        """(K,) ΔC1 of moving cells ``a`` by ``da`` and ``b`` by ``-da``:
+        every net of a or b, with nets in both lists counted once (via
+        a's list).  A net only one of the pair owns, and the sentinel,
+        move as in :meth:`_disp_dc1`; a net both own has two moved
+        owners, so its new extremes come from its owner slots."""
+        step = np.concatenate([da.T, -da.T])[:, :, None]
+        na, nb = self.cnet[a], self.cnet[b]
+        both = na[:, :, None] == nb[:, None, :]
+        ext_a = np.maximum(self.own[:, a] + step, self.others[:, a])
+        i, m = np.nonzero(both.any(axis=2) & (na < self.R - 1))
+        nets = na[i, m]
+        ow = self.nowner[:, None, nets]
+        sh = step[:, i, 0]
+        shift = sh * (ow == a[i]) - sh * (ow == b[i])
+        ext_a[:, i, m] = (self.ntab[:, :, nets] + shift).max(axis=0)
+        ext_b = np.maximum(self.own[:, b] - step, self.others[:, b])
+
+        def terms(ext, rows):
+            ns = ext[:2] + ext[2:]
+            return (
+                self.wcell[:, rows] * (ns - self.cs_cell[:, rows])
+            ).sum(axis=0)
+
+        shared = both.any(axis=1)
+        return terms(ext_a, a).sum(axis=-1) + np.where(
+            shared, 0.0, terms(ext_b, b)
+        ).sum(axis=-1)
 
     # ------------------------------------------------------------------
     # batches
@@ -721,29 +742,7 @@ class BatchKernel:
             new_static + intra_new - (self.O_cell[a] + self.O_cell[b] - intra_old)
         )
 
-        # ΔC1: every net of a or b, with both shifts applied; nets shared
-        # by both lists are counted once (via a's list).
-        da = cb - ca
-
-        def contrib(rows):
-            ow = self.own[:, rows]
-            shift = da.T[:, None, :, None] * (ow == a[:, None]) - da.T[
-                :, None, :, None
-            ] * (ow == b[:, None])
-            ns = self._hmax(self.bhi[:, :, rows] + shift) - self._hmin(
-                self.blo[:, :, rows] + shift
-            )
-            return (
-                self.wcell[:, rows] * (ns - self.cs_cell[:, rows])
-            ).sum(axis=0)
-
-        shared = (
-            self.cnet[b][:, :, None] == self.cnet[a][:, None, :]
-        ).any(axis=-1)
-        d_c1 = contrib(a).sum(axis=-1) + np.where(
-            shared, 0.0, contrib(b)
-        ).sum(axis=-1)
-
+        d_c1 = self._swap_dc1(a, b, cb - ca)
         accept = self._metropolis(d_c1 + self.p2 * d_c2, temperature, rng)
         if accept.any():
             acc2 = np.concatenate([accept, accept])
@@ -780,6 +779,7 @@ class BatchKernel:
         """Apply accepted proposals and refresh the exact totals."""
         self.centers[cells] = targets
         self.cxy[:, cells] = targets.T
+        np.negative(self.cxy, out=self.cxy4[2:])
         idx = self.slotidx[cells].ravel()
         self.sx1[idx] = nx1.ravel()
         self.sy1[idx] = ny1.ravel()

@@ -154,7 +154,7 @@ def warn_residual(residual: float, where: str) -> None:
     passes with shapes still overlapping."""
     if residual > 0:
         warnings.warn(
-            f"legalization left {residual:.1f} units^2 of overlap {where}; "
+            f"legalization left {residual:.3g} units^2 of overlap {where}; "
             "channels may be missing where shapes still overlap",
             stacklevel=3,
         )

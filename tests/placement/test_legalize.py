@@ -106,3 +106,12 @@ class TestResidualWarnings:
                 m.startswith("legalization left 2.5 units^2 of overlap " + where)
                 for m in messages
             ), where
+
+    def test_small_residual_keeps_its_significant_digits(self):
+        from repro.placement.legalize import warn_residual
+
+        with pytest.warns(UserWarning) as caught:
+            warn_residual(0.01, "in the final legalization")
+        assert str(caught[0].message).startswith(
+            "legalization left 0.01 units^2 of overlap in the final legalization"
+        )
