@@ -35,9 +35,9 @@ per-net router fan-out; see ``docs/parallel.md``), and
 ``--rundir DIR / --registry DB / --metrics-textfile PATH`` (the
 observability layer: run manifest, run log and live heartbeat in the
 rundir, a QoR row in the SQLite run registry, Prometheus textfile
-exposition; see ``docs/qor.md``), and ``--core array|object /
---cooling table|adaptive`` (stage-1 inner-loop implementation and
-cooling schedule; see ``docs/performance.md``).
+exposition; see ``docs/qor.md``), and ``--cooling table|adaptive /
+--mover serial|batched`` (cooling schedule and move driver; see
+``docs/performance.md``).
 
 Setting the ``REPRO_FAULTS`` environment variable (e.g.
 ``router.route_net@3:error``) arms the fault-injection harness for the
@@ -262,14 +262,13 @@ def cmd_place(args: argparse.Namespace) -> int:
     try:
         config = replace(
             config,
-            core=args.core,
             cooling=args.cooling,
             mover=args.mover,
             batch_moves=args.batch_moves,
         )
     except ValueError as exc:
-        # e.g. --mover batched with --core object: a clean one-line
-        # refusal, not a dataclass traceback.
+        # e.g. --batch-moves 0: a clean one-line refusal, not a
+        # dataclass traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.workers != 1 or args.chains != 1 or args.exchange_period != 10:
@@ -543,14 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_place.add_argument("circuit", help="circuit file (.twmc)")
     p_place.add_argument("--preset", default="fast", help="smoke | fast | paper")
     p_place.add_argument("--seed", type=int, default=0)
-    p_place.add_argument(
-        "--core",
-        default="array",
-        choices=("array", "object"),
-        help="stage-1 inner-loop implementation: the struct-of-arrays "
-        "kernel (default) or the original object graph; both replay "
-        "identically at the same seed",
-    )
     p_place.add_argument(
         "--cooling",
         default="table",

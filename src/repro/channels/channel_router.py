@@ -50,9 +50,6 @@ class ChannelRoute:
     num_tracks: int
     intervals: Dict[str, Tuple[float, float]]
 
-    def track_of(self, net: str) -> int:
-        return self.tracks[net]
-
 
 def net_intervals(pins: Sequence[ChannelPin]) -> Dict[str, Tuple[float, float]]:
     """Each net's trunk interval: the span of its pin columns."""

@@ -166,7 +166,7 @@ class TimberWolfConfig:
             raise ValueError(
                 "mover='batched' requires core='array': the batched "
                 "sweep kernel runs on the struct-of-arrays core only "
-                "(pass --core array or drop --mover batched)"
+                "(set core='array' or mover='serial')"
             )
         if self.batch_moves < 1:
             raise ValueError("batch_moves must be at least 1")

@@ -5,13 +5,15 @@ Every recorded run leaves its log — one trace JSONL per attempt,
 in its rundir.  This module turns them into the documents the obs
 server and the ``repro trace`` CLI serve:
 
-* :func:`span_tree` — nested spans (begin/end pairs joined, unclosed
-  spans kept with ``end: null`` so a crashed attempt is still legible);
+* :func:`span_tree` — nested spans with their paths and self times,
+  re-exported from :mod:`repro.telemetry.report`, which holds the one
+  begin/end join (unclosed spans are kept with ``end: null`` so a
+  crashed attempt is still legible);
 * :func:`waterfall` — the flat Gantt rows (start/end offsets against
-  the trace origin, depth, path) a renderer draws directly;
-* :func:`trace_document` — one rundir's merged view: one *process
-  section* per trace file (a retried job has one file per attempt),
-  plus the trace ids found in them;
+  the trace origin, depth, path, self time) a renderer draws directly;
+* :func:`trace_document` — one rundir's (or one trace file's) merged
+  view: one *process section* per trace file (a retried job has one
+  file per attempt), plus the trace ids found in them;
 * :func:`render_trace_html` — a dependency-free HTML waterfall;
 * :func:`profile_document` — the sampling profiler's collapsed stacks
   re-aggregated into the per-stage attribution summary.
@@ -29,65 +31,10 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..qor.recorder import run_logs
 from ..telemetry.profile import attribution_from_collapsed
-from ..telemetry.report import load_events
+from ..telemetry.report import load_events, span_tree, walk_spans
 
 #: The sampling profiler's output in a rundir.
 PROFILE_NAME = "profile.collapsed"
-
-#: Begin-event bookkeeping fields excluded from a span's ``fields``.
-_SPAN_META = {
-    "ev", "name", "t", "span", "parent", "t_origin", "trace_id", "trace_span",
-    "chain",
-}
-
-
-def span_tree(events: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Join begin/end pairs into nested span nodes (roots returned).
-
-    Events with an unknown parent become roots; spans without an end
-    (the process died inside them) keep ``end: null`` / ``ok: null``.
-    """
-    nodes: Dict[Any, Dict[str, Any]] = {}
-    roots: List[Dict[str, Any]] = []
-    for ev in events:
-        kind = ev.get("ev")
-        if kind == "span_begin":
-            node = {
-                "span": ev.get("span"),
-                "name": ev.get("name"),
-                "start": ev.get("t"),
-                "end": None,
-                "wall_s": None,
-                "cpu_s": None,
-                "ok": None,
-                "chain": ev.get("chain"),
-                "trace_id": ev.get("trace_id"),
-                "fields": {
-                    k: v for k, v in ev.items() if k not in _SPAN_META
-                },
-                "events": 0,
-                "children": [],
-            }
-            nodes[ev.get("span")] = node
-            parent = nodes.get(ev.get("parent"))
-            if parent is not None:
-                parent["children"].append(node)
-            else:
-                roots.append(node)
-        elif kind == "span_end":
-            node = nodes.get(ev.get("span"))
-            if node is not None:
-                node["end"] = ev.get("t")
-                node["wall_s"] = ev.get("wall_s")
-                node["cpu_s"] = ev.get("cpu_s")
-                node["ok"] = ev.get("ok")
-                if "error" in ev:
-                    node["error"] = ev["error"]
-        elif kind in ("event", "counter", "gauge"):
-            node = nodes.get(ev.get("span"))
-            if node is not None:
-                node["events"] += 1
-    return roots
 
 
 def waterfall(roots: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
@@ -97,30 +44,21 @@ def waterfall(roots: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
     span's end is extended to the latest end seen anywhere (so the bar
     shows "still open when the trace stopped", not zero width).
     """
-    rows: List[Dict[str, Any]] = []
-
-    def walk(node: Dict[str, Any], depth: int, prefix: str) -> None:
-        path = f"{prefix}/{node['name']}" if prefix else str(node["name"])
-        rows.append(
-            {
-                "name": node["name"],
-                "path": path,
-                "depth": depth,
-                "start": node["start"],
-                "end": node["end"],
-                "wall_s": node["wall_s"],
-                "ok": node["ok"],
-                "chain": node.get("chain"),
-                "events": node["events"],
-            }
-        )
-        for child in sorted(
-            node["children"], key=lambda n: (n["start"] is None, n["start"])
-        ):
-            walk(child, depth + 1, path)
-
-    for root in sorted(roots, key=lambda n: (n["start"] is None, n["start"])):
-        walk(root, 0, "")
+    rows = [
+        {
+            "name": node["name"],
+            "path": node["path"],
+            "depth": depth,
+            "start": node["start"],
+            "end": node["end"],
+            "wall_s": node["wall_s"],
+            "self_s": node["self_s"],
+            "ok": node["ok"],
+            "chain": node.get("chain"),
+            "events": node["events"],
+        }
+        for depth, node in walk_spans(roots)
+    ]
     horizon = max(
         (r["end"] for r in rows if r["end"] is not None), default=None
     )
@@ -142,23 +80,25 @@ def trace_ids_of(events: Sequence[Dict[str, Any]]) -> List[str]:
 
 
 def trace_document(
-    rundir: Union[str, Path], run_id: Optional[str] = None
+    path: Union[str, Path], run_id: Optional[str] = None
 ) -> Optional[Dict[str, Any]]:
-    """One rundir's merged trace view, or None when it holds no trace.
+    """The merged trace view of a rundir or of one trace file, or None
+    when there is no trace.
 
     One *process section* per run log, oldest attempt first: a run
     resumed in the same rundir (or a service job retried after a
     SIGKILL) leaves ``trace-attempt-01.jsonl`` and
     ``trace-attempt-02.jsonl``, and both attempts appear here under the
-    same trace id.
+    same trace id.  A single file gives a one-section document.
     """
-    files = run_logs(rundir)
+    path = Path(path)
+    files = [path] if path.is_file() else run_logs(path)
     if not files:
         return None
     processes: List[Dict[str, Any]] = []
     all_trace_ids: List[str] = []
-    for path in files:
-        events = load_events(path)
+    for log in files:
+        events = load_events(log)
         roots = span_tree(events)
         tids = trace_ids_of(events)
         for tid in tids:
@@ -166,7 +106,7 @@ def trace_document(
                 all_trace_ids.append(tid)
         processes.append(
             {
-                "file": path.name,
+                "file": log.name,
                 "events": len(events),
                 "trace_ids": tids,
                 "spans": roots,
@@ -175,7 +115,7 @@ def trace_document(
         )
     return {
         "run_id": run_id,
-        "rundir": str(rundir),
+        "rundir": str(path.parent if path.is_file() else path),
         "trace_id": all_trace_ids[0] if len(all_trace_ids) == 1 else None,
         "trace_ids": all_trace_ids,
         "processes": processes,

@@ -477,10 +477,6 @@ class BatchKernel:
         self._refresh_spans()
         return float(np.einsum("cr,cr->", self.w2, self.cur_s))
 
-    def _c2_total(self) -> float:
-        self._refresh_overlaps()
-        return self.c2
-
     def _expansions(
         self, cells: np.ndarray, centers: np.ndarray, tag: str
     ) -> np.ndarray:

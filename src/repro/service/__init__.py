@@ -41,7 +41,7 @@ from .spec import (
     JobSpec,
     new_job_id,
 )
-from .store import JobStore, SqliteJobStore
+from .store import SqliteJobStore
 from .supervisor import ServiceConfig, Supervisor
 from .view import ServiceView
 from .worker import ServicePaths, build_worker_command
@@ -52,7 +52,6 @@ __all__ = [
     "JOB_STATES",
     "Job",
     "JobSpec",
-    "JobStore",
     "QueueFull",
     "RetryPolicy",
     "ServiceConfig",

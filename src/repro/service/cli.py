@@ -87,7 +87,6 @@ def add_service_command(subparsers: argparse._SubParsersAction) -> None:
     p_submit.add_argument("circuit", help="circuit file (.twmc)")
     p_submit.add_argument("--preset", default="smoke", help="smoke | fast | paper")
     p_submit.add_argument("--seed", type=int, default=0)
-    p_submit.add_argument("--core", default="array", choices=("array", "object"))
     p_submit.add_argument("--cooling", default="table", choices=("table", "adaptive"))
     p_submit.add_argument(
         "--checkpoint-every", type=int, default=5, metavar="N",
@@ -176,7 +175,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
                 args.circuit,
                 preset=args.preset,
                 seed=args.seed,
-                core=args.core,
                 cooling=args.cooling,
                 checkpoint_every=args.checkpoint_every,
                 tenant=args.tenant,

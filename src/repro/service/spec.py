@@ -1,7 +1,7 @@
 """Job identity: what a placement job *is*, independent of scheduling.
 
 A :class:`JobSpec` is the flow-level description (which circuit, which
-preset/seed/core) — everything a worker needs to reproduce the run
+preset/seed/cooling) — everything a worker needs to reproduce the run
 bit-for-bit.  A :class:`Job` is the queue-level record: the spec plus
 tenant, priority, attempt accounting, and lifecycle state.  The split
 mirrors the registry's circuit-hash/config-hash comparability contract:
@@ -47,7 +47,6 @@ class JobSpec:
     circuit: str
     preset: str = "smoke"
     seed: int = 0
-    core: str = "array"
     cooling: str = "table"
     #: Stage-1 checkpoint cadence for the worker (temperature steps).
     #: Small by default: the denser the checkpoints, the less work a
@@ -59,13 +58,16 @@ class JobSpec:
             "circuit": self.circuit,
             "preset": self.preset,
             "seed": self.seed,
-            "core": self.core,
             "cooling": self.cooling,
             "checkpoint_every": self.checkpoint_every,
         }
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "JobSpec":
+        # Queues written while specs still named a stage-1 core store a
+        # ``core`` key.  A service job runs the serial mover, which
+        # replays move for move on either core, so the key is dropped.
+        data = {k: v for k, v in data.items() if k != "core"}
         known = set(JobSpec.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:

@@ -1,12 +1,12 @@
 """The persistent job queue, backed by the run-registry SQLite file.
 
-:class:`JobStore` is the small interface the supervisor, the CLI, and
-the observability view program against; :class:`SqliteJobStore` is the
-implementation, adding a ``jobs`` table (and a ``service_meta``
-key-value table for the drain flag and the supervisor lease) to the
-same database file the :class:`~repro.qor.registry.RunRegistry` uses —
-one file holds the whole service state, so a supervisor restart, a
-monitor, and every worker see a single consistent world.
+:class:`SqliteJobStore` is the store the supervisor, the CLI, and the
+observability view program against.  It adds a ``jobs`` table (and a
+``service_meta`` key-value table for the drain flag and the supervisor
+lease) to the same database file the
+:class:`~repro.qor.registry.RunRegistry` uses — one file holds the
+whole service state, so a supervisor restart, a monitor, and every
+worker see a single consistent world.
 
 Concurrency: the file is shared by the supervisor, N workers (their
 ``RunRecorder`` registry writes), submitters, and read-only monitors.
@@ -63,67 +63,6 @@ class StoreError(RuntimeError):
     """A job lookup failed (unknown or ambiguous id, bad state, ...)."""
 
 
-class JobStore:
-    """The interface the service layers program against.
-
-    Deliberately small — exactly what the supervisor, the submit/status
-    CLI, and the observability view need — so a real database can slot
-    in behind it without touching any of them.
-    """
-
-    def submit(self, spec, *, tenant="default", priority=0,
-               wall_timeout=None, max_attempts=5, job_id=None,
-               backpressure=None, trace_id=None,
-               now=None) -> Tuple[Job, Optional[Job]]:
-        raise NotImplementedError
-
-    def get(self, job_id: str) -> Job:
-        raise NotImplementedError
-
-    def jobs(self, state=None, tenant=None, limit=1000) -> List[Job]:
-        raise NotImplementedError
-
-    def counts(self) -> Dict[str, int]:
-        raise NotImplementedError
-
-    def claim_next(self, owner: str, now=None) -> Optional[Job]:
-        raise NotImplementedError
-
-    def set_worker(self, job_id: str, pid: Optional[int]) -> None:
-        raise NotImplementedError
-
-    def mark_done(self, job_id: str, run_id=None, now=None) -> None:
-        raise NotImplementedError
-
-    def mark_dead(self, job_id: str, reason: str, now=None) -> None:
-        raise NotImplementedError
-
-    def requeue(self, job_id: str, delay=0.0, reason=None,
-                count_attempt=True, now=None) -> None:
-        raise NotImplementedError
-
-    def set_draining(self, draining: bool) -> None:
-        raise NotImplementedError
-
-    def draining(self) -> bool:
-        raise NotImplementedError
-
-    def acquire_lease(self, owner: str, info=None, stale_after=15.0) -> bool:
-        raise NotImplementedError
-
-    def refresh_lease(self, owner: str) -> None:
-        raise NotImplementedError
-
-    def release_lease(self, owner: str) -> None:
-        raise NotImplementedError
-
-    def lease(self) -> Optional[Dict[str, Any]]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
 def _pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)
@@ -134,7 +73,7 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-class SqliteJobStore(JobStore):
+class SqliteJobStore:
     """The jobs table inside the run-registry database file."""
 
     def __init__(self, path: Union[str, Path], readonly: bool = False) -> None:
@@ -416,14 +355,6 @@ class SqliteJobStore(JobStore):
             lambda: self._conn.execute(
                 "UPDATE jobs SET worker_pid = ?, updated = ? WHERE job_id = ?",
                 (pid, time.time(), job_id),
-            )
-        )
-
-    def set_run_id(self, job_id: str, run_id: Optional[str]) -> None:
-        self._transact(
-            lambda: self._conn.execute(
-                "UPDATE jobs SET run_id = ?, updated = ? WHERE job_id = ?",
-                (run_id, time.time(), job_id),
             )
         )
 

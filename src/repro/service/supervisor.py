@@ -45,7 +45,7 @@ from ..telemetry.context import TraceContext, new_span_id
 from .events import EventLog
 from .policy import BackpressurePolicy, RetryPolicy
 from .spec import Job
-from .store import JobStore, SqliteJobStore, _pid_alive
+from .store import SqliteJobStore, _pid_alive
 from .worker import ServicePaths, build_worker_command
 
 
@@ -105,7 +105,7 @@ class Supervisor:
     def __init__(
         self,
         config: ServiceConfig,
-        store: Optional[JobStore] = None,
+        store: Optional[SqliteJobStore] = None,
         events: Optional[EventLog] = None,
         rng: Optional[random.Random] = None,
     ) -> None:

@@ -48,7 +48,6 @@ class ServiceView:
         *,
         preset: str = "smoke",
         seed: int = 0,
-        core: str = "array",
         cooling: str = "table",
         checkpoint_every: int = 5,
         tenant: str = "default",
@@ -80,7 +79,6 @@ class ServiceView:
             circuit=str(snapshot),
             preset=preset,
             seed=seed,
-            core=core,
             cooling=cooling,
             checkpoint_every=checkpoint_every,
         )

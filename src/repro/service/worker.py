@@ -127,8 +127,6 @@ def build_worker_command(
         spec.preset,
         "--seed",
         str(spec.seed),
-        "--core",
-        spec.core,
         "--cooling",
         spec.cooling,
         "--checkpoint-dir",

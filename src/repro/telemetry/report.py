@@ -7,7 +7,11 @@ Given a JSONL trace (or an in-memory event list) this module rebuilds:
 * the cost-vs-iteration table — the Fig. 4/6 analogue, tracking the
   total cost and its C1/C2/C3 components across temperature steps;
 * the per-stage time/cost summary — the Table 4 analogue, aggregating
-  every span by its path with wall/CPU totals.
+  every span by its path with wall/CPU totals and self times.
+
+Every table that needs the span structure reads it from
+:func:`span_tree`, the one join of the trace's begin/end pairs; the
+obs server's trace views and ``repro trace`` read the same join.
 
 Each table is available as ``(headers, rows)`` for programmatic use,
 as CSV files, and as plain text.  Run as a CLI::
@@ -20,7 +24,9 @@ from __future__ import annotations
 import argparse
 import csv
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from ..bench.metrics import format_table
 from .tracer import JsonlTailer
@@ -42,29 +48,91 @@ def load_events(source: Union[str, Path, Iterable[Event]]) -> List[Event]:
     return list(source)
 
 
-def span_paths(events: Sequence[Event]) -> Dict[int, str]:
-    """Map each span id to its slash-joined path from the root span."""
-    names: Dict[int, str] = {}
-    parents: Dict[int, Optional[int]] = {}
+#: Begin-event bookkeeping fields excluded from a span's ``fields``.
+_SPAN_META = {
+    "ev", "name", "t", "span", "parent", "t_origin", "trace_id", "trace_span",
+    "chain",
+}
+
+
+def span_tree(events: Sequence[Event]) -> List[Dict[str, Any]]:
+    """Join begin/end pairs into nested span nodes (roots returned).
+
+    This is the one begin/end join every trace reader uses.  Each node
+    carries its ``path`` (the slash-joined names from its root) and its
+    ``self_s``: its ``wall_s`` minus the summed ``wall_s`` of its closed
+    direct children, floored at 0 — chain spans ingested from parallel
+    workers ran at the same time, so their walls can sum past their
+    parent's.  Events with an unknown parent become roots; spans without
+    an end (the process died inside them) keep ``end``, ``ok`` and
+    ``self_s`` None.
+    """
+    nodes: Dict[Any, Dict[str, Any]] = {}
+    every: List[Dict[str, Any]] = []
+    roots: List[Dict[str, Any]] = []
     for ev in events:
-        if ev.get("ev") == "span_begin":
-            sid = ev["span"]
-            names[sid] = ev["name"]
-            parents[sid] = ev.get("parent")
-    paths: Dict[int, str] = {}
+        kind = ev.get("ev")
+        if kind == "span_begin":
+            parent = nodes.get(ev.get("parent"))
+            name = ev.get("name")
+            node = {
+                "span": ev.get("span"),
+                "name": name,
+                "path": name if parent is None else f"{parent['path']}/{name}",
+                "start": ev.get("t"),
+                "end": None,
+                "wall_s": None,
+                "cpu_s": None,
+                "self_s": None,
+                "ok": None,
+                "chain": ev.get("chain"),
+                "trace_id": ev.get("trace_id"),
+                "fields": {
+                    k: v for k, v in ev.items() if k not in _SPAN_META
+                },
+                "events": 0,
+                "children": [],
+            }
+            nodes[ev.get("span")] = node
+            every.append(node)
+            (roots if parent is None else parent["children"]).append(node)
+        elif kind == "span_end":
+            node = nodes.get(ev.get("span"))
+            if node is not None:
+                node["end"] = ev.get("t")
+                node["wall_s"] = ev.get("wall_s")
+                node["cpu_s"] = ev.get("cpu_s")
+                node["ok"] = ev.get("ok")
+                if "error" in ev:
+                    node["error"] = ev["error"]
+        elif kind in ("event", "counter", "gauge"):
+            node = nodes.get(ev.get("span"))
+            if node is not None:
+                node["events"] += 1
+    for node in every:
+        if node["wall_s"] is not None:
+            children = sum(
+                c["wall_s"] for c in node["children"] if c["wall_s"] is not None
+            )
+            node["self_s"] = max(node["wall_s"] - children, 0.0)
+    return roots
 
-    def resolve(sid: int) -> str:
-        if sid in paths:
-            return paths[sid]
-        parent = parents.get(sid)
-        name = names.get(sid, f"span{sid}")
-        path = name if parent is None else f"{resolve(parent)}/{name}"
-        paths[sid] = path
-        return path
 
-    for sid in names:
-        resolve(sid)
-    return paths
+def walk_spans(
+    nodes: Sequence[Dict[str, Any]], depth: int = 0
+) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """``(depth, node)`` for every node of a span tree, depth first,
+    siblings in start order."""
+    for node in sorted(nodes, key=lambda n: (n["start"] is None, n["start"])):
+        yield depth, node
+        yield from walk_spans(node["children"], depth + 1)
+
+
+def span_paths(events: Sequence[Event]) -> Dict[int, str]:
+    """Map each span id to its path in :func:`span_tree`."""
+    return {
+        node["span"]: node["path"] for _, node in walk_spans(span_tree(events))
+    }
 
 
 def _temperature_events(events: Sequence[Event]) -> List[Tuple[str, Event]]:
@@ -195,28 +263,23 @@ def chain_summary(events: Sequence[Event]) -> Table:
 
 
 def stage_summary(events: Sequence[Event]) -> Table:
-    """Per-stage wall/CPU totals aggregated over every span occurrence."""
-    paths = span_paths(events)
-    agg: Dict[str, List[float]] = {}  # path -> [count, wall, cpu, failures]
-    order: List[str] = []
-    for ev in events:
-        if ev.get("ev") != "span_end":
+    """Per-stage wall/CPU totals and self times of the closed spans,
+    aggregated by path (the Table 4 analogue)."""
+    agg: Dict[str, List[float]] = {}  # path -> [calls, wall, cpu, failed, self]
+    for _, node in walk_spans(span_tree(events)):
+        if node["wall_s"] is None:
             continue
-        path = paths.get(ev.get("span", -1), ev.get("name", "?"))
-        if path not in agg:
-            agg[path] = [0, 0.0, 0.0, 0]
-            order.append(path)
-        entry = agg[path]
+        entry = agg.setdefault(node["path"], [0, 0.0, 0.0, 0, 0.0])
         entry[0] += 1
-        entry[1] += float(ev.get("wall_s", 0.0))
-        entry[2] += float(ev.get("cpu_s", 0.0))
-        if not ev.get("ok", True):
-            entry[3] += 1
-    headers = ["stage", "calls", "wall_s", "cpu_s", "failed"]
+        entry[1] += node["wall_s"]
+        entry[2] += node["cpu_s"] or 0.0
+        entry[3] += node["ok"] is False
+        entry[4] += node["self_s"]
+    headers = ["stage", "calls", "wall_s", "cpu_s", "failed", "self_s"]
     rows = [
-        [path, int(agg[path][0]), round(agg[path][1], 4), round(agg[path][2], 4),
-         int(agg[path][3])]
-        for path in sorted(order)
+        [path, int(calls), round(wall, 4), round(cpu, 4), int(failed),
+         round(self_s, 4)]
+        for path, (calls, wall, cpu, failed, self_s) in sorted(agg.items())
     ]
     return headers, rows
 

@@ -1,8 +1,8 @@
 """CLI handler for ``python -m repro trace``.
 
 Offline access to the same trace views the obs server serves: ``show``
-prints a span tree (with per-span wall time and event counts) straight
-from a rundir or a single trace JSONL; ``export`` writes the merged
+prints a span tree (with per-span wall and self time and event counts)
+straight from a rundir or a single trace JSONL; ``export`` writes the merged
 trace document as JSON or as the standalone HTML waterfall.  Kept in
 its own module so ``repro.__main__`` registers the command without
 importing the obs view code until it actually runs.
@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 
 def add_trace_command(subparsers: argparse._SubParsersAction) -> None:
@@ -56,54 +56,17 @@ def add_trace_command(subparsers: argparse._SubParsersAction) -> None:
     export_p.set_defaults(func=cmd_trace_export)
 
 
-def _document(path_arg: str) -> Optional[Dict[str, Any]]:
-    """The trace document for a rundir — or for one explicit JSONL file,
-    wrapped in a single-process document of the same shape."""
-    from ..obs.trace import span_tree, trace_document, trace_ids_of, waterfall
-    from .report import load_events
-
-    path = Path(path_arg)
-    if path.is_dir():
-        return trace_document(path)
-    if not path.is_file():
-        return None
-    events = load_events(path)
-    roots = span_tree(events)
-    tids = trace_ids_of(events)
-    return {
-        "run_id": None,
-        "rundir": str(path.parent),
-        "trace_id": tids[0] if len(tids) == 1 else None,
-        "trace_ids": tids,
-        "processes": [
-            {
-                "file": path.name,
-                "events": len(events),
-                "trace_ids": tids,
-                "spans": roots,
-                "waterfall": waterfall(roots),
-            }
-        ],
-        "span_count": len(waterfall(roots)),
-    }
-
-
-def _format_span(node: Dict[str, Any], depth: int, lines: List[str]) -> None:
-    dur = f"{node['wall_s']:.3f}s" if node.get("wall_s") is not None else "open"
+def _format_span(row: Dict[str, Any]) -> str:
+    dur = f"{row['wall_s']:.3f}s" if row["wall_s"] is not None else "open"
+    own = f"  self {row['self_s']:.3f}s" if row["self_s"] is not None else ""
     status = ""
-    if node.get("ok") is False:
+    if row["ok"] is False:
         status = " FAILED"
-    elif node.get("end") is None:
+    elif row.get("open"):
         status = " (unclosed)"
-    chain = f" chain={node['chain']}" if node.get("chain") is not None else ""
-    events = f" events={node['events']}" if node.get("events") else ""
-    lines.append(
-        f"{'  ' * depth}{node['name']}  {dur}{chain}{events}{status}"
-    )
-    for child in sorted(
-        node["children"], key=lambda n: (n["start"] is None, n["start"])
-    ):
-        _format_span(child, depth + 1, lines)
+    chain = f" chain={row['chain']}" if row["chain"] is not None else ""
+    events = f" events={row['events']}" if row["events"] else ""
+    return f"{'  ' * row['depth']}{row['name']}  {dur}{own}{chain}{events}{status}"
 
 
 def _format_waterfall(rows: List[Dict[str, Any]]) -> List[str]:
@@ -128,7 +91,9 @@ def _format_waterfall(rows: List[Dict[str, Any]]) -> List[str]:
 
 
 def cmd_trace_show(args: argparse.Namespace) -> int:
-    doc = _document(args.path)
+    from ..obs.trace import trace_document
+
+    doc = trace_document(args.path)
     if doc is None:
         print(f"no trace files under {args.path}", file=sys.stderr)
         return 1
@@ -140,22 +105,19 @@ def cmd_trace_show(args: argparse.Namespace) -> int:
         if args.waterfall:
             lines.extend(_format_waterfall(proc["waterfall"]))
         else:
-            for root in sorted(
-                proc["spans"], key=lambda n: (n["start"] is None, n["start"])
-            ):
-                _format_span(root, 0, lines)
+            lines.extend(_format_span(row) for row in proc["waterfall"])
     print("\n".join(lines))
     return 0
 
 
 def cmd_trace_export(args: argparse.Namespace) -> int:
-    doc = _document(args.path)
+    from ..obs.trace import render_trace_html, trace_document
+
+    doc = trace_document(args.path)
     if doc is None:
         print(f"no trace files under {args.path}", file=sys.stderr)
         return 1
     if args.html:
-        from ..obs.trace import render_trace_html
-
         text = render_trace_html(doc)
     else:
         text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"

@@ -388,7 +388,7 @@ class Tracer:
           (a child's ``span_begin`` before its parent's);
         * root spans and span-less events of the batch are attached to
           the currently open span (the coordinator's ``stage1`` span),
-          so ``report.span_paths`` nests them under the flow;
+          so ``report.span_tree`` nests them under the flow;
         * timestamps are restated against this tracer's origin — the
           producer's monotonic offset is preserved as ``t_origin``.
 

@@ -1,8 +1,10 @@
 """End-to-end telemetry: a traced flow emits the expected event stream
 and the per-temperature records reconcile with the engine's own stats."""
 
+import importlib.util
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,9 @@ from repro.telemetry.report import (
     acceptance_table,
     load_events,
     span_paths,
+    span_tree,
     stage_summary,
+    walk_spans,
     write_report,
 )
 
@@ -92,6 +96,51 @@ def child_coverage(events, names):
     ]
 
 
+def flowbench_spans():
+    """flowbench/spans.py (not a package), imported by its path."""
+    path = Path(__file__).resolve().parents[2] / "flowbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("flowbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: Span names timed by flowbench's ``legalize`` and ``compact`` wrappers.
+LEGALIZE_SPANS = {
+    "stage1.legalize", "stage2.legalize", "stage2.space",
+    "stage2.final_legalize", "stage2.compact",
+}
+
+
+def log_layer(path, name):
+    """The flowbench layer group a span's self time belongs to (None for
+    the flow root's own time, which flowbench does not split)."""
+    if name in LEGALIZE_SPANS:
+        return "legalize+compact"
+    if path == "flow/stage1" or path.startswith("flow/stage1/"):
+        return "stage1"
+    if "/router.route" in path:
+        return "router"
+    if name == "stage2.expansions":
+        return "density"
+    if "/stage2.refine_anneal/anneal" in path:
+        return "refine.anneal"
+    if path.startswith("flow/stage2"):
+        return "stage2+channels"
+    return None
+
+
+#: Each group as a sum of flowbench's outside-in layers.
+OUTSIDE_IN = {
+    "stage1": ("stage1",),
+    "legalize+compact": ("legalize", "compact"),
+    "router": ("router.phase1", "router.phase2", "router.route"),
+    "density": ("density",),
+    "refine.anneal": ("refine.anneal",),
+    "stage2+channels": ("stage2", "channels"),
+}
+
+
 class TestSpanCoverage:
     """Stage 2's layer spans add up to their parents, so a trace alone
     says where the time went."""
@@ -145,6 +194,45 @@ class TestSpanCoverage:
         assert {name for name, _ in coverage} == names
         for name, fraction in coverage:
             assert fraction >= 0.95, (name, fraction)
+
+    @pytest.fixture(
+        scope="class",
+        params=[{"mover": "batched", "attempts_per_cell": 10}, {}],
+        ids=["suite_i1", "serial"],
+    )
+    def both_ways(self, request):
+        """One i1 flow timed twice at once: by its own trace, and from
+        outside by flowbench's wrappers (``place_and_route`` as
+        ``flow``)."""
+        from repro.bench import load_circuit
+
+        spans = flowbench_spans()
+        config = replace(TimberWolfConfig.smoke(seed=7), **request.param)
+        mem = MemorySink()
+        recorder = spans.Recorder()
+        flow = recorder.wrap(place_and_route, "flow")
+        with spans.traced(recorder):
+            flow(
+                load_circuit("i1", 7), config,
+                tracer=Tracer(mem), collect_trace=False,
+            )
+        return mem.events, recorder.layer_self_times()
+
+    def test_self_times_match_outside_in_layers(self, both_ways):
+        """The log's self times, grouped into six layers, agree with
+        flowbench's outside-in self times within max(2 ms, 1%)."""
+        events, outside = both_ways
+        logged = dict.fromkeys(OUTSIDE_IN, 0.0)
+        for _, node in walk_spans(span_tree(events)):
+            group = log_layer(node["path"], node["name"])
+            if group is not None:
+                logged[group] += node["self_s"]
+        for group, layers in OUTSIDE_IN.items():
+            expected = sum(outside.get(layer, 0.0) for layer in layers)
+            assert expected > 0, group
+            assert logged[group] == pytest.approx(
+                expected, abs=max(0.002, 0.01 * expected)
+            ), group
 
     def test_batched_session_spans_nest_where_expected(self, batched_events):
         paths = set(span_paths(batched_events).values())

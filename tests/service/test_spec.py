@@ -8,10 +8,21 @@ from repro.service import JOB_STATES, TERMINAL_STATES, Job, JobSpec, new_job_id
 class TestJobSpec:
     def test_round_trip(self):
         spec = JobSpec(
-            circuit="c.twmc", preset="fast", seed=3, core="object",
+            circuit="c.twmc", preset="fast", seed=3,
             cooling="adaptive", checkpoint_every=2,
         )
         assert JobSpec.from_dict(spec.to_dict()) == spec
+
+    def test_spec_stored_with_a_core_still_loads(self):
+        """A queue written while specs named a stage-1 core: the key is
+        dropped (a serial job replays identically on either core)."""
+        stored = {
+            "circuit": "c.twmc", "preset": "fast", "seed": 3,
+            "core": "object", "cooling": "table", "checkpoint_every": 5,
+        }
+        spec = JobSpec.from_dict(stored)
+        assert spec == JobSpec(circuit="c.twmc", preset="fast", seed=3)
+        assert "core" not in spec.to_dict()
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown job spec fields"):

@@ -30,7 +30,7 @@ class TestBuildWorkerCommand:
     def test_first_attempt_is_a_fresh_place(self, tmp_path):
         paths = ServicePaths(tmp_path)
         paths.ensure_job_dirs("j1")
-        job = make_job(preset="fast", seed=3, core="object",
+        job = make_job(preset="fast", seed=3,
                        cooling="adaptive", checkpoint_every=2)
         cmd = build_worker_command(paths, job, python="py")
         assert cmd[:4] == ["py", "-m", "repro", "place"]
@@ -38,7 +38,6 @@ class TestBuildWorkerCommand:
         for flag, value in (
             ("--preset", "fast"),
             ("--seed", "3"),
-            ("--core", "object"),
             ("--cooling", "adaptive"),
             ("--checkpoint-every", "2"),
             ("--checkpoint-dir", str(paths.checkpoint_dir("j1"))),
@@ -47,6 +46,7 @@ class TestBuildWorkerCommand:
             ("--registry", str(paths.registry)),
         ):
             assert value == cmd[cmd.index(flag) + 1]
+        assert "--core" not in cmd  # place has no such option
 
     def test_retry_resumes_from_newest_checkpoint(self, tmp_path):
         paths = ServicePaths(tmp_path)

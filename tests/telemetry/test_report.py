@@ -2,13 +2,18 @@
 
 import json
 
+import pytest
+
+from repro.telemetry import MemorySink, Tracer
 from repro.telemetry.report import (
     acceptance_table,
     cost_table,
     load_events,
     main,
     span_paths,
+    span_tree,
     stage_summary,
+    walk_spans,
     write_report,
 )
 
@@ -50,6 +55,67 @@ class TestSpanPaths:
         assert paths[3] == "flow/stage1/anneal"
 
 
+def nodes_by_path(events):
+    return {node["path"]: node for _, node in walk_spans(span_tree(events))}
+
+
+class TestSpanTreeSelfTimes:
+    def test_self_times_sum_to_the_root(self):
+        nodes = nodes_by_path(synthetic_trace())
+        assert nodes["flow/stage1/anneal"]["self_s"] == 0.3
+        assert nodes["flow/stage1"]["self_s"] == pytest.approx(0.2, abs=1e-12)
+        total = sum(node["self_s"] for node in nodes.values())
+        assert abs(total - nodes["flow"]["wall_s"]) <= 1e-9
+
+    def test_unclosed_span_has_no_self_time(self):
+        """A run killed inside ``flow``: the open span has no self time,
+        and its closed children keep theirs, in the tree and the summary."""
+        events = synthetic_trace()[:-1]
+        nodes = nodes_by_path(events)
+        assert nodes["flow"]["end"] is None
+        assert nodes["flow"]["self_s"] is None
+        assert nodes["flow/stage1"]["self_s"] == pytest.approx(0.2, abs=1e-12)
+        _, rows = stage_summary(events)
+        assert [r[0] for r in rows] == ["flow/stage1", "flow/stage1/anneal"]
+
+    def test_failed_span_keeps_its_self_time(self):
+        events = synthetic_trace()[:-1] + [
+            {"ev": "span_begin", "name": "stage2", "t": 0.5, "span": 4,
+             "parent": 1},
+            {"ev": "span_end", "name": "stage2", "t": 0.55, "span": 4,
+             "wall_s": 0.05, "cpu_s": 0.05, "ok": False, "error": "ValueError"},
+            {"ev": "span_end", "name": "flow", "t": 0.6, "span": 1,
+             "wall_s": 0.6, "cpu_s": 0.5, "ok": False},
+        ]
+        nodes = nodes_by_path(events)
+        failed = nodes["flow/stage2"]
+        assert failed["ok"] is False and failed["error"] == "ValueError"
+        assert failed["self_s"] == 0.05
+        assert nodes["flow"]["self_s"] == pytest.approx(0.05, abs=1e-12)
+
+    def test_overlapping_ingested_chains_floor_the_parent_at_zero(self):
+        """Chains run in parallel workers are ingested under ``stage1``:
+        their walls sum past the coordinator's, whose self time is 0."""
+        sink = MemorySink()
+        tracer = Tracer(sink)
+        with tracer.span("stage1"):
+            for chain in range(2):
+                tracer.ingest(
+                    [
+                        {"ev": "span_begin", "name": "anneal", "t": 0.0,
+                         "span": 1},
+                        {"ev": "span_end", "name": "anneal", "t": 30.0,
+                         "span": 1, "wall_s": 30.0, "cpu_s": 30.0, "ok": True},
+                    ],
+                    chain=chain,
+                )
+        (stage1,) = span_tree(sink.events)
+        assert stage1["wall_s"] < 60.0
+        assert stage1["self_s"] == 0.0
+        assert [c["self_s"] for c in stage1["children"]] == [30.0, 30.0]
+        assert [c["path"] for c in stage1["children"]] == ["stage1/anneal"] * 2
+
+
 class TestAcceptanceTable:
     def test_rows_per_temperature(self):
         headers, rows = acceptance_table(synthetic_trace())
@@ -76,6 +142,14 @@ class TestStageSummary:
         assert by_stage["flow/stage1/anneal"][2] == 0.3
         assert by_stage["flow/stage1"][3] == 0.4  # cpu_s
         assert all(r[4] == 0 for r in rows)  # no failures
+
+    def test_self_time_is_the_last_column(self):
+        headers, rows = stage_summary(synthetic_trace())
+        assert headers == ["stage", "calls", "wall_s", "cpu_s", "failed", "self_s"]
+        self_s = {r[0]: r[-1] for r in rows}
+        assert self_s == {
+            "flow": 0.1, "flow/stage1": 0.2, "flow/stage1/anneal": 0.3,
+        }
 
     def test_failed_span_counted(self):
         events = synthetic_trace()
