@@ -310,11 +310,17 @@ def main(argv=None) -> int:
     results = run(sizes, args.seed)
     results["quick"] = args.quick
 
-    from common import bench_config_sha, record_bench_result  # noqa: E402
+    from common import (  # noqa: E402
+        bench_config_sha,
+        bench_registry,
+        record_bench_result,
+    )
 
     results["config_sha256"] = bench_config_sha()
     payload = _registry_payload(results, sizes, args.quick)
-    history = record_bench_result("flow_e2e", payload)
+    history = record_bench_result(
+        "flow_e2e", payload, registry_path=bench_registry(args.output)
+    )
     results["history"] = [
         {
             k: h.get(k)

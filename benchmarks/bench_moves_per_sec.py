@@ -681,11 +681,17 @@ def main(argv=None) -> int:
     # Registry-backed trajectory: append this result, embed the trailing
     # history for the same config hash so the JSON is self-describing
     # and never silently stale.
-    from common import bench_config_sha, record_bench_result  # noqa: E402
+    from common import (  # noqa: E402
+        bench_config_sha,
+        bench_registry,
+        record_bench_result,
+    )
 
     results["config_sha256"] = bench_config_sha()
     payload = _registry_payload(results, sizes, args.quick)
-    history = record_bench_result("moves_per_sec", payload)
+    history = record_bench_result(
+        "moves_per_sec", payload, registry_path=bench_registry(args.output)
+    )
     results["history"] = [
         {
             k: h.get(k)

@@ -236,7 +236,11 @@ def main(argv=None) -> int:
     # Registry-backed trajectory: append this result and embed the
     # trailing history for the same config hash so the JSON artifact
     # can never go silently stale.
-    from common import bench_config_sha, record_bench_result  # noqa: E402
+    from common import (  # noqa: E402
+        bench_config_sha,
+        bench_registry,
+        record_bench_result,
+    )
 
     best_chain = max(
         (row["speedup_vs_serial"] for row in results["stage1"]["chains"].values()),
@@ -254,6 +258,7 @@ def main(argv=None) -> int:
             .get("speedup_vs_serial"),
             "serial_stage1_seconds": results["stage1"]["serial"]["seconds"],
         },
+        registry_path=bench_registry(args.output),
     )
     results["history"] = [
         {k: h.get(k) for k in ("recorded", "quick", "cells",

@@ -139,6 +139,17 @@ def emit(name: str, title: str, headers, rows, notes: str = "") -> str:
 BENCH_REGISTRY = Path(__file__).resolve().parent.parent / "BENCH_registry.sqlite"
 
 
+def bench_registry(output) -> Path:
+    """The registry a bench run that writes ``output`` records into: the
+    committed one when ``output`` is a committed ``BENCH_*.json`` beside
+    it, else a registry next to ``output`` — so a smoke run with
+    ``--output`` elsewhere leaves the repository's record alone."""
+    output = Path(output).resolve()
+    if output.parent == BENCH_REGISTRY.parent:
+        return BENCH_REGISTRY
+    return output.parent / BENCH_REGISTRY.name
+
+
 def bench_config_sha() -> str:
     """Content hash of the active bench configuration — two bench rows
     are comparable iff their config hashes match."""

@@ -10,10 +10,6 @@ inverted displacement, then an orientation change, then pin moves...).
 cycle and reports how many attempts were made and accepted; the
 ``Annealer`` supplies the temperature ladder, inner-loop length, and
 stopping criterion around it.
-
-States whose generate *is* a single move can instead implement
-``propose`` and mix in ``ProposalState`` to get the standard Metropolis
-treatment.
 """
 
 from __future__ import annotations
@@ -70,51 +66,6 @@ class AnnealingState(ABC):
         trace event (cost components, range-limiter window, ...).  Only
         called when tracing is enabled; None adds nothing."""
         return None
-
-
-class Proposal(ABC):
-    """A tentatively applied single move, for ``ProposalState`` users."""
-
-    @property
-    @abstractmethod
-    def delta(self) -> float:
-        """Change in total cost already applied to the state."""
-
-    @abstractmethod
-    def revert(self) -> None:
-        """Undo the move, restoring the previous state exactly."""
-
-
-@dataclass
-class SimpleProposal(Proposal):
-    """A proposal backed by a plain undo callback."""
-
-    delta_cost: float
-    undo: Callable[[], None]
-
-    @property
-    def delta(self) -> float:
-        return self.delta_cost
-
-    def revert(self) -> None:
-        self.undo()
-
-
-class ProposalState(AnnealingState):
-    """Mixin turning a single-move ``propose`` into the ``step`` contract."""
-
-    @abstractmethod
-    def propose(self, temperature: float, rng: random.Random) -> Optional[Proposal]:
-        """Generate, and tentatively apply, one new state (None = no move)."""
-
-    def step(self, temperature: float, rng: random.Random) -> Tuple[int, int]:
-        proposal = self.propose(temperature, rng)
-        if proposal is None:
-            return (1, 0)
-        if metropolis_accept(proposal.delta, temperature, rng):
-            return (1, 1)
-        proposal.revert()
-        return (1, 0)
 
 
 @dataclass

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 
 def reduction_pct(baseline: float, ours: float) -> float:
@@ -44,9 +44,17 @@ class SeriesStats:
         return len(self.values)
 
 
-def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Render a plain-text table (the benches print paper-style tables)."""
-    str_rows = [[_fmt(c) for c in row] for row in rows]
+def format_table(
+    headers: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    digits: Optional[Dict[str, int]] = None,
+) -> str:
+    """Render a plain-text table (the benches print paper-style tables).
+
+    Floats print to one decimal; ``digits`` maps a column header to the
+    decimals its floats print with instead."""
+    places = [(digits or {}).get(h, 1) for h in headers]
+    str_rows = [[_fmt(c, places[i]) for i, c in enumerate(row)] for row in rows]
     widths = [len(h) for h in headers]
     for row in str_rows:
         for i, cell in enumerate(row):
@@ -60,9 +68,9 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     return "\n".join(lines)
 
 
-def _fmt(value: object) -> str:
+def _fmt(value: object, places: int = 1) -> str:
     if isinstance(value, float):
-        return f"{value:.1f}"
+        return f"{value:.{places}f}"
     if value is None:
         return "-"
     return str(value)

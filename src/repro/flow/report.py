@@ -13,7 +13,7 @@ from typing import List
 from ..bench.metrics import format_table
 from ..channels import region_densities, required_channel_width
 from ..netlist import CustomCell
-from ..telemetry.report import stage_summary
+from ..telemetry.report import TIME_DIGITS, stage_summary
 from .timberwolf import TimberWolfResult
 
 
@@ -134,7 +134,7 @@ def stage_timing_report(result: TimberWolfResult) -> str:
     headers, rows = stage_summary(events)
     if not rows:
         return "(trace contains no completed spans)"
-    return format_table(headers, rows)
+    return format_table(headers, rows, digits=TIME_DIGITS)
 
 
 def chip_planning_report(result: TimberWolfResult) -> str:

@@ -19,7 +19,7 @@ from ..netlist import Circuit, dumps
 from ..parallel.seeds import spawn_seed
 from ..placement.legalize import remove_overlaps, warn_residual
 from ..placement.refine import RefinementResult, run_refinement
-from ..placement.stage1 import Stage1Result, run_stage1
+from ..placement.stage1 import Stage1Result, restore_stage1, run_stage1
 from ..placement.state import PlacementState
 from ..resilience.budget import Budget
 from ..resilience.checkpoint import CheckpointManager, CheckpointPolicy
@@ -379,27 +379,16 @@ def _restore_stage2(
 ) -> Tuple[Stage1Result, Tuple, int]:
     """Rebuild the stage-1 artifacts from a stage-2 checkpoint payload
     and position ``rng`` at the captured pass boundary."""
-    # Deferred import: stage1 internals, only touched on the resume path.
-    from ..annealing.engine import AnnealResult, TemperatureStats
-    from ..placement.arraycore import make_placement_state
-    from ..placement.stage1 import _core_plan, stage1_cooling
-
     summary = payload["stage1"]
-    plan = _core_plan(circuit, config, control)
-    # Stage 2 only consults the limiter (temperature_for_fraction); the
-    # adaptive feedback state of the finished stage-1 anneal is
-    # irrelevant here.
-    _, limiter = stage1_cooling(plan, config)
-    state = make_placement_state(config.core, circuit, plan, kappa=config.kappa)
-    state.load_state_dict(payload["state"])
-    anneal = AnnealResult(
-        final_cost=summary["anneal_final_cost"],
-        steps=[TemperatureStats(*s) for s in summary["anneal_steps"]],
+    stage1 = restore_stage1(
+        circuit,
+        config,
+        control,
+        payload["state"],
+        summary["anneal_steps"],
+        summary["anneal_stop_reason"],
         truncated=summary["anneal_truncated"],
-        stop_reason=summary["anneal_stop_reason"],
-    )
-    stage1 = Stage1Result(
-        state=state, plan=plan, limiter=limiter, anneal=anneal, p2=state.p2
+        final_cost=summary["anneal_final_cost"],
     )
     rng.setstate(_as_rng_state(payload["rng_state"]))
     if control.manager is not None:

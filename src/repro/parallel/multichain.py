@@ -27,8 +27,10 @@ exchange_period)`` — never of ``workers`` or OS scheduling:
 
 The serial backend (``workers=1``) runs the same coordinator over
 in-process chains; the process backend distributes chains over
-persistent worker processes.  Both reconstruct chain state from the
-circuit's canonical text form, so their float sequences are identical.
+persistent worker processes, each serving its chains through a serial
+backend of its own.  Both reconstruct chain state from the circuit's
+canonical text form, so their float sequences are identical, and every
+chain is the flow's own :class:`~repro.placement.stage1.Stage1Chain`.
 
 Checkpointing: the coordinator snapshots *all* chains at every round
 boundary (phase ``"parallel1"``), after the exchange has been applied.
@@ -45,22 +47,18 @@ import sys
 import traceback
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..annealing import AnnealCursor, Annealer, AnnealResult
-from ..annealing.engine import TemperatureStats
+from ..annealing import AnnealCursor
 from ..config import TimberWolfConfig
 from ..netlist import Circuit, dumps, loads
-from ..placement.arraycore import make_placement_state
-from ..placement.batch import BatchAnnealingState, BatchMoveGenerator
-from ..placement.moves import MoveGenerator, PlacementAnnealingState
+from ..placement.batch import BatchAnnealingState
 from ..placement.stage1 import (
+    Stage1Chain,
     Stage1Result,
-    _core_plan,
-    calibrate_p2,
-    stage1_cooling,
-    stage1_stopping,
+    emit_stage1_result,
+    restore_stage1,
 )
-from ..resilience.drift import DriftGuard
-from ..telemetry import MemorySink, Tracer, current_tracer, use_tracer
+from ..resilience.drift import drift_observers
+from ..telemetry import NULL_TRACER, MemorySink, Tracer, current_tracer, use_tracer
 from .seeds import spawn_seed
 from .workers import reset_worker_signals
 
@@ -70,14 +68,20 @@ PERTURB_CELL_DIVISOR = 8
 PERTURB_SPAN_FRACTION = 0.05
 
 
-class ChainContext:
-    """One annealing chain: placement state + a segmentable annealer.
+class ChainContext(Stage1Chain):
+    """One annealing chain: a :class:`Stage1Chain` run in segments.
 
     Lives wherever its backend puts it (coordinator process or worker).
     The annealer's ``max_temperatures`` is re-bounded per segment, so
     one persistent engine runs the chain in E-step slices with the RNG
     and stopping history carried across slices by the cursor — the
     exact mechanism stage-1 checkpoint resume uses.
+
+    Building the chain emits nothing into the run's trace (it is built
+    under the disabled tracer), so a trace holds only the segments' own
+    events, whichever process the chain lives in.  A batched chain keeps
+    one kernel session across segments: the kernel's running totals are
+    what rank the chains.
     """
 
     def __init__(
@@ -87,60 +91,21 @@ class ChainContext:
         chain_id: int,
         restore: Optional[Dict[str, Any]] = None,
     ) -> None:
+        with use_tracer(NULL_TRACER):
+            super().__init__(circuit, config, chain_id=chain_id, resume=restore)
         self.chain_id = chain_id
         self.config = config
-        rng = random.Random(spawn_seed(config.seed, chain_id))
-        plan = _core_plan(circuit, config, None)
-        schedule, self.limiter = stage1_cooling(plan, config)
-        self.state = make_placement_state(
-            config.core, circuit, plan, kappa=config.kappa
-        )
-        self.cursor: Optional[AnnealCursor] = None
-        self.done = False
-        self.stop_reason: Optional[str] = None
-        if restore is not None:
-            # Calibration already happened in the original run; the
-            # cursor carries the RNG position.
-            self.state.load_state_dict(restore["state"])
-            self.cursor = AnnealCursor.from_dict(restore["cursor"])
-            self.done = bool(restore.get("done", False))
-            self.stop_reason = restore.get("stop_reason")
-        else:
-            self.state.p2 = calibrate_p2(self.state, rng, config.eta)
-        self._batched = config.mover == "batched"
-        if self._batched:
-            # The batched numpy stream is seeded per chain from the same
-            # derivation the chain's engine RNG uses, so chain 0 of a
-            # one-chain run equals the single-chain driver exactly.
-            self._generator = BatchMoveGenerator(
-                self.state,
-                self.limiter,
-                r_ratio=config.r_ratio,
-                batch=config.batch_moves,
-                seed=spawn_seed(config.seed, chain_id),
-            )
-            self._anneal_state = BatchAnnealingState(self.state, self._generator)
-            # The kernel session spans segments; the cursor restores the
-            # numpy stream on the first resumed segment, and begin()
-            # reconstructs the mid-anneal arrays bit-for-bit from the
-            # restored records.
-            self._generator.begin()
-        else:
-            self._generator = MoveGenerator(
-                self.state,
-                self.limiter,
-                r_ratio=config.r_ratio,
-                selector=config.selector,
-            )
-            self._anneal_state = PlacementAnnealingState(self.state, self._generator)
-        stopping = stage1_stopping(circuit, config, schedule, self.limiter)
-        self.annealer = Annealer(
-            schedule,
-            stopping,
-            attempts_per_cell=config.attempts_per_cell,
-            max_temperatures=config.max_temperatures,
-            rng=rng,
-        )
+        self.done = bool((restore or {}).get("done", False))
+        self.stop_reason: Optional[str] = (restore or {}).get("stop_reason")
+        self._begin()
+
+    def _begin(self) -> None:
+        """(Re)open the batched session on the current placement; on a
+        resume the cursor restores the numpy stream on the first segment,
+        and begin() rebuilds the mid-anneal arrays bit-for-bit from the
+        restored records."""
+        if isinstance(self.mover, BatchAnnealingState):
+            self.mover.generator.begin()
 
     def run_segment(self, upto: int) -> Dict[str, Any]:
         """Anneal until temperature step ``upto`` (exclusive) or until
@@ -155,17 +120,9 @@ class ChainContext:
         def _capture(step_index, stats, state, make_cursor) -> None:
             captured[0] = make_cursor()
 
-        observers = []
-        if self.config.drift_check_every:
-            guard = DriftGuard(
-                self.config.drift_check_every,
-                self.config.drift_tolerance,
-                self.config.drift_action,
-            )
-            observers.append(guard.observer())
-        observers.append(_capture)
+        observers = drift_observers(self.config) + [_capture]
         result = self.annealer.run(
-            self._anneal_state, resume=self.cursor, observers=observers
+            self.mover, resume=self.cursor, observers=observers
         )
         if captured[0] is not None:
             self.cursor = captured[0]
@@ -181,11 +138,11 @@ class ChainContext:
         # itself — both history-exact, both loadable anywhere.
         return {
             "chain": self.chain_id,
-            "cost": self._anneal_state.cost(),
+            "cost": self.mover.cost(),
             "done": self.done,
             "stop_reason": self.stop_reason,
             "cursor": self.cursor.to_dict() if self.cursor is not None else None,
-            "state": self._anneal_state.state_dict(),
+            "state": self.mover.state_dict(),
             "attempts": sum(s.attempts for s in new_steps),
             "steps_completed": len(new_steps),
         }
@@ -215,18 +172,16 @@ class ChainContext:
                     (cx + rng.uniform(-dx, dx), cy + rng.uniform(-dy, dy))
                 )
             state.resync()
-        if self._batched:
-            # The exchange rebuilt the object model underneath the
-            # kernel session; re-freeze so the next segment anneals the
-            # exchanged placement (deterministic: begin() is a pure
-            # function of the placement, so worker count still cannot
-            # affect the result).
-            self._generator.begin()
+        # The exchange rebuilt the object model underneath a batched
+        # session; re-freeze so the next segment anneals the exchanged
+        # placement (begin() is a pure function of the placement, so
+        # worker count still cannot affect the result).
+        self._begin()
         return state.state_dict()
 
     def snapshot(self) -> Dict[str, Any]:
         """The chain's current state (pre-anneal when no segment ran)."""
-        return self._anneal_state.state_dict()
+        return self.mover.state_dict()
 
 
 def _traced_segment(context: ChainContext, upto: int, traced: bool) -> Dict[str, Any]:
@@ -250,7 +205,9 @@ def _traced_segment(context: ChainContext, upto: int, traced: bool) -> Dict[str,
 
 
 class SerialChainBackend:
-    """All chains in the coordinator's process (``workers=1``).
+    """All chains in the coordinator's process (``workers=1``), and the
+    chains of one worker process (which serves this object's four ops
+    over its pipe).
 
     Chains are still built from the circuit's canonical text form —
     exactly what the process backend ships to its workers — so the two
@@ -292,40 +249,25 @@ def _start_method() -> str:
 
 
 def _chain_worker_main(conn, circuit_text, config_dict, traced, sys_path) -> None:
-    """Worker loop: owns a subset of chains, serves the coordinator's
-    init/segment/exchange/snapshot requests over the pipe."""
+    """Worker loop: calls ``(op, *args)`` requests from the coordinator
+    on a :class:`SerialChainBackend` holding this worker's chains."""
     reset_worker_signals()
     for entry in sys_path:
         if entry not in sys.path:
             sys.path.insert(0, entry)
-    circuit = loads(circuit_text)
-    config = TimberWolfConfig.from_dict(config_dict)
-    chains: Dict[int, ChainContext] = {}
+    backend = SerialChainBackend(
+        circuit_text, TimberWolfConfig.from_dict(config_dict), traced
+    )
     while True:
         try:
-            message = conn.recv()
+            op, *args = conn.recv()
         except EOFError:
             break
-        op = message[0]
         if op == "close":
             conn.send(("ok", None))
             break
         try:
-            if op == "init":
-                _, chain_id, restore = message
-                chains[chain_id] = ChainContext(circuit, config, chain_id, restore)
-                reply = None
-            elif op == "segment":
-                _, chain_id, upto = message
-                reply = _traced_segment(chains[chain_id], upto, traced)
-            elif op == "exchange":
-                _, chain_id, best_state, round_index = message
-                reply = chains[chain_id].exchange(best_state, round_index)
-            elif op == "snapshot":
-                _, chain_id = message
-                reply = chains[chain_id].snapshot()
-            else:
-                raise ValueError(f"unknown worker op {op!r}")
+            reply = getattr(backend, op)(*args)
         except Exception:
             conn.send(("error", traceback.format_exc()))
         else:
@@ -382,28 +324,27 @@ class ProcessChainBackend:
     def _conn(self, chain_id: int):
         return self._conns[self._owner[chain_id]]
 
+    def _call(self, chain_id: int, op: str, *args):
+        conn = self._conn(chain_id)
+        conn.send((op, chain_id, *args))
+        return self._recv(conn)
+
     def init_chain(self, chain_id: int, restore: Optional[Dict] = None) -> None:
         self._owner[chain_id] = chain_id % len(self._conns)
-        conn = self._conn(chain_id)
-        conn.send(("init", chain_id, restore))
-        self._recv(conn)
+        self._call(chain_id, "init_chain", restore)
 
     def run_segments(self, requests: Sequence[Tuple[int, int]]) -> List[Dict]:
         for chain_id, upto in requests:
-            self._conn(chain_id).send(("segment", chain_id, upto))
+            self._conn(chain_id).send(("run_segments", [(chain_id, upto)]))
         # Receiving in request order is safe: each pipe's replies arrive
         # in the order its requests were sent.
-        return [self._recv(self._conn(chain_id)) for chain_id, _ in requests]
+        return [self._recv(self._conn(chain_id))[0] for chain_id, _ in requests]
 
     def exchange(self, chain_id: int, best_state: Dict, round_index: int) -> Dict:
-        conn = self._conn(chain_id)
-        conn.send(("exchange", chain_id, best_state, round_index))
-        return self._recv(conn)
+        return self._call(chain_id, "exchange", best_state, round_index)
 
     def snapshot(self, chain_id: int) -> Dict:
-        conn = self._conn(chain_id)
-        conn.send(("snapshot", chain_id))
-        return self._recv(conn)
+        return self._call(chain_id, "snapshot")
 
     def close(self) -> None:
         for conn in self._conns:
@@ -587,38 +528,21 @@ def run_multichain_stage1(
 
     # Reconstruct the winner in this process — identically for both
     # backends, so the result cannot depend on where the chain ran.
-    plan = _core_plan(circuit, config, control)
-    _, limiter = stage1_cooling(plan, config)
-    state = make_placement_state(config.core, circuit, plan, kappa=config.kappa)
-    state.load_state_dict(entry["state"])
-    steps = (
-        [TemperatureStats(*s) for s in entry["cursor"]["steps"]]
-        if entry["cursor"] is not None
-        else []
-    )
-    stop_reason = entry["stop_reason"]
-    if truncated:
-        stop_reason = f"budget:{budget_reason}"
-    anneal = AnnealResult(
-        final_cost=state.cost(),
-        steps=steps,
+    stage1 = restore_stage1(
+        circuit,
+        config,
+        control,
+        entry["state"],
+        entry["cursor"]["steps"] if entry["cursor"] is not None else [],
+        f"budget:{budget_reason}" if truncated else entry["stop_reason"],
         truncated=truncated,
-        stop_reason=stop_reason,
     )
     if tracer.enabled:
         tracer.event(
             "parallel.winner",
             chain=winner,
-            cost=round(anneal.final_cost, 4),
+            cost=round(stage1.anneal.final_cost, 4),
             rounds=round_index,
         )
-        tracer.event(
-            "stage1.result",
-            teil=round(state.teil(), 2),
-            chip_area=round(state.chip_area(), 2),
-            residual_overlap=round(state.c2_raw(), 2),
-            temperatures=anneal.num_temperatures,
-        )
-    return Stage1Result(
-        state=state, plan=plan, limiter=limiter, anneal=anneal, p2=state.p2
-    )
+        emit_stage1_result(tracer, stage1)
+    return stage1

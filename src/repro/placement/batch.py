@@ -911,9 +911,17 @@ class BatchAnnealingState(AnnealingState):
         self.generator = generator
         self.pin_round = pin_round
         self._pin_round_due = False
+        #: [attempts, accepts] over the pin rounds run so far.
+        self._pin_moves = [0, 0]
 
     def on_temperature(self, temperature: float) -> None:
         self._pin_round_due = self.pin_round is not None
+
+    @property
+    def stats(self) -> Dict[str, list]:
+        """Move kind -> [attempts, accepts]: the batches, and the pin
+        rounds as ``pin_group``."""
+        return {**self.generator.stats, "pin_group": list(self._pin_moves)}
 
     def step(self, temperature: float, rng: random.Random) -> Tuple[int, int]:
         if not self._pin_round_due:
@@ -921,6 +929,8 @@ class BatchAnnealingState(AnnealingState):
         self._pin_round_due = False
         self.generator.finish()
         attempts, accepts = self.pin_round(temperature, rng)
+        self._pin_moves[0] += attempts
+        self._pin_moves[1] += accepts
         self.generator.begin()
         a, c = self.generator.step(temperature)
         return (attempts + a, accepts + c)

@@ -349,6 +349,11 @@ class PlacementAnnealingState(AnnealingState):
     def moves_per_iteration(self) -> int:
         return self.state.moves_per_iteration()
 
+    @property
+    def stats(self) -> Dict[str, List[int]]:
+        """Move kind -> [attempts, accepts] of the cascade."""
+        return self.generator.stats
+
     def state_dict(self) -> Dict:
         return self.state.state_dict()
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional
 
 from ..annealing import (
@@ -30,7 +29,6 @@ from ..annealing import (
     AnyOf,
     FloorStop,
     FrozenStop,
-    RangeLimiter,
     WindowStop,
     stage2_schedule,
 )
@@ -44,15 +42,13 @@ from ..channels import (
 from ..config import TimberWolfConfig
 from ..geometry import Rect
 from ..netlist import Circuit
-from ..resilience.drift import DriftGuard
+from ..resilience.drift import drift_observers
 from ..resilience.faults import fault_point
 from ..routing import GlobalRouter, RoutingResult
 from ..telemetry import current_tracer
-from .batch import BatchAnnealingState, BatchMoveGenerator
 from .compact import compact
 from .legalize import remove_overlaps, warn_residual
-from .moves import MoveGenerator, PlacementAnnealingState
-from .stage1 import Stage1Result
+from .stage1 import Stage1Result, make_mover, mover_session
 from .state import PlacementState
 
 #: Margin (in track spacings) added around the placement when defining the
@@ -310,47 +306,17 @@ def _refine_anneal(
     """The §4.3 refinement anneal on the configured mover: serial steps,
     or displacement batches on the batch kernel with the pin-group moves
     in a serial pin round per temperature (see ``BatchAnnealingState``)."""
-    tracer = current_tracer()
     limiter = stage1.limiter
     # Eqn 28: T' makes the window the fraction mu of its full span.
     t_start = limiter.temperature_for_fraction(config.mu)
     schedule = stage2_schedule(
         stage1.plan.average_effective_cell_area, t_start=t_start
     )
-    # Orientations, instances and aspect ratios stay frozen (§4.3): the
-    # refine moves are displacements and pin-group moves only.
-    moves = MoveGenerator(
-        state,
-        limiter,
-        r_ratio=config.r_ratio,
-        selector=config.selector,
-        orientation_moves=False,
-        aspect_moves=False,
-        pin_moves=True,
-        interchange_moves=False,
+    # The batched seed comes from the flow stream, which a stage-2 resume
+    # restores at the pass boundary: the resumed anneal replays this one.
+    mover = make_mover(
+        state, limiter, config, lambda: rng.getrandbits(64), refine=True
     )
-    batched = config.mover == "batched"
-    if batched:
-        with tracer.span("batch.begin"):
-            # Seeded from the flow stream, which a stage-2 resume restores
-            # at the pass boundary: the resumed anneal replays this one.
-            generator = BatchMoveGenerator(
-                state,
-                limiter,
-                r_ratio=config.r_ratio,
-                batch=config.batch_moves,
-                seed=rng.getrandbits(64),
-                interchange_moves=False,
-            )
-            pin_round = None
-            if moves.pin_cells:
-                pin_round = partial(
-                    moves.pin_round, rounds=config.stage2_attempts_per_cell
-                )
-            anneal_state = BatchAnnealingState(state, generator, pin_round)
-            generator.begin()
-    else:
-        anneal_state = PlacementAnnealingState(state, moves)
     floor = FloorStop(schedule.scale * STAGE2_T_FLOOR)
     if is_last:
         # Final pass: stop when the cost is frozen for 3 inner loops.
@@ -365,27 +331,13 @@ def _refine_anneal(
         rng=rng,
         eta_floor=schedule.scale * STAGE2_T_FLOOR,
     )
-    observers = []
-    if config.drift_check_every:
-        guard = DriftGuard(
-            config.drift_check_every,
-            config.drift_tolerance,
-            config.drift_action,
-        )
-        observers.append(guard.observer())
+    observers = drift_observers(config)
     if control is not None:
         observers.append(control.interrupt_observer())
-    try:
+    with mover_session(mover):
         result = annealer.run(
-            anneal_state,
+            mover,
             budget=control.budget if control is not None else None,
             observers=observers,
         )
-    finally:
-        if batched:
-            with tracer.span("batch.finish"):
-                generator.finish()
-    stats = moves.stats
-    if batched:
-        stats = {**generator.stats, "pin_group": stats["pin_group"]}
-    return result, {k: list(v) for k, v in stats.items()}
+    return result, {k: list(v) for k, v in mover.stats.items()}

@@ -3,13 +3,19 @@
 The driver wires together: core sizing (§2.2), the Table-1 cooling
 schedule scaled by S_T (Eqns 19-21), the range limiter (Eqns 12-14), the
 p2 calibration of Eqn 9, and the generate cascade of §3.2.1.
+:class:`Stage1Chain` assembles that annealer once: :func:`run_stage1`
+runs one chain to the end, and ``repro.parallel.multichain`` runs K of
+them in segments.  :func:`make_mover` picks the mover for every anneal
+of the flow, the §4.3 refine anneal included.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence
 
 from ..annealing import (
     AdaptiveCooling,
@@ -17,18 +23,21 @@ from ..annealing import (
     AllOf,
     AnnealCursor,
     Annealer,
+    AnnealingState,
     AnnealResult,
     AnyOf,
     CostFloorStop,
     FloorStop,
     RangeLimiter,
+    TemperatureStats,
     WindowStop,
     stage1_schedule,
 )
-from ..estimator import CorePlan, determine_core
 from ..config import TimberWolfConfig
+from ..estimator import CorePlan, determine_core
 from ..netlist import Circuit
-from ..resilience.drift import DriftGuard
+from ..parallel.seeds import spawn_seed
+from ..resilience.drift import drift_observers
 from ..resilience.faults import fault_point
 from ..telemetry import current_tracer
 from .arraycore import make_placement_state
@@ -141,8 +150,8 @@ def stage1_cooling(plan: CorePlan, config: TimberWolfConfig):
     Eqn 12-14 range limiter; ``cooling="adaptive"`` yields the
     VPR-style acceptance-ratio-driven schedule with its clamped
     ``d_limit`` window (the limiter's feedback rides on the schedule's
-    ``observe``).  Used by the single-chain driver, the multi-chain
-    coordinator, and checkpoint restore so all three agree exactly.
+    ``observe``).  Used by every stage-1 chain and by
+    :func:`restore_stage1`, so all of them agree exactly.
     """
     schedule = stage1_schedule(plan.average_effective_cell_area)
     if config.cooling == "adaptive":
@@ -185,6 +194,134 @@ def stage1_stopping(circuit: Circuit, config: TimberWolfConfig, schedule, limite
     )
 
 
+def make_mover(
+    state: PlacementState,
+    limiter: RangeLimiter,
+    config: TimberWolfConfig,
+    batch_seed: Callable[[], int],
+    refine: bool = False,
+) -> AnnealingState:
+    """The engine adapter for ``config.mover``: the §3.2.1 cascade, or
+    displacement/interchange batches on the batch kernel.
+
+    ``refine`` gives the §4.3 refine anneal's moves: orientations,
+    instances, aspect ratios and interchanges are frozen, and the
+    batched refine runs the serial pin-group moves in a pin round per
+    temperature.  ``batch_seed()`` seeds the batched numpy stream; it is
+    called only under ``mover="batched"``, so a seed drawn from the
+    flow's RNG leaves the serial flow's stream alone.
+    """
+    moves = None
+    if config.mover == "serial" or refine:
+        moves = MoveGenerator(
+            state,
+            limiter,
+            r_ratio=config.r_ratio,
+            selector=config.selector,
+            orientation_moves=not refine,
+            aspect_moves=not refine,
+            interchange_moves=not refine,
+        )
+        if config.mover == "serial":
+            return PlacementAnnealingState(state, moves)
+    generator = BatchMoveGenerator(
+        state,
+        limiter,
+        r_ratio=config.r_ratio,
+        batch=config.batch_moves,
+        seed=batch_seed(),
+        interchange_moves=not refine,
+    )
+    pin_round = None
+    if moves is not None and moves.pin_cells:
+        pin_round = partial(moves.pin_round, rounds=config.stage2_attempts_per_cell)
+    return BatchAnnealingState(state, generator, pin_round)
+
+
+@contextmanager
+def mover_session(mover: AnnealingState) -> Iterator[None]:
+    """The batched kernel session around one anneal, timed by the
+    ``batch.begin``/``batch.finish`` spans; the serial mover has none."""
+    if not isinstance(mover, BatchAnnealingState):
+        yield
+        return
+    tracer = current_tracer()
+    with tracer.span("batch.begin"):
+        mover.generator.begin()
+    try:
+        yield
+    finally:
+        with tracer.span("batch.finish"):
+            mover.generator.finish()
+
+
+class Stage1Chain:
+    """One stage-1 chain, ready to anneal: the core plan and cooling,
+    the placement state, p2, the mover, and the ``Annealer`` with its
+    stopping rule.
+
+    ``resume`` is a stage-1 checkpoint payload (``cursor`` + ``state``):
+    p2 and the placement come from it and ``cursor`` continues the
+    anneal bit-for-bit; otherwise p2 is calibrated (Eqn 9).  Chain
+    ``chain_id`` draws from ``spawn_seed(config.seed, chain_id)`` — its
+    batched stream, and its engine RNG unless ``rng`` (the flow's
+    stream, which stage 2 continues) is given.  ``spawn_seed(seed, 0)
+    == seed``, so chain 0 is the single-chain stage 1.
+    """
+
+    def __init__(
+        self,
+        circuit: Circuit,
+        config: TimberWolfConfig,
+        rng: Optional[random.Random] = None,
+        chain_id: int = 0,
+        control=None,
+        resume: Optional[dict] = None,
+    ) -> None:
+        tracer = current_tracer()
+        seed = spawn_seed(config.seed, chain_id)
+        rng = rng if rng is not None else random.Random(seed)
+        self.plan = _core_plan(circuit, config, control)
+        schedule, self.limiter = stage1_cooling(self.plan, config)
+        with tracer.span("stage1.make_state"):
+            self.state = make_placement_state(
+                config.core, circuit, self.plan, kappa=config.kappa
+            )
+        self.cursor: Optional[AnnealCursor] = None
+        if resume is not None:
+            # p2 and the placement come from the snapshot; the calibration
+            # phase already happened in the original run.
+            self.state.load_state_dict(resume["state"])
+            self.cursor = AnnealCursor.from_dict(resume["cursor"])
+            if tracer.enabled:
+                tracer.event(
+                    "checkpoint.resumed",
+                    phase="stage1",
+                    step=self.cursor.step_index,
+                    p2=round(self.state.p2, 6),
+                )
+        else:
+            with tracer.span("stage1.calibrate_p2", samples=P2_CALIBRATION_SAMPLES):
+                self.state.p2 = calibrate_p2(self.state, rng, config.eta)
+        if tracer.enabled:
+            tracer.event(
+                "stage1.setup",
+                p2=round(self.state.p2, 6),
+                t_infinity=round(schedule.t_infinity, 4),
+                core_width=round(self.plan.core.width, 2),
+                core_height=round(self.plan.core.height, 2),
+            )
+        self.mover = make_mover(self.state, self.limiter, config, lambda: seed)
+        self.annealer = Annealer(
+            schedule,
+            stage1_stopping(circuit, config, schedule, self.limiter),
+            attempts_per_cell=config.attempts_per_cell,
+            max_temperatures=config.max_temperatures,
+            rng=rng,
+            eta_floor=schedule.scale * STAGE1_T_FLOOR,
+        )
+
+
 def run_stage1(
     circuit: Circuit,
     config: Optional[TimberWolfConfig] = None,
@@ -200,109 +337,69 @@ def run_stage1(
     anneal continues mid-schedule, bit-for-bit.
     """
     config = config if config is not None else TimberWolfConfig()
-    rng = rng if rng is not None else random.Random(config.seed)
     tracer = current_tracer()
-
-    plan = _core_plan(circuit, config, control)
-    schedule, limiter = stage1_cooling(plan, config)
-
-    with tracer.span("stage1.make_state"):
-        state = make_placement_state(
-            config.core, circuit, plan, kappa=config.kappa
-        )
-    cursor: Optional[AnnealCursor] = None
-    if resume is not None:
-        # p2 and the placement come from the snapshot; the calibration
-        # phase already happened in the original run.
-        state.load_state_dict(resume["state"])
-        cursor = AnnealCursor.from_dict(resume["cursor"])
-        if tracer.enabled:
-            tracer.event(
-                "checkpoint.resumed",
-                phase="stage1",
-                step=cursor.step_index,
-                p2=round(state.p2, 6),
-            )
-    else:
-        with tracer.span("stage1.calibrate_p2", samples=P2_CALIBRATION_SAMPLES):
-            state.p2 = calibrate_p2(state, rng, config.eta)
-    if tracer.enabled:
-        tracer.event(
-            "stage1.setup",
-            p2=round(state.p2, 6),
-            t_infinity=round(schedule.t_infinity, 4),
-            core_width=round(plan.core.width, 2),
-            core_height=round(plan.core.height, 2),
-        )
-
-    batched = config.mover == "batched"
-    if batched:
-        # The batched mover draws everything from its own numpy stream,
-        # seeded from the run seed (spawn_seed(seed, 0) == seed, so the
-        # single-chain driver and chain 0 of the coordinator agree).
-        with tracer.span("batch.begin"):
-            generator = BatchMoveGenerator(
-                state,
-                limiter,
-                r_ratio=config.r_ratio,
-                batch=config.batch_moves,
-                seed=config.seed,
-            )
-            anneal_state = BatchAnnealingState(state, generator)
-            generator.begin()
-    else:
-        generator = MoveGenerator(
-            state,
-            limiter,
-            r_ratio=config.r_ratio,
-            selector=config.selector,
-        )
-        anneal_state = PlacementAnnealingState(state, generator)
-    stopping = stage1_stopping(circuit, config, schedule, limiter)
-    annealer = Annealer(
-        schedule,
-        stopping,
-        attempts_per_cell=config.attempts_per_cell,
-        max_temperatures=config.max_temperatures,
-        rng=rng,
-        eta_floor=schedule.scale * STAGE1_T_FLOOR,
-    )
-    observers = []
-    if config.drift_check_every:
-        guard = DriftGuard(
-            config.drift_check_every,
-            config.drift_tolerance,
-            config.drift_action,
-        )
-        observers.append(guard.observer())
+    chain = Stage1Chain(circuit, config, rng, control=control, resume=resume)
+    observers = drift_observers(config)
     if control is not None:
         # Checkpoints must capture the *live* placement: during a
-        # batched session that is the kernel's arrays, so the observer
-        # snapshots through the adapter (the serial path keeps reading
-        # the placement state directly — byte-identical to before).
-        observers.append(
-            control.stage1_observer(anneal_state if batched else state)
-        )
-    try:
-        result = annealer.run(
-            anneal_state,
+        # batched session that is the kernel's arrays, which the
+        # adapter snapshots.
+        observers.append(control.stage1_observer(chain.mover))
+    with mover_session(chain.mover):
+        result = chain.annealer.run(
+            chain.mover,
             budget=control.budget if control is not None else None,
-            resume=cursor,
+            resume=chain.cursor,
             observers=observers,
         )
-    finally:
-        if batched:
-            with tracer.span("batch.finish"):
-                generator.finish()
+    stage1 = Stage1Result(
+        chain.state, chain.plan, chain.limiter, anneal=result, p2=chain.state.p2
+    )
     if tracer.enabled:
-        generator.metrics.emit(tracer, "stage1.move_metrics")
-        tracer.event(
-            "stage1.result",
-            teil=round(state.teil(), 2),
-            chip_area=round(state.chip_area(), 2),
-            residual_overlap=round(state.c2_raw(), 2),
-            temperatures=result.num_temperatures,
-        )
+        chain.mover.generator.metrics.emit(tracer, "stage1.move_metrics")
+        emit_stage1_result(tracer, stage1)
+    return stage1
+
+
+def emit_stage1_result(tracer, stage1: Stage1Result) -> None:
+    """The ``stage1.result`` event: the annealed placement's costs."""
+    tracer.event(
+        "stage1.result",
+        teil=round(stage1.teil, 2),
+        chip_area=round(stage1.chip_area, 2),
+        residual_overlap=round(stage1.residual_overlap, 2),
+        temperatures=stage1.anneal.num_temperatures,
+    )
+
+
+def restore_stage1(
+    circuit: Circuit,
+    config: TimberWolfConfig,
+    control,
+    snapshot: dict,
+    steps: Sequence[Sequence[float]],
+    stop_reason: Optional[str],
+    truncated: bool = False,
+    final_cost: Optional[float] = None,
+) -> Stage1Result:
+    """Rebuild a :class:`Stage1Result` in this process from a placement
+    ``snapshot`` (a ``state_dict``) and the anneal's packed temperature
+    steps — a stage-2 resume's stage-1 record, or the multi-chain
+    winner.  ``final_cost`` defaults to the restored placement's cost.
+    """
+    plan = _core_plan(circuit, config, control)
+    # Stage 2 only consults the limiter (temperature_for_fraction); the
+    # adaptive feedback state of the finished stage-1 anneal is
+    # irrelevant here.
+    _, limiter = stage1_cooling(plan, config)
+    state = make_placement_state(config.core, circuit, plan, kappa=config.kappa)
+    state.load_state_dict(snapshot)
+    anneal = AnnealResult(
+        final_cost=state.cost() if final_cost is None else final_cost,
+        steps=[TemperatureStats(*s) for s in steps],
+        truncated=truncated,
+        stop_reason=stop_reason,
+    )
     return Stage1Result(
-        state=state, plan=plan, limiter=limiter, anneal=result, p2=state.p2
+        state=state, plan=plan, limiter=limiter, anneal=anneal, p2=state.p2
     )

@@ -104,3 +104,15 @@ class DriftGuard:
             else:
                 warnings.warn(message, stacklevel=2)
         return report
+
+
+def drift_observers(config) -> list:
+    """The anneal observers ``config``'s drift check asks for: one fresh
+    :class:`DriftGuard`'s observer, or none when ``drift_check_every``
+    is 0."""
+    if not config.drift_check_every:
+        return []
+    guard = DriftGuard(
+        config.drift_check_every, config.drift_tolerance, config.drift_action
+    )
+    return [guard.observer()]

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..channels import ChannelGraph, CongestionReport, compute_congestion
 from ..netlist import Circuit
@@ -50,6 +51,49 @@ class RoutingResult:
 
     def congestion(self, graph: ChannelGraph) -> CongestionReport:
         return compute_congestion(graph, self.routes)
+
+
+def phase1_ladder(
+    route: Callable[[int], List[RouteAlternative]],
+    m_routes: int,
+    probe: Optional[Callable[[str], None]] = None,
+) -> Dict[str, Any]:
+    """Phase one for one net with graceful degradation: ``route(M)`` at
+    the full M; if that raises, at M // 2 (at least 1); if that raises
+    too, the net is given up (the router falls back to a semi-perimeter
+    estimate and marks it unrouted).  One bad net must not abort the
+    whole flow.
+
+    ``probe(site)`` runs before each attempt (the serial router's fault
+    points).  Returns the net's record: ``alternatives``, and — when the
+    full-M search raised — ``error`` (that failure) plus either
+    ``retried`` (the relaxed search succeeded) or ``failed``.
+    """
+    record: Dict[str, Any] = {
+        "alternatives": [],
+        "error": None,
+        "retried": None,
+        "failed": None,
+    }
+    try:
+        if probe is not None:
+            probe("router.route_net")
+        record["alternatives"] = route(m_routes)
+        return record
+    except Exception as exc:
+        first = record["error"] = f"{type(exc).__name__}: {exc}"
+    relaxed = max(1, m_routes // 2)
+    try:
+        if probe is not None:
+            probe("router.route_net_retry")
+        record["alternatives"] = route(relaxed)
+        record["retried"] = f"rerouted with M={relaxed} after {first}"
+    except Exception as exc2:
+        record["failed"] = (
+            f"{first}; retry with M={relaxed} failed: "
+            f"{type(exc2).__name__}: {exc2}"
+        )
+    return record
 
 
 class GlobalRouter:
@@ -102,10 +146,16 @@ class GlobalRouter:
             out[net.name] = [groups[k] for k in order]
         return out
 
-    def route_net(self, groups: Sequence[Sequence[int]]) -> List[RouteAlternative]:
-        """Phase one for a single net: up to M stored alternatives."""
+    def route_net(
+        self, groups: Sequence[Sequence[int]], m_routes: Optional[int] = None
+    ) -> List[RouteAlternative]:
+        """Phase one for a single net: up to M stored alternatives
+        (``m_routes`` overrides the router's M)."""
         return m_shortest_routes(
-            self.search, groups, self.m_routes, positions=self.graph.positions
+            self.search,
+            groups,
+            self.m_routes if m_routes is None else m_routes,
+            positions=self.graph.positions,
         )
 
     def route(self, circuit: Circuit) -> RoutingResult:
@@ -128,51 +178,59 @@ class GlobalRouter:
                 tasks.append((net_name, groups))
             with tracer.span("router.phase1", nets=len(tasks)):
                 if self.workers > 1 and tasks:
-                    # Phase-one fan-out: the pool enumerates per-net
-                    # routes; results commit here in the same sequential
-                    # net order the serial loop uses, so the routing is
-                    # identical.
+                    # Phase-one fan-out: the pool runs each net's ladder;
+                    # its records commit below in the same net order the
+                    # serial loop uses, so the routing is identical.
                     from ..parallel.routing import route_nets_parallel
 
-                    records = route_nets_parallel(
-                        self.search,
-                        self.graph.positions,
-                        tasks,
-                        self.m_routes,
-                        self.workers,
-                    )
-                    for (net_name, groups), record in zip(tasks, records):
-                        alts = record["alternatives"]
-                        if record["error"] is not None and tracer.enabled:
-                            tracer.event(
-                                "router.net_retried",
-                                net=net_name,
-                                error=record["error"],
-                                m_routes=max(1, self.m_routes // 2),
-                            )
-                        if record["retried"] is not None:
-                            retried[net_name] = record["retried"]
-                        if record["failed"] is not None:
-                            failed[net_name] = record["failed"]
-                            if tracer.enabled:
-                                tracer.event(
-                                    "router.net_failed",
-                                    net=net_name,
-                                    error=record["failed"],
-                                )
-                        self._commit_net(
-                            net_name, groups, alts, tracer,
-                            alternatives, unrouted, estimated,
-                        )
+                    records = route_nets_parallel(self, tasks, self.workers)
                 else:
-                    for net_name, groups in tasks:
-                        alts = self._route_net_supervised(
-                            net_name, groups, tracer, failed, retried
+                    # Lazily, so each serial net commits (and beats) as
+                    # soon as it is routed.
+                    records = (
+                        phase1_ladder(
+                            partial(self.route_net, groups),
+                            self.m_routes,
+                            probe=partial(fault_point, net=net_name),
                         )
-                        self._commit_net(
-                            net_name, groups, alts, tracer,
-                            alternatives, unrouted, estimated,
+                        for net_name, groups in tasks
+                    )
+                for (net_name, groups), record in zip(tasks, records):
+                    alts = record["alternatives"]
+                    if tracer.enabled and record["error"] is not None:
+                        tracer.event(
+                            "router.net_retried",
+                            net=net_name,
+                            error=record["error"],
+                            m_routes=max(1, self.m_routes // 2),
                         )
+                    if record["retried"] is not None:
+                        retried[net_name] = record["retried"]
+                    if record["failed"] is not None:
+                        failed[net_name] = record["failed"]
+                        if tracer.enabled:
+                            tracer.event(
+                                "router.net_failed",
+                                net=net_name,
+                                error=record["failed"],
+                            )
+                    if tracer.enabled:
+                        # Phase-one record (§4.2.1): how many of the M
+                        # slots the net filled, and the shortest/longest
+                        # stored lengths.
+                        tracer.event(
+                            "router.net",
+                            net=net_name,
+                            pin_groups=len(groups),
+                            alternatives=len(alts),
+                            shortest=round(alts[0].length, 3) if alts else None,
+                            longest=round(alts[-1].length, 3) if alts else None,
+                        )
+                    if alts:
+                        alternatives[net_name] = alts
+                    else:
+                        unrouted.append(net_name)
+                        estimated[net_name] = self.semi_perimeter(groups)
 
             with tracer.span("router.phase2", nets=len(alternatives)):
                 capacities: Dict[EdgeKey, Optional[int]] = {
@@ -213,80 +271,6 @@ class GlobalRouter:
                 retried=retried,
                 estimated_lengths=estimated,
             )
-
-    def _commit_net(
-        self,
-        net_name: str,
-        groups: Sequence[Sequence[int]],
-        alts: List[RouteAlternative],
-        tracer,
-        alternatives: Dict[str, List[RouteAlternative]],
-        unrouted: List[str],
-        estimated: Dict[str, float],
-    ) -> None:
-        """Record one net's phase-one outcome (shared by the serial loop
-        and the parallel commit, so both produce the same bookkeeping
-        and the same ``router.net`` event stream)."""
-        if tracer.enabled:
-            # Phase-one record (§4.2.1): how many of the M slots the
-            # net filled, and the shortest/longest stored lengths.
-            tracer.event(
-                "router.net",
-                net=net_name,
-                pin_groups=len(groups),
-                alternatives=len(alts),
-                shortest=round(alts[0].length, 3) if alts else None,
-                longest=round(alts[-1].length, 3) if alts else None,
-            )
-        if not alts:
-            unrouted.append(net_name)
-            estimated[net_name] = self.semi_perimeter(groups)
-        else:
-            alternatives[net_name] = alts
-
-    def _route_net_supervised(
-        self,
-        net_name: str,
-        groups: Sequence[Sequence[int]],
-        tracer,
-        failed: Dict[str, str],
-        retried: Dict[str, str],
-    ) -> List[RouteAlternative]:
-        """Phase one for one net with graceful degradation: on an
-        exception, retry with a relaxed M (smaller search), and if that
-        also fails record the net as failed (the caller falls back to a
-        semi-perimeter estimate and marks it unrouted).  One bad net
-        must not abort the whole flow."""
-        try:
-            fault_point("router.route_net", net=net_name)
-            return self.route_net(groups)
-        except Exception as exc:
-            first = f"{type(exc).__name__}: {exc}"
-        relaxed = max(1, self.m_routes // 2)
-        if tracer.enabled:
-            tracer.event(
-                "router.net_retried",
-                net=net_name,
-                error=first,
-                m_routes=relaxed,
-            )
-        try:
-            fault_point("router.route_net_retry", net=net_name)
-            alts = m_shortest_routes(
-                self.search, groups, relaxed, positions=self.graph.positions
-            )
-            retried[net_name] = f"rerouted with M={relaxed} after {first}"
-            return alts
-        except Exception as exc2:
-            failed[net_name] = (
-                f"{first}; retry with M={relaxed} failed: "
-                f"{type(exc2).__name__}: {exc2}"
-            )
-            if tracer.enabled:
-                tracer.event(
-                    "router.net_failed", net=net_name, error=failed[net_name]
-                )
-            return []
 
     def semi_perimeter(self, groups: Sequence[Sequence[int]]) -> float:
         """Half-perimeter of the net's pin nodes — the wirelength

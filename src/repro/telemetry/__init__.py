@@ -11,9 +11,8 @@ dependency instrumentation layer:
   instrumented hot loops cost approximately nothing when tracing is off.
   :class:`JsonlTailer` reads any such JSONL file back incrementally, and
   :func:`follow` turns its polls into a stream.
-* :class:`MetricsRegistry` — named counters/gauges/histograms for
-  hot-loop aggregation (the per-move-kind attempt/accept statistics
-  live here).
+* :class:`MetricsRegistry` — named counters for hot-loop aggregation
+  (the per-move-kind attempt/accept statistics live here).
 * :mod:`repro.telemetry.report` — regenerates the paper's diagnostic
   tables (acceptance-vs-T, cost-vs-iteration, per-stage time/cost) from
   a trace, as CSV and plain text.
@@ -35,7 +34,7 @@ from .context import (
     inherit_or_mint,
     mint_context,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, MetricsRegistry
 from .profile import SamplingProfiler, attribution_from_collapsed, parse_collapsed
 from .tracer import (
     NULL_TRACER,
@@ -57,8 +56,6 @@ __all__ = [
     "inherit_or_mint",
     "mint_context",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "SamplingProfiler",
     "attribution_from_collapsed",

@@ -1,16 +1,16 @@
-"""Named counters, gauges, and histograms for in-process aggregation.
+"""Named counters for in-process aggregation.
 
 Where the tracer records *when* things happened, the registry records
-*how often* and *how large* — cheap enough to update from the annealing
-hot loop (a counter increment is one attribute add).  The registry is
-how the per-move-kind attempt/accept statistics (formerly the ad-hoc
+*how often* — cheap enough to update from the annealing hot loop (a
+counter increment is one attribute add).  The registry is how the
+per-move-kind attempt/accept statistics (formerly the ad-hoc
 ``MoveGenerator.stats`` dict) are kept, and a snapshot of it can be
 flushed into a trace as a single ``metrics`` event.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Union
 
 Number = Union[int, float]
 
@@ -32,64 +32,6 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: Optional[Number] = None
-
-    def set(self, value: Number) -> None:
-        self.value = value
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name}={self.value})"
-
-
-class Histogram:
-    """Streaming summary statistics (count/sum/min/max/mean) of a series.
-
-    No buckets: the diagnostic tables the paper calls for need only the
-    moments, and a bucketless histogram is one comparison per observe.
-    """
-
-    __slots__ = ("name", "count", "total", "min", "max")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: Number) -> None:
-        v = float(value)
-        self.count += 1
-        self.total += v
-        if self.min is None or v < self.min:
-            self.min = v
-        if self.max is None or v > self.max:
-            self.max = v
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "sum": round(self.total, 6),
-            "min": self.min,
-            "max": self.max,
-            "mean": round(self.mean, 6),
-        }
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name} n={self.count} mean={self.mean:.3g})"
-
-
 class MetricsRegistry:
     """Get-or-create store of named metrics.
 
@@ -100,8 +42,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         c = self._counters.get(name)
@@ -109,29 +49,11 @@ class MetricsRegistry:
             c = self._counters[name] = Counter(name)
         return c
 
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(name)
-        return g
-
-    def histogram(self, name: str) -> Histogram:
-        h = self._histograms.get(name)
-        if h is None:
-            h = self._histograms[name] = Histogram(name)
-        return h
-
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-serializable dump of every registered metric."""
         out: Dict[str, Any] = {}
         if self._counters:
             out["counters"] = {n: c.value for n, c in sorted(self._counters.items())}
-        if self._gauges:
-            out["gauges"] = {n: g.value for n, g in sorted(self._gauges.items())}
-        if self._histograms:
-            out["histograms"] = {
-                n: h.to_dict() for n, h in sorted(self._histograms.items())
-            }
         return out
 
     def emit(self, tracer, name: str = "metrics") -> None:

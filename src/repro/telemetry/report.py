@@ -262,6 +262,12 @@ def chain_summary(events: Sequence[Event]) -> Table:
     return headers, rows
 
 
+#: Decimals of the time columns in text tables: 0.1 ms, the stage
+#: summary's rounding, so a text table shows where the time went below
+#: 100 ms too.
+TIME_DIGITS = {"wall_s": 4, "cpu_s": 4, "self_s": 4}
+
+
 def stage_summary(events: Sequence[Event]) -> Table:
     """Per-stage wall/CPU totals and self times of the closed spans,
     aggregated by path (the Table 4 analogue)."""
@@ -339,7 +345,11 @@ def render_text(events: Sequence[Event]) -> str:
             tables.insert(2, ("multi-chain summary (best-of-K exchange)", chains))
     for title, table in tables:
         headers, rows = table
-        body = format_table(headers, rows) if rows else "(no matching events)"
+        body = (
+            format_table(headers, rows, digits=TIME_DIGITS)
+            if rows
+            else "(no matching events)"
+        )
         sections.append(f"== {title} ==\n{body}")
     return "\n\n".join(sections) + "\n"
 

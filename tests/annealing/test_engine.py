@@ -14,8 +14,6 @@ from repro.annealing import (
     CoolingSchedule,
     FloorStop,
     FrozenStop,
-    ProposalState,
-    SimpleProposal,
     TemperatureStats,
     WindowStop,
     metropolis_accept,
@@ -45,7 +43,7 @@ class TestMetropolis:
         assert hits / n == pytest.approx(math.exp(-0.5), abs=0.02)
 
 
-class QuadraticState(ProposalState):
+class QuadraticState(AnnealingState):
     """Toy problem: minimize x**2 over integer steps."""
 
     def __init__(self, x0=50.0):
@@ -54,16 +52,14 @@ class QuadraticState(ProposalState):
     def cost(self):
         return self.x * self.x
 
-    def propose(self, temperature, rng):
+    def step(self, temperature, rng):
         step = rng.choice((-1.0, 1.0)) * max(1.0, temperature ** 0.25)
         old = self.x
         self.x += step
-        delta = self.cost() - old * old
-
-        def undo():
-            self.x = old
-
-        return SimpleProposal(delta, undo)
+        if metropolis_accept(self.cost() - old * old, temperature, rng):
+            return (1, 1)
+        self.x = old
+        return (1, 0)
 
 
 def geometric_schedule(t0=100.0, alpha=0.9):

@@ -5,9 +5,19 @@ from dataclasses import replace
 
 import pytest
 
-from repro import MemorySink, ParallelConfig, TimberWolfConfig, Tracer, use_tracer
+from repro import (
+    FileSink,
+    MemorySink,
+    ParallelConfig,
+    TimberWolfConfig,
+    Tracer,
+    place_and_route,
+    use_tracer,
+)
+from repro.bench import load_circuit
 from repro.parallel.multichain import run_multichain_stage1
 from repro.placement.stage1 import run_stage1
+from repro.telemetry.report import load_events, span_paths
 
 from ..conftest import make_macro_circuit
 
@@ -133,3 +143,52 @@ class TestTraceMerge:
         ingested = [e for e in sink.events if "t_origin" in e]
         assert ingested
         assert all("chain" in e for e in ingested)
+
+
+class TestTraceIsolation:
+    """Chain set-up emits nothing into the run's trace: a multi-chain
+    log holds the coordinator's events and the segments' own, so its
+    shape does not depend on ``workers``, and forked workers never write
+    into the parent's log with span ids of their own."""
+
+    @staticmethod
+    def traced_log(tmp_path, workers):
+        config = replace(
+            TimberWolfConfig.smoke(seed=3),
+            mover="batched",
+            parallel=ParallelConfig(workers=workers, chains=2, exchange_period=5),
+        )
+        path = tmp_path / f"trace-w{workers}.jsonl"
+        tracer = Tracer(FileSink(str(path)))
+        try:
+            place_and_route(
+                load_circuit("i1", 3), config, tracer=tracer, collect_trace=False
+            )
+        finally:
+            tracer.close()
+        return load_events(path)
+
+    @staticmethod
+    def shape(events):
+        paths = span_paths(events)
+        return [
+            (
+                e.get("ev"),
+                e.get("name"),
+                paths.get(e.get("span")),
+                e.get("chain"),
+                # eta_seconds needs a step longer than the clock's tick.
+                sorted(set(e) - {"eta_seconds"}),
+            )
+            for e in events
+        ]
+
+    def test_two_workers_log_like_one(self, tmp_path):
+        one = self.traced_log(tmp_path, workers=1)
+        two = self.traced_log(tmp_path, workers=2)
+        ids = [e["span"] for e in two if e.get("ev") == "span_begin"]
+        assert len(ids) == len(set(ids)), "a span id was handed out twice"
+        assert self.shape(two) == self.shape(one)
+        setup = [e for e in one if e.get("name") == "estimator.determine_core"]
+        # Only the coordinator's rebuild of the winner plans the core.
+        assert [e.get("chain") for e in setup] == [None, None]

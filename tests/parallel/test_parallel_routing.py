@@ -8,6 +8,7 @@ import pytest
 from repro import MemorySink, Tracer, use_tracer
 from repro.parallel.routing import _init_worker
 from repro.routing import GlobalRouter
+from repro.routing import router as router_module
 
 from ..routing.test_router import routed_setup
 
@@ -67,6 +68,52 @@ class TestEvents:
             if e.get("name", "").startswith("router.")
         ]
         assert pooled == serial
+
+
+class TestFailingNets:
+    """A net whose search raises takes the same degrade ladder in the
+    pool as in the serial router: the full M, then M // 2, then give up."""
+
+    def route_with_faults(self, monkeypatch, workers):
+        if workers > 1 and "fork" not in mp.get_all_start_methods():
+            pytest.skip("pool workers inherit the patch only when forked")
+        circuit, graph = routed_setup()
+        groups = GlobalRouter(graph).build_pin_groups(circuit)
+        # n1 fails at the full M only (retried), n3 at every M (failed).
+        broken = {"n1": 6, "n3": None}
+        real = router_module.m_shortest_routes
+
+        def flaky(search, net_groups, m, positions=None):
+            for net, at_m in broken.items():
+                if net_groups == groups[net] and at_m in (None, m):
+                    raise RuntimeError(f"search for {net} broke at M={m}")
+            return real(search, net_groups, m, positions=positions)
+
+        monkeypatch.setattr(router_module, "m_shortest_routes", flaky)
+        sink = MemorySink()
+        with use_tracer(Tracer(sink)):
+            result = GlobalRouter(
+                graph, m_routes=6, seed=0, workers=workers
+            ).route(circuit)
+        per_net = ("router.net_retried", "router.net_failed", "router.net")
+        events = [
+            (e["name"], e.get("net"), e.get("error"), e.get("alternatives"))
+            for e in sink.events
+            if e.get("name") in per_net
+        ]
+        return result, events
+
+    def test_pool_degrades_like_the_serial_router(self, monkeypatch):
+        serial, serial_events = self.route_with_faults(monkeypatch, 1)
+        pooled, pooled_events = self.route_with_faults(monkeypatch, 2)
+        assert set(serial.retried) == {"n1"}
+        assert set(serial.failed) == {"n3"}
+        assert serial.unrouted == ["n3"]
+        assert pooled.retried == serial.retried
+        assert pooled.failed == serial.failed
+        assert pooled.unrouted == serial.unrouted
+        assert pooled_events == serial_events
+        assert [name for name, *_ in serial_events].count("router.net") == 4
 
 
 class TestValidation:

@@ -1,4 +1,4 @@
-"""MetricsRegistry: counters, gauges, histograms, snapshots."""
+"""MetricsRegistry: counters and snapshots."""
 
 from repro.telemetry import MemorySink, MetricsRegistry, Tracer
 
@@ -17,43 +17,14 @@ class TestCounter:
         assert reg.counter("x") is not reg.counter("y")
 
 
-class TestGauge:
-    def test_last_write_wins(self):
-        g = MetricsRegistry().gauge("g")
-        assert g.value is None
-        g.set(1)
-        g.set(7.5)
-        assert g.value == 7.5
-
-
-class TestHistogram:
-    def test_moments(self):
-        h = MetricsRegistry().histogram("h")
-        for v in (2.0, 4.0, 9.0):
-            h.observe(v)
-        assert h.count == 3
-        assert h.min == 2.0
-        assert h.max == 9.0
-        assert h.mean == 5.0
-        d = h.to_dict()
-        assert d["count"] == 3 and d["sum"] == 15.0
-
-    def test_empty_mean(self):
-        assert MetricsRegistry().histogram("h").mean == 0.0
-
-
 class TestSnapshot:
     def test_structure_and_sorting(self):
         reg = MetricsRegistry()
         reg.counter("b").inc(2)
         reg.counter("a").inc(1)
-        reg.gauge("g").set(3)
-        reg.histogram("h").observe(1.0)
         snap = reg.snapshot()
         assert list(snap["counters"]) == ["a", "b"]
         assert snap["counters"]["b"] == 2
-        assert snap["gauges"]["g"] == 3
-        assert snap["histograms"]["h"]["count"] == 1
 
     def test_empty_snapshot_is_empty(self):
         assert MetricsRegistry().snapshot() == {}

@@ -164,6 +164,31 @@ class TestStageSummary:
         bad = next(r for r in rows if r[0] == "bad")
         assert bad[4] == 1
 
+    def test_text_table_prints_times_to_a_tenth_of_a_millisecond(self):
+        from repro.telemetry.report import render_text
+
+        events = [
+            {"ev": "span_begin", "name": "short", "t": 0.0, "span": 1},
+            {"ev": "span_end", "name": "short", "t": 0.0123, "span": 1,
+             "wall_s": 0.0123, "cpu_s": 0.0121, "ok": True},
+        ]
+        from types import SimpleNamespace
+
+        from repro.flow.report import stage_timing_report
+
+        for text in (
+            render_text(events),
+            stage_timing_report(SimpleNamespace(trace_events=events)),
+        ):
+            row = next(
+                line for line in text.splitlines()
+                if line.lstrip().startswith("short")
+            )
+            # wall_s, cpu_s and self_s; the call count stays an integer.
+            assert row.split() == [
+                "short", "1", "0.0123", "0.0121", "0", "0.0123",
+            ]
+
 
 class TestArtifacts:
     def test_write_report_produces_csv_and_text(self, tmp_path):
