@@ -29,7 +29,13 @@ path with a struct-of-arrays mirror:
 The mirror is rebuilt from the object model by ``rebuild()`` (so every
 existing entry point — ``randomize``, ``load_state_dict``, legalization,
 ``set_static_expansions`` — stays correct), and the move methods write
-both the mirror and the authoritative ``records``.
+both the mirror and the authoritative ``records``.  The one path around
+``rebuild()`` is ``adopt_centers()``, through which the batched refine
+hands its kernel's centers to the pin-group moves: it recomputes pins,
+spans and the three totals from the mirror with ``rebuild()``'s own
+expressions and order, and leaves the grid, overlap map, adjacency,
+borders, bbox mirrors and object caches stale until the session's
+closing ``rebuild()``.
 
 Bit-identity contract
 ---------------------
@@ -105,6 +111,24 @@ def make_placement_state(
         dynamic_expansion=dynamic_expansion,
         static_expansions=static_expansions,
     )
+
+
+def _tile_overlap(a, b) -> float:
+    """``TileSet.overlap_area``'s narrow phase over flat (x1, y1, x2, y2)
+    tile tuples, ``a`` outermost.  A skipped term is the 0.0 that
+    ``Rect.overlap_area`` returns, and 0.0 + w * h is w * h, so a
+    single-tile pair also matches the object core's fast path."""
+    total = 0.0
+    for tx1, ty1, tx2, ty2 in a:
+        for ux1, uy1, ux2, uy2 in b:
+            w = min(tx2, ux2) - max(tx1, ux1)
+            if w <= 0.0:
+                continue
+            h = min(ty2, uy2) - max(ty1, uy1)
+            if h <= 0.0:
+                continue
+            total += w * h
+    return total
 
 
 class ArraySnapshot:
@@ -339,6 +363,49 @@ class ArrayPlacementState(PlacementState):
         if self._soa_ready:
             self._sync_soa()
 
+    def adopt_centers(self) -> None:
+        """Bring what a pin-group move reads up to the records' centers,
+        without a ``rebuild()``: every pin at center + current offset,
+        every net span, and C1, C2_raw and C3 as the very floats
+        ``rebuild()`` computes (same expressions, same summation order).
+        A pin move returns ``cost - cost_before``, so the last bits of
+        these totals enter its delta.  Only the centers may differ from
+        the mirrors: variants, pin sites and expansions must be the ones
+        they hold.  The grid, overlap map, adjacency, borders, flat bbox
+        mirrors and object caches are left stale; no pin move reads
+        them, and the next ``rebuild()`` makes them canonical."""
+        n = len(self.names)
+        for i in range(n):
+            self._commit_pins(i)
+        lpx = self._lpx
+        lpy = self._lpy
+        lsx = self._lsx
+        lsy = self._lsy
+        for e, get in enumerate(self._nget):
+            if get is None:
+                lsx[e] = lsy[e] = 0.0
+            else:
+                xs = get(lpx)
+                ys = get(lpy)
+                lsx[e] = max(xs) - min(xs)
+                lsy[e] = max(ys) - min(ys)
+        nh = self._nh
+        nv = self._nv
+        # sum(), as rebuild() sums: from Python 3.12 it is not a plain loop.
+        self._c1 = sum(sx * nh[e] + lsy[e] * nv[e] for e, sx in enumerate(lsx))
+        geoms = [self._cell_geometry(i) for i in range(n)]
+        tiles = [g[4] or (g[:4],) for g in geoms]
+        c2 = 0.0
+        for i, (x1, y1, x2, y2, ti) in enumerate(geoms):
+            c2 += self._border_flat(x1, y1, x2, y2, ti)
+            for j in range(i + 1, n):
+                jx1, jy1, jx2, jy2, _ = geoms[j]
+                if jx1 >= x2 or jx2 <= x1 or jy1 >= y2 or jy2 <= y1:
+                    continue
+                c2 += _tile_overlap(tiles[i], tiles[j])
+        self._c2_raw = c2
+        self._c3_total = sum(self._c3)
+
     # ------------------------------------------------------------------
     # variant caches (flattened views over the object-core caches)
     # ------------------------------------------------------------------
@@ -452,26 +519,13 @@ class ArrayPlacementState(PlacementState):
 
     def _pair_area_flat(self, x1, y1, x2, y2, tiles_i, j) -> float:
         """Narrow-phase overlap of the (already bbox-accepted) pair,
-        reproducing ``TileSet.overlap_area``'s loop order with cell i's
-        tiles outermost (the object core always calls exp_i.overlap_area)."""
-        tiles_j = self._ltiles[j]
-        a = ((x1, y1, x2, y2),) if tiles_i is None else tiles_i
-        b = (
-            ((self._lex1[j], self._ley1[j], self._lex2[j], self._ley2[j]),)
-            if tiles_j is None
-            else tiles_j
+        with cell i's tiles outermost (the object core always calls
+        exp_i.overlap_area)."""
+        return _tile_overlap(
+            ((x1, y1, x2, y2),) if tiles_i is None else tiles_i,
+            self._ltiles[j]
+            or ((self._lex1[j], self._ley1[j], self._lex2[j], self._ley2[j]),),
         )
-        total = 0.0
-        for tx1, ty1, tx2, ty2 in a:
-            for ux1, uy1, ux2, uy2 in b:
-                w = min(tx2, ux2) - max(tx1, ux1)
-                if w <= 0.0:
-                    continue
-                h = min(ty2, uy2) - max(ty1, uy1)
-                if h <= 0.0:
-                    continue
-                total += w * h
-        return total
 
     def _span_delta(self, net_ids, saved_spans) -> None:
         """Recompute spans of ``net_ids`` (in the given order) and

@@ -23,9 +23,14 @@ trades throughput against fidelity: ``batch=1`` is ordinary serial SA.
 The kernel runs a *session*: ``begin()`` freezes the SoA mirrors into
 numpy arrays, batches mutate those arrays only, and ``finish()`` writes
 the surviving placement back through the object model (``rebuild()``),
-restoring every serial-path invariant.  C3 never changes inside a
-session (displacements and plain interchanges touch neither pin sites
-nor aspect ratios), so it is carried as a constant.
+restoring every serial-path invariant.  C3 never changes under a batch
+(displacements and plain interchanges touch neither pin sites nor
+aspect ratios), so it is carried as a constant.  The refine anneal's
+pin-group moves run on the serial kernel without closing the session:
+``hand_off()`` writes the centers into the records and brings only what
+a pin move reads up to date (pins, spans, and the three totals exactly
+as ``rebuild()`` computes them), and ``reopen()`` refreshes only what a
+pin move changes (pin offsets, spans, C1 and C3).
 
 Layout notes
 ------------
@@ -79,7 +84,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 import numpy as np
 
 from ..annealing.engine import AnnealingState
-from ..telemetry import MetricsRegistry
+from ..telemetry import MetricsRegistry, current_tracer
 from .arraycore import ArrayPlacementState
 
 __all__ = ["BatchKernel", "BatchMoveGenerator", "BatchAnnealingState"]
@@ -284,17 +289,7 @@ class BatchKernel:
         for e in live:
             by_owner = {}
             for p in state._nmem[e]:
-                c = int(self.pin_cell[p])
-                ox = state._lpx[p] - self.centers[c, 0]
-                oy = state._lpy[p] - self.centers[c, 1]
-                g = by_owner.get(c)
-                if g is None:
-                    by_owner[c] = [ox, oy, ox, oy]
-                else:
-                    g[0] = min(g[0], ox)
-                    g[1] = min(g[1], oy)
-                    g[2] = max(g[2], ox)
-                    g[3] = max(g[3], oy)
+                by_owner.setdefault(int(self.pin_cell[p]), []).append(p)
             groups.append(by_owner)
         hw = np.asarray(state._nh, dtype=np.float64)
         vw = np.asarray(state._nv, dtype=np.float64)
@@ -324,12 +319,26 @@ class BatchKernel:
         cm = max(2, 1 << (cm - 1).bit_length())
         self.cm = cm
         self.nowner = np.zeros((cm, R), dtype=np.int64)
+        # Each (net, owner) slot's member pins, flat and contiguous per
+        # slot, for _refresh_noff's segment reductions.
+        slot_pins, starts, slot_idx, net_idx = [], [], [], []
+        for r, by_owner in enumerate(groups):
+            for s, (c, pins) in enumerate(by_owner.items()):
+                self.nowner[s, r] = c
+                starts.append(len(slot_pins))
+                slot_pins.extend(pins)
+                slot_idx.append(s)
+                net_idx.append(r)
+        self._slot_pins = np.array(slot_pins, dtype=np.int64)
+        self._slot_cell = self.pin_cell[self._slot_pins]
+        self._slot_start = np.array(starts, dtype=np.int64)
+        self._slot_at = (
+            np.array(slot_idx, dtype=np.int64),
+            np.array(net_idx, dtype=np.int64),
+        )
         self.noff = np.full((cm, 4, R), -np.inf)
         self.noff[0, :, nlive] = 0.0
-        for r, by_owner in enumerate(groups):
-            for s, (c, g) in enumerate(by_owner.items()):
-                self.nowner[s, r] = c
-                self.noff[s, :, r] = (g[2], g[3], -g[0], -g[1])
+        self._refresh_noff()
         slot = [{c: s for s, c in enumerate(g)} for g in groups]
         own_slot = np.ones((n, netmax), dtype=np.int64)
         for i, ids in enumerate(cell_nets):
@@ -373,11 +382,22 @@ class BatchKernel:
 
         self.p2 = state.p2
         self.c3 = state._c3_total
-        self._refresh_spans()
-        self.c1 = float(np.einsum("cr,cr->", self.w2, self.cur_s))
+        self.c1 = self._c1_total()
         self._refresh_c1_tables()
         self._refresh_overlaps()
         self._active = True
+
+    def _refresh_noff(self) -> None:
+        """Each (net, owner) slot's pin-offset extremes, stacked (hi_x,
+        hi_y, -lo_x, -lo_y), from the state's pin mirrors: offsets are
+        pin minus center, and max, min and negation are exact."""
+        state = self.state
+        s, r = self._slot_at
+        for axis, mirror in enumerate((state._lpx, state._lpy)):
+            off = np.asarray(mirror)[self._slot_pins]
+            off -= self.centers[self._slot_cell, axis]
+            self.noff[s, axis, r] = np.maximum.reduceat(off, self._slot_start)
+            self.noff[s, axis + 2, r] = -np.minimum.reduceat(off, self._slot_start)
 
     def finish(self) -> None:
         """Write the batch-mode placement back through the object model.
@@ -390,6 +410,26 @@ class BatchKernel:
         self._write_centers()
         self.state.rebuild()
         self._active = False
+
+    def hand_off(self) -> None:
+        """Lend the session's placement to the serial kernel's pin-group
+        moves: the centers go into the records, and the array state
+        brings pins, spans and its totals up to them
+        (``adopt_centers``) without a ``rebuild()``.  The session's
+        tables stay as they are, for :meth:`reopen`."""
+        self._write_centers()
+        self.state.adopt_centers()
+
+    def reopen(self) -> None:
+        """Take the placement back after the pin-group moves, with the
+        tables a fresh :meth:`begin` would build.  Pin moves change no
+        center, variant or expansion, so the tile table, the overlap
+        sums, C2 and the index tables stand; the pin offsets, the spans,
+        C1 and its tables are refreshed, and C3 is the serial state's."""
+        self._refresh_noff()
+        self.c1 = self._c1_total()
+        self._refresh_c1_tables()
+        self.c3 = self.state._c3_total
 
     def _write_centers(self) -> None:
         """Copy the session's centers into the records (no rebuild)."""
@@ -893,10 +933,12 @@ class BatchAnnealingState(AnnealingState):
     run resumes bit-for-bit against itself.
 
     ``pin_round`` (the refine anneal's ``MoveGenerator.pin_round``;
-    stage 1 passes none) runs at the first step of each temperature,
-    with the session closed around it: pin moves rewrite pin sites and
-    C3, which the kernel holds fixed, so they run on the serial kernel.
-    Without it the whole anneal is one session.
+    stage 1 passes none) runs at the first step of each temperature, on
+    the serial kernel: pin moves rewrite pin sites and C3, which the
+    kernel holds fixed.  The session stays open around it (one
+    ``batch.pin_round`` span): the kernel hands its placement off to
+    the array state and reopens on the result.  The whole anneal is one
+    session.
     """
 
     def __init__(
@@ -927,11 +969,13 @@ class BatchAnnealingState(AnnealingState):
         if not self._pin_round_due:
             return self.generator.step(temperature)
         self._pin_round_due = False
-        self.generator.finish()
-        attempts, accepts = self.pin_round(temperature, rng)
+        kernel = self.generator.kernel
+        with current_tracer().span("batch.pin_round"):
+            kernel.hand_off()
+            attempts, accepts = self.pin_round(temperature, rng)
+            kernel.reopen()
         self._pin_moves[0] += attempts
         self._pin_moves[1] += accepts
-        self.generator.begin()
         a, c = self.generator.step(temperature)
         return (attempts + a, accepts + c)
 
@@ -955,8 +999,8 @@ class BatchAnnealingState(AnnealingState):
         """The drift guard's audit of the session's running totals
         against the object model's from-scratch recomputation at the
         session's centers.  The kernel recomputes C1 and C2 at every
-        commit; C3 is carried in from ``begin()``, so this is what
-        checks the pin rounds' incremental C3."""
+        commit; C3 is carried in from ``begin()`` and each ``reopen()``,
+        so this is what checks the pin rounds' incremental C3."""
         kernel = self.generator.kernel
         if not kernel._active:
             return self.state.cost_drift()

@@ -220,7 +220,6 @@ class PlacementState:
         self._pin_offset_cache: List[
             Dict[Tuple, Dict[str, Tuple[float, float]]]
         ] = [dict() for _ in range(n)]
-        self._c3_cache: List[Dict[Tuple, float]] = [dict() for _ in range(n)]
 
         # Caches and cost accumulators, built by rebuild().
         self._shapes: List[TileSet] = [None] * n  # type: ignore[list-item]
@@ -526,25 +525,20 @@ class PlacementState:
         assert isinstance(cell, CustomCell)
         record = self.records[idx]
         assert record.aspect_ratio is not None
-        # The penalty depends only on the aspect ratio and the site
-        # assignment; both are discrete-ish under annealing, so repeats
-        # dominate (same signature scheme as the pin-offset cache).
-        sig = (record.aspect_ratio, self.kappa, tuple(record.pin_sites.values()))
-        cache = self._c3_cache[idx]
-        hit = cache.get(sig)
-        if hit is not None:
-            return hit
-        if len(cache) >= _PIN_CACHE_LIMIT:
-            cache.clear()
-        width, height = cell.dimensions(record.aspect_ratio)
         nsites = cell.sites_per_edge
-        pitch = cell.pin_pitch
         occupancy: Dict[Tuple[str, int], int] = {}
+        pins = 0
         for key, members in self._groups[idx]:
             side, start = record.pin_sites[key]
+            pins += len(members)
             for k in range(len(members)):
                 site = (side, (start + k) % nsites)
                 occupancy[site] = occupancy.get(site, 0) + 1
+        if len(occupancy) == pins:
+            # No two pins share a site, and every capacity is at least 1.
+            return 0.0
+        width, height = cell.dimensions(record.aspect_ratio)
+        pitch = cell.pin_pitch
         penalty = 0.0
         for (side, _), count in occupancy.items():
             edge_len = height if side in (LEFT, RIGHT) else width
@@ -552,7 +546,6 @@ class PlacementState:
             if count > capacity:
                 excess = count - capacity + self.kappa
                 penalty += excess * excess
-        cache[sig] = penalty
         return penalty
 
     # ------------------------------------------------------------------

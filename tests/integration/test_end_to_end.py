@@ -181,11 +181,26 @@ GOLDEN_BATCHED_SHA256 = (
 )
 
 
+#: Both fingerprints of p1 smoke with ``mover="batched"``.  i1 above is
+#: macro-only; p1's two custom cells run the batched refine's pin round
+#: (1,216 pin-group attempts) on the serial kernel, inside the open
+#: kernel session.
+GOLDEN_BATCHED_P1_SHA256 = (
+    "6f07bfb653125dfed2369a4a1ca99d9f7c4eb3bc6ab07842e8ef53213528be47",
+    "402293b0462b6f1a0b4b608abd18abf090369be4c9decb01d718e9257e27cdc8",
+)
+
+
 class TestGoldenBatchedPlacement:
     @pytest.fixture(scope="class")
     def batched_result(self):
         config = replace(SMOKE, mover="batched")
         return place_and_route(load_circuit("i1"), config)
+
+    @pytest.fixture(scope="class")
+    def batched_p1_result(self):
+        config = replace(SMOKE, mover="batched")
+        return place_and_route(load_circuit("p1"), config)
 
     def test_stage1_fingerprint(self, batched_result):
         assert stage1_fingerprint(batched_result) == GOLDEN_BATCHED_STAGE1_SHA256
@@ -195,6 +210,14 @@ class TestGoldenBatchedPlacement:
             placement_fingerprint(batched_result),
             routing_fingerprint(batched_result),
         ) == GOLDEN_BATCHED_SHA256
+
+    def test_batched_pin_round_fingerprints(self, batched_p1_result):
+        stats = batched_p1_result.refinement.final_pass.move_stats
+        assert stats["pin_group"][0] == 1216
+        assert (
+            placement_fingerprint(batched_p1_result),
+            routing_fingerprint(batched_p1_result),
+        ) == GOLDEN_BATCHED_P1_SHA256
 
 
 class TestMediumCircuit:

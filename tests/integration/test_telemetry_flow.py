@@ -245,6 +245,28 @@ class TestSpanCoverage:
             refine + "/batch.finish",
         ):
             assert path in paths, path
+        # i1 is macro-only: its refine runs no pin round.
+        assert not any(p.endswith("batch.pin_round") for p in paths)
+
+    def test_batched_pin_rounds_nest_under_the_refine_anneal(self):
+        """p1's custom cells give the batched refine one pin round per
+        temperature, each its own span inside ``anneal``."""
+        from repro.bench import load_circuit
+
+        mem = MemorySink()
+        config = replace(TimberWolfConfig.smoke(seed=7), mover="batched")
+        result = place_and_route(
+            load_circuit("p1"), config, tracer=Tracer(mem), collect_trace=False
+        )
+        rounds = [
+            path for path in span_paths(mem.events).values()
+            if path.endswith("/batch.pin_round")
+        ]
+        refine = "flow/stage2/stage2.pass/stage2.refine_anneal"
+        assert set(rounds) == {refine + "/anneal/batch.pin_round"}
+        assert len(rounds) == sum(
+            p.anneal.num_temperatures for p in result.refinement.passes
+        )
 
 
 class TestAcceptanceReconciliation:
