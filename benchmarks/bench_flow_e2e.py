@@ -59,6 +59,7 @@ from repro.annealing import RangeLimiter  # noqa: E402
 from repro.bench import CircuitSpec, generate_circuit  # noqa: E402
 from repro.estimator import determine_core  # noqa: E402
 from repro.placement import BatchMoveGenerator, make_placement_state  # noqa: E402
+from repro.placement.batch import BATCH_KINDS  # noqa: E402
 
 FULL_SIZES = (50, 100, 200)
 QUICK_SIZES = (50,)
@@ -175,19 +176,21 @@ def verify_scratch_invariant(n: int = GATE_SIZE, seed: int = 5) -> Dict:
         full_span_x=core.width, full_span_y=core.height, t_infinity=500.0
     )
     generator = BatchMoveGenerator(state, limiter, batch=max(2, n), seed=seed)
+    # Stage-1 batches draw only from the mover's numpy stream.
+    rng = random.Random(seed)
     generator.begin()
     try:
         warmup = 0
         while warmup < SCRATCH_WARMUP_CAP:
-            generator.step(50.0)
+            generator.step(50.0, rng)
             warmup += 1
             if warmup >= SCRATCH_WARMUP_SWEEPS and all(
-                attempts > 0 for attempts, _ in generator.stats.values()
+                generator.stats[kind][0] > 0 for kind in BATCH_KINDS
             ):
                 break
         after_warmup = generator.kernel.scratch_misses
         for _ in range(SCRATCH_STEADY_SWEEPS):
-            generator.step(50.0)
+            generator.step(50.0, rng)
         steady = generator.kernel.scratch_misses
     finally:
         generator.finish()

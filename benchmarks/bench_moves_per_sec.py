@@ -272,16 +272,18 @@ def bench_mixed_batched(
         generator = BatchMoveGenerator(
             state, limiter, batch=batch, seed=seed
         )
+        # Stage-1 batches draw only from the mover's numpy stream.
+        rng = random.Random(seed)
         generator.begin()
         # Untimed warmup: the first few vectorized steps pay numpy's
         # allocator/rng setup, which would dominate a short quick-mode
         # window and make the CI speedup gate flap.
         for _ in range(5):
-            generator.step(MIXED_TEMPERATURE)
+            generator.step(MIXED_TEMPERATURE, rng)
         start = time.perf_counter()
         attempts = 0
         for _ in range(n_steps):
-            a, _ = generator.step(MIXED_TEMPERATURE)
+            a, _ = generator.step(MIXED_TEMPERATURE, rng)
             attempts += a
         elapsed = time.perf_counter() - start
         generator.finish()
@@ -323,13 +325,7 @@ def _replay_trace(n: int, steps: int, seed: int, core: str, walk: str) -> List:
                 for k, name in enumerate(state.names)
             }
         )
-        generator = MoveGenerator(
-            state,
-            limiter,
-            orientation_moves=False,
-            aspect_moves=False,
-            interchange_moves=False,
-        )
+        generator = MoveGenerator(state, limiter, refine=True)
         temperature = limiter.temperature_for_fraction(REFINE_MU)
     else:
         generator = MoveGenerator(state, limiter)

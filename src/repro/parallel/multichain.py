@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..annealing import AnnealCursor
 from ..config import TimberWolfConfig
 from ..netlist import Circuit, dumps, loads
-from ..placement.batch import BatchAnnealingState
+from ..placement.batch import BatchMoveGenerator
 from ..placement.stage1 import (
     Stage1Chain,
     Stage1Result,
@@ -104,8 +104,8 @@ class ChainContext(Stage1Chain):
         resume the cursor restores the numpy stream on the first segment,
         and begin() rebuilds the mid-anneal arrays bit-for-bit from the
         restored records."""
-        if isinstance(self.mover, BatchAnnealingState):
-            self.mover.generator.begin()
+        if isinstance(self.mover, BatchMoveGenerator):
+            self.mover.begin()
 
     def run_segment(self, upto: int) -> Dict[str, Any]:
         """Anneal until temperature step ``upto`` (exclusive) or until
@@ -132,7 +132,7 @@ class ChainContext(Stage1Chain):
             self.done = True
         self.stop_reason = result.stop_reason
         new_steps = result.steps[prior_steps:]
-        # The adapter reports the *live* state: during a batched session
+        # The mover reports the *live* state: during a batched session
         # that is the kernel's arrays (export writes centers through to
         # the records), for serial chains it is the placement state
         # itself — both history-exact, both loadable anywhere.

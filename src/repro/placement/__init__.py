@@ -5,10 +5,10 @@ from .arraycore import (
     ArrayPlacementState,
     make_placement_state,
 )
-from .batch import BatchAnnealingState, BatchKernel, BatchMoveGenerator
+from .batch import BatchKernel, BatchMoveGenerator
 from .compact import compact
 from .legalize import raw_overlap, remove_overlaps
-from .moves import MoveGenerator, PlacementAnnealingState
+from .moves import MoveGenerator
 from .refine import RefinementPass, RefinementResult, run_refinement
 from .stage1 import Stage1Result, calibrate_p2, run_stage1
 from .state import CellRecord, PlacementState, world_side
@@ -17,12 +17,10 @@ __all__ = [
     "PLACEMENT_CORES",
     "ArrayPlacementState",
     "make_placement_state",
-    "BatchAnnealingState",
     "BatchKernel",
     "BatchMoveGenerator",
     "compact",
     "MoveGenerator",
-    "PlacementAnnealingState",
     "Stage1Result",
     "calibrate_p2",
     "run_stage1",

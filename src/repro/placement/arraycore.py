@@ -63,21 +63,14 @@ same operands in the same order as ``PlacementState._refresh_cells``:
   ``_pin_positions`` calls, so there is no second implementation of the
   geometry math to drift.
 
-Conversion helpers (``from_object`` / ``to_object`` / ``soa``) give the
-lossless round trip at stage boundaries; ``cost_breakdown_vector`` is
-the fully vectorized (numpy) C1/C2/C3 evaluation over the SoA mirror,
-used for audits and benchmarks.
+A ``state_dict`` loads into either core losslessly, history-exact
+accumulators included.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
-
-try:  # numpy backs the batch/vectorized paths; the scalar kernel runs without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
 
 from ..estimator import CorePlan
 from ..geometry import BOTTOM, LEFT, RIGHT, TOP, Rect, TileSet
@@ -933,14 +926,7 @@ class ArrayPlacementState(PlacementState):
         self._shapes[i] = shape_ref
         self._grid.update_coords(i, x1, y1, x2, y2)
 
-    def restore(self, snap) -> None:
-        if snap.__class__ is not ArraySnapshot:
-            # An object-core snapshot (taken before this state was
-            # handed an array move): fall back to the inherited restore
-            # and resynchronize the mirrors.
-            super().restore(snap)
-            self._sync_soa()
-            return
+    def restore(self, snap: ArraySnapshot) -> None:
         kind = snap.kind
         if kind == 2:
             i = snap.cells
@@ -1049,171 +1035,3 @@ class ArrayPlacementState(PlacementState):
             name: (self._lsx[e], self._lsy[e])
             for e, name in enumerate(self._net_names)
         }
-
-    # ------------------------------------------------------------------
-    # object <-> array round trip and numpy views
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_object(cls, state: PlacementState) -> "ArrayPlacementState":
-        """Lossless conversion from an object-core placement: the clone
-        reproduces records, expansions mode, p2, and the history-exact
-        cost accumulators bit-for-bit."""
-        clone = cls(
-            state.circuit,
-            state.plan,
-            p2=state.p2,
-            kappa=state.kappa,
-            dynamic_expansion=state.dynamic_expansion,
-        )
-        clone.load_state_dict(state.state_dict())
-        return clone
-
-    def to_object(self) -> PlacementState:
-        """Lossless conversion back to the plain object core."""
-        out = PlacementState(
-            self.circuit,
-            self.plan,
-            p2=self.p2,
-            kappa=self.kappa,
-            dynamic_expansion=self.dynamic_expansion,
-        )
-        out.load_state_dict(self.state_dict())
-        return out
-
-    def soa(self) -> Dict[str, "object"]:
-        """Numpy struct-of-arrays views of the placement (read-only
-        copies): centers, orientations, instances, aspect ratios (nan for
-        macros), expanded bboxes, flat pin coordinates with their cell
-        ownership, and per-net spans/weights."""
-        if _np is None:  # pragma: no cover - the toolchain ships numpy
-            raise RuntimeError("numpy is required for SoA views")
-        n = len(self.names)
-        centers = _np.array([r.center for r in self.records], dtype=_np.float64)
-        aspect = _np.array(
-            [
-                _np.nan if r.aspect_ratio is None else r.aspect_ratio
-                for r in self.records
-            ],
-            dtype=_np.float64,
-        )
-        pin_cell = _np.zeros(self._num_pins, dtype=_np.int64)
-        for i in range(n):
-            start = self._pin_start[i]
-            pin_cell[start : start + self._pin_count[i]] = i
-        return {
-            "centers": centers,
-            "orientations": _np.array(
-                [r.orientation for r in self.records], dtype=_np.int64
-            ),
-            "instances": _np.array(
-                [r.instance for r in self.records], dtype=_np.int64
-            ),
-            "aspect_ratios": aspect,
-            "expanded_bbox": _np.array(
-                list(zip(self._lex1, self._ley1, self._lex2, self._ley2)),
-                dtype=_np.float64,
-            ),
-            "pin_xy": _np.array(
-                list(zip(self._lpx, self._lpy)), dtype=_np.float64
-            ),
-            "pin_cell": pin_cell,
-            "net_spans": _np.array(
-                list(zip(self._lsx, self._lsy)), dtype=_np.float64
-            ),
-            "net_weights": _np.array(
-                list(zip(self._nh, self._nv)), dtype=_np.float64
-            ),
-        }
-
-    def load_soa(self, soa: Dict[str, "object"]) -> None:
-        """Write a :meth:`soa` view back into the records and rebuild.
-
-        float64 round-trips exactly, so ``load_soa(soa())`` reproduces
-        the placement geometry bit-for-bit (pin-site assignments are
-        authoring-layer data carried by the records, unchanged here).
-        """
-        centers = soa["centers"]
-        orientations = soa["orientations"]
-        instances = soa["instances"]
-        aspect = soa["aspect_ratios"]
-        for i, rec in enumerate(self.records):
-            rec.center = (float(centers[i][0]), float(centers[i][1]))
-            rec.orientation = int(orientations[i])
-            rec.instance = int(instances[i])
-            ar = float(aspect[i])
-            rec.aspect_ratio = None if ar != ar else ar
-        self.rebuild()
-
-    def cost_breakdown_vector(self) -> Tuple[float, float, float]:
-        """(C1, C2_raw, C3) evaluated with vectorized numpy reductions
-        over the SoA mirror — the batch audit path (agrees with
-        :meth:`cost_breakdown_fresh` to rounding; the incremental
-        accumulators are history-exact and may differ by ULPs)."""
-        if _np is None:  # pragma: no cover - the toolchain ships numpy
-            raise RuntimeError("numpy is required for the vectorized path")
-        px = _np.asarray(self._lpx)
-        py = _np.asarray(self._lpy)
-        flat: List[int] = []
-        offsets: List[int] = []
-        live: List[int] = []
-        for e, mem in enumerate(self._nmem):
-            if mem:
-                offsets.append(len(flat))
-                flat.extend(mem)
-                live.append(e)
-        c1 = 0.0
-        if live:
-            idx = _np.asarray(flat, dtype=_np.int64)
-            off = _np.asarray(offsets, dtype=_np.int64)
-            gx = px[idx]
-            gy = py[idx]
-            span_x = _np.maximum.reduceat(gx, off) - _np.minimum.reduceat(gx, off)
-            span_y = _np.maximum.reduceat(gy, off) - _np.minimum.reduceat(gy, off)
-            h = _np.asarray(self._nh)[live]
-            v = _np.asarray(self._nv)[live]
-            c1 = float(_np.sum(span_x * h + span_y * v))
-        x1 = _np.asarray(self._lex1)
-        y1 = _np.asarray(self._ley1)
-        x2 = _np.asarray(self._lex2)
-        y2 = _np.asarray(self._ley2)
-        w = _np.minimum(x2[:, None], x2[None, :]) - _np.maximum(
-            x1[:, None], x1[None, :]
-        )
-        h2 = _np.minimum(y2[:, None], y2[None, :]) - _np.maximum(
-            y1[:, None], y1[None, :]
-        )
-        area = _np.where((w > 0.0) & (h2 > 0.0), w * h2, 0.0)
-        n = len(self.names)
-        upper = _np.triu_indices(n, k=1)
-        pair_area = area[upper]
-        # Multi-tile cells need the exact tile-level narrow phase for
-        # the pairs their bbox accepted.
-        multi = [i for i in range(n) if self._ltiles[i] is not None]
-        if multi:
-            multi_set = set(multi)
-            ii, jj = upper
-            for k in range(len(pair_area)):
-                if pair_area[k] > 0.0:
-                    i = int(ii[k])
-                    j = int(jj[k])
-                    if i in multi_set or j in multi_set:
-                        pair_area[k] = self._pair_area_flat(
-                            self._lex1[i],
-                            self._ley1[i],
-                            self._lex2[i],
-                            self._ley2[i],
-                            self._ltiles[i],
-                            j,
-                        )
-        c2 = float(_np.sum(pair_area))
-        for i in range(n):
-            c2 += self._border_flat(
-                self._lex1[i],
-                self._ley1[i],
-                self._lex2[i],
-                self._ley2[i],
-                self._ltiles[i],
-            )
-        c3 = sum(self._cell_c3(i) for i in range(n))
-        return c1, c2, c3

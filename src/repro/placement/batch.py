@@ -32,6 +32,9 @@ a pin move reads up to date (pins, spans, and the three totals exactly
 as ``rebuild()`` computes them), and ``reopen()`` refreshes only what a
 pin move changes (pin offsets, spans, C1 and C3).
 
+``BatchMoveGenerator`` drives the kernel, one session per anneal, and
+is itself the engine's annealing state.
+
 Layout notes
 ------------
 
@@ -86,8 +89,9 @@ import numpy as np
 from ..annealing.engine import AnnealingState
 from ..telemetry import MetricsRegistry, current_tracer
 from .arraycore import ArrayPlacementState
+from .moves import telemetry_fields
 
-__all__ = ["BatchKernel", "BatchMoveGenerator", "BatchAnnealingState"]
+__all__ = ["BatchKernel", "BatchMoveGenerator"]
 
 #: The batched move kinds (mirrors ``MOVE_KINDS`` for the serial path).
 BATCH_KINDS = ("displace_batch", "interchange_batch")
@@ -838,11 +842,28 @@ class BatchKernel:
         self._refresh_overlaps()
 
 
-class BatchMoveGenerator:
+class BatchMoveGenerator(AnnealingState):
     """Drives ``BatchKernel`` with the §3.2.1 displacement/interchange
-    mixture — the batched analogue of ``MoveGenerator`` (no cascade, no
-    orientation/aspect/pin moves).  With ``interchange_moves=False``
-    every step is a displacement batch: the stage-2 refine anneal."""
+    mixture, and is the engine's annealing state — the batched analogue
+    of ``MoveGenerator`` (no cascade, no orientation or aspect moves).
+
+    Every stochastic choice of the batches (kind mix, cells, steps,
+    Metropolis draws) comes from the mover's own numpy stream, which the
+    cursor's ``generator_state`` captures and restores, so a batched run
+    resumes bit-for-bit against itself.
+
+    ``refine`` makes every batch a displacement batch: the §4.3 refine
+    anneal.  ``pin_round`` (the refine anneal's
+    ``MoveGenerator.pin_round``; stage 1 passes none) runs at the first
+    step of each temperature, on the serial kernel: pin moves rewrite
+    pin sites and C3, which the kernel holds fixed.  The session stays
+    open around it (one ``batch.pin_round`` span): the kernel hands its
+    placement off to the array state and reopens on the result.
+
+    The engine runs the mover inside one open session (``begin()`` ..
+    ``finish()``), and the cost, the snapshots and the drift audit read
+    the session's live placement.
+    """
 
     def __init__(
         self,
@@ -851,22 +872,30 @@ class BatchMoveGenerator:
         r_ratio: float = 10.0,
         batch: int = 48,
         seed: int = 0,
-        metrics: Optional[MetricsRegistry] = None,
-        interchange_moves: bool = True,
+        refine: bool = False,
+        pin_round: Optional[
+            Callable[[float, random.Random], Tuple[int, int]]
+        ] = None,
     ) -> None:
         if r_ratio <= 0:
             raise ValueError("r_ratio must be positive")
         if batch < 1:
             raise ValueError("batch must be at least 1")
+        self.state = state
         self.kernel = BatchKernel(state)
         self.limiter = limiter
         self.displacement_probability = r_ratio / (1.0 + r_ratio)
-        self.interchange_moves = interchange_moves
+        self.refine = refine
         self.batch = batch
         self.rng = np.random.default_rng(seed)
-        #: Per-kind attempt/accept counters in a MetricsRegistry, so the
-        #: flow can export batched move metrics exactly like serial ones.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.pin_round = pin_round
+        self._pin_round_due = False
+        #: [attempts, accepts] over the pin rounds run so far.
+        self._pin_moves = [0, 0]
+        #: Per-kind batch attempt/accept counters in a MetricsRegistry,
+        #: so the flow can export batched move metrics exactly like
+        #: serial ones.
+        self.metrics = MetricsRegistry()
         self._pairs = {
             kind: (
                 self.metrics.counter(f"moves.{kind}.attempts"),
@@ -877,11 +906,14 @@ class BatchMoveGenerator:
 
     @property
     def stats(self) -> Dict[str, list]:
-        """Move kind -> [attempts, accepts] (view over the registry)."""
-        return {
+        """Move kind -> [attempts, accepts]: the batches, and the pin
+        rounds as ``pin_group``."""
+        stats = {
             kind: [attempts.value, accepts.value]
             for kind, (attempts, accepts) in self._pairs.items()
         }
+        stats["pin_group"] = list(self._pin_moves)
+        return stats
 
     def begin(self) -> None:
         self.kernel.begin()
@@ -889,101 +921,43 @@ class BatchMoveGenerator:
     def finish(self) -> None:
         self.kernel.finish()
 
-    def state_dict(self) -> Dict[str, Any]:
-        """The generator's private stream state (the numpy
-        bit-generator), for bit-for-bit resume of batched runs."""
-        return {"rng": self.rng.bit_generator.state}
+    def on_temperature(self, temperature: float) -> None:
+        self._pin_round_due = self.pin_round is not None
 
-    def load_state_dict(self, data: Dict[str, Any]) -> None:
-        self.rng.bit_generator.state = data["rng"]
-
-    def step(self, temperature: float) -> Tuple[int, int]:
-        """One batch: displacement with probability r/(1+r), else
-        interchange (always a displacement without interchange moves).
-        Returns (attempts, accepts)."""
-        if (
-            not self.interchange_moves
-            or self.rng.random() < self.displacement_probability
-        ):
+    def step(self, temperature: float, rng: random.Random) -> Tuple[int, int]:
+        """A due pin round (drawing from ``rng``), then one batch:
+        displacement with probability r/(1+r), else interchange (always
+        a displacement in the refine anneal).  Returns (attempts,
+        accepts)."""
+        attempts = accepts = 0
+        if self._pin_round_due:
+            self._pin_round_due = False
+            with current_tracer().span("batch.pin_round"):
+                self.kernel.hand_off()
+                attempts, accepts = self.pin_round(temperature, rng)
+                self.kernel.reopen()
+            self._pin_moves[0] += attempts
+            self._pin_moves[1] += accepts
+        if self.refine or self.rng.random() < self.displacement_probability:
             window = (
                 self.limiter.window_x(temperature),
                 self.limiter.window_y(temperature),
             )
-            out = self.kernel.displacement_batch(
+            a, c = self.kernel.displacement_batch(
                 self.batch, temperature, window, self.rng
             )
             row = self._pairs["displace_batch"]
         else:
-            out = self.kernel.interchange_batch(
+            a, c = self.kernel.interchange_batch(
                 self.batch, temperature, self.rng
             )
             row = self._pairs["interchange_batch"]
-        row[0].value += out[0]
-        row[1].value += out[1]
-        return out
-
-
-class BatchAnnealingState(AnnealingState):
-    """Adapter presenting a BatchMoveGenerator session to the engine —
-    the batched counterpart of ``PlacementAnnealingState``.
-
-    Every stochastic choice of the batches (kind mix, cells, steps,
-    Metropolis draws) comes from the generator's own numpy stream, which
-    the cursor's ``generator_state`` captures and restores, so a batched
-    run resumes bit-for-bit against itself.
-
-    ``pin_round`` (the refine anneal's ``MoveGenerator.pin_round``;
-    stage 1 passes none) runs at the first step of each temperature, on
-    the serial kernel: pin moves rewrite pin sites and C3, which the
-    kernel holds fixed.  The session stays open around it (one
-    ``batch.pin_round`` span): the kernel hands its placement off to
-    the array state and reopens on the result.  The whole anneal is one
-    session.
-    """
-
-    def __init__(
-        self,
-        state: ArrayPlacementState,
-        generator: BatchMoveGenerator,
-        pin_round: Optional[
-            Callable[[float, random.Random], Tuple[int, int]]
-        ] = None,
-    ) -> None:
-        self.state = state
-        self.generator = generator
-        self.pin_round = pin_round
-        self._pin_round_due = False
-        #: [attempts, accepts] over the pin rounds run so far.
-        self._pin_moves = [0, 0]
-
-    def on_temperature(self, temperature: float) -> None:
-        self._pin_round_due = self.pin_round is not None
-
-    @property
-    def stats(self) -> Dict[str, list]:
-        """Move kind -> [attempts, accepts]: the batches, and the pin
-        rounds as ``pin_group``."""
-        return {**self.generator.stats, "pin_group": list(self._pin_moves)}
-
-    def step(self, temperature: float, rng: random.Random) -> Tuple[int, int]:
-        if not self._pin_round_due:
-            return self.generator.step(temperature)
-        self._pin_round_due = False
-        kernel = self.generator.kernel
-        with current_tracer().span("batch.pin_round"):
-            kernel.hand_off()
-            attempts, accepts = self.pin_round(temperature, rng)
-            kernel.reopen()
-        self._pin_moves[0] += attempts
-        self._pin_moves[1] += accepts
-        a, c = self.generator.step(temperature)
+        row[0].value += a
+        row[1].value += c
         return (attempts + a, accepts + c)
 
     def cost(self) -> float:
-        kernel = self.generator.kernel
-        if kernel._active:
-            return kernel.cost()
-        return self.state.cost()
+        return self.kernel.cost()
 
     def moves_per_iteration(self) -> int:
         """Batches per A_c unit: ceil(N_c / batch).  A displacement
@@ -992,8 +966,7 @@ class BatchAnnealingState(AnnealingState):
         batch divides N_c, and up to about twice that otherwise: at
         N_c = 50, batch 48 and A_c = 4, 384 proposals against the
         serial mover's 200."""
-        n = len(self.state.names)
-        return max(1, -(-n // self.generator.batch))
+        return max(1, -(-len(self.state.names) // self.batch))
 
     def cost_drift(self) -> Dict[str, float]:
         """The drift guard's audit of the session's running totals
@@ -1001,51 +974,31 @@ class BatchAnnealingState(AnnealingState):
         session's centers.  The kernel recomputes C1 and C2 at every
         commit; C3 is carried in from ``begin()`` and each ``reopen()``,
         so this is what checks the pin rounds' incremental C3."""
-        kernel = self.generator.kernel
-        if not kernel._active:
-            return self.state.cost_drift()
+        kernel = self.kernel
         kernel._write_centers()
         return self.state.cost_drift(held=(kernel.c1, kernel.c2, kernel.c3))
 
     def resync(self) -> None:
-        """Canonical totals: a session is closed and reopened around the
-        object model's rebuild."""
-        kernel = self.generator.kernel
-        if not kernel._active:
-            self.state.resync()
-            return
-        self.generator.finish()
-        self.generator.begin()
+        """Canonical totals: the session is closed and reopened around
+        the object model's rebuild."""
+        self.finish()
+        self.begin()
 
-    def state_dict(self) -> Dict:
-        kernel = self.generator.kernel
-        if kernel._active:
-            return kernel.export_state_dict()
-        return self.state.state_dict()
+    def state_dict(self) -> Dict[str, Any]:
+        """The session's live placement (``BatchKernel.export_state_dict``)."""
+        return self.kernel.export_state_dict()
 
     def generator_state_dict(self) -> Dict[str, Any]:
-        return self.generator.state_dict()
+        """The mover's private stream state (the numpy bit-generator),
+        for bit-for-bit resume of batched runs."""
+        return {"rng": self.rng.bit_generator.state}
 
     def load_generator_state(self, data: Dict[str, Any]) -> None:
-        self.generator.load_state_dict(data)
+        self.rng.bit_generator.state = data["rng"]
 
     def telemetry_snapshot(self, temperature: float) -> Dict[str, float]:
-        """Per-temperature trace fields from the kernel's live totals
-        (same keys as the serial adapter's snapshot)."""
-        kernel = self.generator.kernel
-        limiter = self.generator.limiter
-        if kernel._active:
-            c1, c2_raw, p2 = kernel.c1, kernel.c2, kernel.p2
-            c3 = kernel.c3
-        else:
-            state = self.state
-            c1, c2_raw, p2 = state.c1(), state.c2_raw(), state.p2
-            c3 = state.c3()
-        return {
-            "c1": round(c1, 4),
-            "c2": round(p2 * c2_raw, 4),
-            "c2_raw": round(c2_raw, 4),
-            "c3": round(c3, 4),
-            "window_x": round(limiter.window_x(temperature), 3),
-            "window_y": round(limiter.window_y(temperature), 3),
-        }
+        """The trace fields from the session's live totals."""
+        kernel = self.kernel
+        return telemetry_fields(
+            kernel.c1, kernel.c2, kernel.c3, kernel.p2, self.limiter, temperature
+        )

@@ -12,7 +12,9 @@ cascade of accept-tested attempts:
 * interchange of two random cells; if rejected, the interchange with
   both aspect ratios inverted.
 
-Every attempt is judged by the Metropolis rule at the current T.
+Every attempt is judged by the Metropolis rule at the current T.  The
+§4.3 refine anneal generates only the displacements and the pin-group
+moves (``MoveGenerator(refine=True)``).
 """
 
 from __future__ import annotations
@@ -36,6 +38,25 @@ from .state import PlacementState
 #: Relative size of a local aspect-ratio perturbation (log-uniform).
 _ASPECT_STEP = 0.35
 
+#: Pin-group attempts per visit of a custom cell, at most.
+MAX_PIN_GROUPS_PER_CALL = 4
+
+def telemetry_fields(
+    c1: float, c2_raw: float, c3: float, p2: float, limiter, temperature: float
+) -> Dict[str, float]:
+    """A placement anneal's per-temperature trace fields, for either
+    mover: the cost components of Eqns 6-11 and the §3.2.2
+    range-limiter window."""
+    return {
+        "c1": round(c1, 4),
+        "c2": round(p2 * c2_raw, 4),
+        "c2_raw": round(c2_raw, 4),
+        "c3": round(c3, 4),
+        "window_x": round(limiter.window_x(temperature), 3),
+        "window_y": round(limiter.window_y(temperature), 3),
+    }
+
+
 #: Every move kind the §3.2.1 cascade can issue.
 MOVE_KINDS = (
     "displace",
@@ -48,8 +69,14 @@ MOVE_KINDS = (
 )
 
 
-class MoveGenerator:
-    """Implements one generate() call over a ``PlacementState``."""
+class MoveGenerator(AnnealingState):
+    """The §3.2.1 generate function over a ``PlacementState``, and the
+    engine's annealing state: one ``step`` is one generate() call.
+
+    ``refine`` gives the §4.3 refine anneal's moves: displacements and
+    pin-group moves, with orientations, instances, aspect ratios and
+    interchanges frozen.
+    """
 
     def __init__(
         self,
@@ -57,12 +84,7 @@ class MoveGenerator:
         limiter: RangeLimiter,
         r_ratio: float = 10.0,
         selector: str = "ds",
-        orientation_moves: bool = True,
-        aspect_moves: bool = True,
-        pin_moves: bool = True,
-        interchange_moves: bool = True,
-        max_pin_groups_per_call: int = 4,
-        metrics: Optional[MetricsRegistry] = None,
+        refine: bool = False,
     ) -> None:
         if r_ratio <= 0:
             raise ValueError("r_ratio must be positive")
@@ -77,11 +99,7 @@ class MoveGenerator:
         #: once per temperature (see on_temperature).
         self._steps_t: Optional[float] = None
         self._steps: Optional[Tuple[float, float]] = None
-        self.orientation_moves = orientation_moves
-        self.aspect_moves = aspect_moves
-        self.pin_moves = pin_moves
-        self.interchange_moves = interchange_moves
-        self.max_pin_groups_per_call = max_pin_groups_per_call
+        self.refine = refine
         self._movable = [
             i for i in range(len(state.names)) if state.movable[i]
         ]
@@ -111,7 +129,7 @@ class MoveGenerator:
         #: so the same series the annealer accumulates is exportable to a
         #: trace.  Pre-resolved to (attempts, accepts) Counter pairs so the
         #: per-attempt record stays two plain increments.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._pairs = {
             kind: (
                 self.metrics.counter(f"moves.{kind}.attempts"),
@@ -149,11 +167,33 @@ class MoveGenerator:
             self.on_temperature(temperature)
         return ds_point(rng, center, *self._steps)
 
+    def cost(self) -> float:
+        return self.state.cost()
+
+    def moves_per_iteration(self) -> int:
+        return self.state.moves_per_iteration()
+
+    def state_dict(self) -> Dict:
+        return self.state.state_dict()
+
+    def cost_drift(self) -> Dict[str, float]:
+        return self.state.cost_drift()
+
+    def resync(self) -> None:
+        self.state.resync()
+
+    def telemetry_snapshot(self, temperature: float) -> Dict[str, float]:
+        state = self.state
+        return telemetry_fields(
+            state.c1(), state.c2_raw(), state.c3(), state.p2, self.limiter,
+            temperature,
+        )
+
     # ------------------------------------------------------------------
 
     def step(self, temperature: float, rng: random.Random) -> Tuple[int, int]:
         """One generate-and-accept cycle; returns (attempts, accepts)."""
-        if not self.interchange_moves or rng.random() < self.displacement_probability:
+        if self.refine or rng.random() < self.displacement_probability:
             return self._displacement_branch(temperature, rng)
         return self._interchange_branch(temperature, rng)
 
@@ -184,7 +224,7 @@ class MoveGenerator:
         self._record("displace", accepted)
         if accepted:
             accepts += 1
-        elif self.orientation_moves or self.aspect_moves:
+        elif not self.refine:
             # A1': the displacement with the aspect ratio inverted (a
             # reorientation for macros, a ratio inversion for customs —
             # skipped entirely in stage 2, where both are frozen).
@@ -194,18 +234,17 @@ class MoveGenerator:
             self._record("displace_inverted", accepted)
             if accepted:
                 accepts += 1
-            elif self.orientation_moves:
+            else:
                 # A_o: a random orientation (or instance) change in place.
                 a, c = self._orientation_attempt(idx, temperature, rng)
                 attempts += a
                 accepts += c
 
         if self._custom[idx]:
-            if self.pin_moves:
-                a, c = self._pin_attempts(idx, temperature, rng)
-                attempts += a
-                accepts += c
-            if self.aspect_moves:
+            a, c = self._pin_attempts(idx, temperature, rng)
+            attempts += a
+            accepts += c
+            if not self.refine:
                 a, c = self._aspect_attempt(idx, temperature, rng)
                 attempts += a
                 accepts += c
@@ -243,7 +282,7 @@ class MoveGenerator:
             return (0, 0)
         nsites = state.cell(idx).sites_per_edge
         attempts, accepts = 0, 0
-        count = min(len(groups), self.max_pin_groups_per_call)
+        count = min(len(groups), MAX_PIN_GROUPS_PER_CALL)
         for _ in range(count):
             key, sides = groups[rng.randrange(len(groups))]
             side = rng.choice(sides)
@@ -328,51 +367,3 @@ class MoveGenerator:
         if accepted:
             return (2, 1)
         return (2, 0)
-
-
-class PlacementAnnealingState(AnnealingState):
-    """Adapter presenting a PlacementState + MoveGenerator to the engine."""
-
-    def __init__(self, state: PlacementState, generator: MoveGenerator) -> None:
-        self.state = state
-        self.generator = generator
-
-    def step(self, temperature: float, rng: random.Random) -> Tuple[int, int]:
-        return self.generator.step(temperature, rng)
-
-    def on_temperature(self, temperature: float) -> None:
-        self.generator.on_temperature(temperature)
-
-    def cost(self) -> float:
-        return self.state.cost()
-
-    def moves_per_iteration(self) -> int:
-        return self.state.moves_per_iteration()
-
-    @property
-    def stats(self) -> Dict[str, List[int]]:
-        """Move kind -> [attempts, accepts] of the cascade."""
-        return self.generator.stats
-
-    def state_dict(self) -> Dict:
-        return self.state.state_dict()
-
-    def cost_drift(self) -> Dict[str, float]:
-        return self.state.cost_drift()
-
-    def resync(self) -> None:
-        self.state.resync()
-
-    def telemetry_snapshot(self, temperature: float) -> Dict[str, float]:
-        """The placement-specific per-temperature trace fields: the cost
-        components of Eqns 6-11 and the §3.2.2 range-limiter window."""
-        state = self.state
-        limiter = self.generator.limiter
-        return {
-            "c1": round(state.c1(), 4),
-            "c2": round(state.p2 * state.c2_raw(), 4),
-            "c2_raw": round(state.c2_raw(), 4),
-            "c3": round(state.c3(), 4),
-            "window_x": round(limiter.window_x(temperature), 3),
-            "window_y": round(limiter.window_y(temperature), 3),
-        }

@@ -305,7 +305,7 @@ def _refine_anneal(
 ) -> "tuple[AnnealResult, Dict[str, List[int]]]":
     """The §4.3 refinement anneal on the configured mover: serial steps,
     or displacement batches on the batch kernel with the pin-group moves
-    in a serial pin round per temperature (see ``BatchAnnealingState``)."""
+    in a serial pin round per temperature (see ``BatchMoveGenerator``)."""
     limiter = stage1.limiter
     # Eqn 28: T' makes the window the fraction mu of its full span.
     t_start = limiter.temperature_for_fraction(config.mu)

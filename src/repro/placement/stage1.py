@@ -41,8 +41,8 @@ from ..resilience.drift import drift_observers
 from ..resilience.faults import fault_point
 from ..telemetry import current_tracer
 from .arraycore import make_placement_state
-from .batch import BatchAnnealingState, BatchMoveGenerator
-from .moves import MoveGenerator, PlacementAnnealingState
+from .batch import BatchMoveGenerator
+from .moves import MoveGenerator
 from .state import PlacementState
 
 #: How many random configurations are sampled to calibrate p2 (Eqn 9).
@@ -201,8 +201,10 @@ def make_mover(
     batch_seed: Callable[[], int],
     refine: bool = False,
 ) -> AnnealingState:
-    """The engine adapter for ``config.mover``: the §3.2.1 cascade, or
-    displacement/interchange batches on the batch kernel.
+    """The mover for ``config.mover``, itself the engine's annealing
+    state: the §3.2.1 cascade (``MoveGenerator``), or
+    displacement/interchange batches on the batch kernel
+    (``BatchMoveGenerator``).
 
     ``refine`` gives the §4.3 refine anneal's moves: orientations,
     instances, aspect ratios and interchanges are frozen, and the
@@ -211,48 +213,47 @@ def make_mover(
     called only under ``mover="batched"``, so a seed drawn from the
     flow's RNG leaves the serial flow's stream alone.
     """
-    moves = None
+    pin_round = None
     if config.mover == "serial" or refine:
         moves = MoveGenerator(
             state,
             limiter,
             r_ratio=config.r_ratio,
             selector=config.selector,
-            orientation_moves=not refine,
-            aspect_moves=not refine,
-            interchange_moves=not refine,
+            refine=refine,
         )
         if config.mover == "serial":
-            return PlacementAnnealingState(state, moves)
-    generator = BatchMoveGenerator(
+            return moves
+        if moves.pin_cells:
+            pin_round = partial(
+                moves.pin_round, rounds=config.stage2_attempts_per_cell
+            )
+    return BatchMoveGenerator(
         state,
         limiter,
         r_ratio=config.r_ratio,
         batch=config.batch_moves,
         seed=batch_seed(),
-        interchange_moves=not refine,
+        refine=refine,
+        pin_round=pin_round,
     )
-    pin_round = None
-    if moves is not None and moves.pin_cells:
-        pin_round = partial(moves.pin_round, rounds=config.stage2_attempts_per_cell)
-    return BatchAnnealingState(state, generator, pin_round)
 
 
 @contextmanager
 def mover_session(mover: AnnealingState) -> Iterator[None]:
     """The batched kernel session around one anneal, timed by the
     ``batch.begin``/``batch.finish`` spans; the serial mover has none."""
-    if not isinstance(mover, BatchAnnealingState):
+    if not isinstance(mover, BatchMoveGenerator):
         yield
         return
     tracer = current_tracer()
     with tracer.span("batch.begin"):
-        mover.generator.begin()
+        mover.begin()
     try:
         yield
     finally:
         with tracer.span("batch.finish"):
-            mover.generator.finish()
+            mover.finish()
 
 
 class Stage1Chain:
@@ -343,7 +344,7 @@ def run_stage1(
     if control is not None:
         # Checkpoints must capture the *live* placement: during a
         # batched session that is the kernel's arrays, which the
-        # adapter snapshots.
+        # mover snapshots.
         observers.append(control.stage1_observer(chain.mover))
     with mover_session(chain.mover):
         result = chain.annealer.run(
@@ -356,7 +357,7 @@ def run_stage1(
         chain.state, chain.plan, chain.limiter, anneal=result, p2=chain.state.p2
     )
     if tracer.enabled:
-        chain.mover.generator.metrics.emit(tracer, "stage1.move_metrics")
+        chain.mover.metrics.emit(tracer, "stage1.move_metrics")
         emit_stage1_result(tracer, stage1)
     return stage1
 

@@ -43,11 +43,7 @@ from .manifest import (
     package_version,
 )
 from .monitor import BeatReader, load_rundir, progress_line, render_status, watch
-from .prometheus import (
-    parse_prometheus,
-    render_prometheus,
-    render_prometheus_fleet,
-)
+from .prometheus import parse_prometheus, render_prometheus_fleet
 from .recorder import QorSink, RunRecorder, attempt_log, qor_from_result, run_logs
 from .registry import QOR_METRICS, RegistryError, RunRegistry, SCHEMA_VERSION
 
@@ -84,7 +80,6 @@ __all__ = [
     "progress_line",
     "qor_from_result",
     "read_heartbeat",
-    "render_prometheus",
     "render_prometheus_fleet",
     "render_status",
     "run_logs",

@@ -224,9 +224,9 @@ class HeartbeatWriter(Sink):
             self.path, json.dumps(beat, separators=(",", ":"), default=str)
         )
         if self.metrics_textfile is not None:
-            from .prometheus import render_prometheus
+            from .prometheus import render_prometheus_fleet
 
-            _atomic_write(self.metrics_textfile, render_prometheus(beat))
+            _atomic_write(self.metrics_textfile, render_prometheus_fleet([beat]))
 
 
 def _atomic_write(path: Path, text: str) -> None:

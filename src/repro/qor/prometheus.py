@@ -8,12 +8,11 @@ exposition format — can watch a fleet of runs by globbing their
 samples; strings (phase, stage, run id) travel as labels on
 ``repro_run_info``.
 
-:func:`render_prometheus` renders one document (the textfile case);
-:func:`render_prometheus_fleet` renders many documents into a single
-scrape page — the body of the observability server's ``/metrics``
-endpoint — with every sample labelled by ``run_id`` and per-chain
-heartbeat entries broken out under a ``chain`` label instead of being
-flattened into distinct metric names.
+:func:`render_prometheus_fleet` renders documents into one scrape page:
+a single beat for the ``--metrics-textfile``, every live run for the
+observability server's ``/metrics`` endpoint.  Every sample is labelled
+by ``run_id``, and per-chain heartbeat entries are broken out under a
+``chain`` label instead of being flattened into distinct metric names.
 """
 
 from __future__ import annotations
@@ -68,30 +67,6 @@ def _flatten(doc: Dict[str, Any]) -> Tuple[Dict[str, float], Dict[str, str]]:
     return numbers, strings
 
 
-def render_prometheus(doc: Dict[str, Any]) -> str:
-    """One heartbeat document as Prometheus exposition text."""
-    numbers, strings = _flatten(doc)
-    run_labels: Dict[str, str] = {}
-    if doc.get("run_id"):
-        run_labels["run_id"] = str(doc["run_id"])
-
-    lines: List[str] = []
-    info_labels = dict(run_labels)
-    for key in ("phase", "stage", "circuit"):
-        if key in strings:
-            info_labels[key] = strings[key]
-    lines.append(f"# TYPE {PREFIX}_run_info gauge")
-    lines.append(f"{PREFIX}_run_info{_labels(info_labels)} 1")
-
-    for field in sorted(numbers):
-        if field in ("v", "seq"):
-            continue
-        name = _metric_name(field)
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(f"{name}{_labels(run_labels)} {numbers[field]:g}")
-    return "\n".join(lines) + "\n"
-
-
 #: Heartbeat bookkeeping fields that never become samples.
 _SKIP_FIELDS = ("v", "seq")
 
@@ -103,11 +78,14 @@ def _doc_samples(
     doc: Dict[str, Any], base_labels: Dict[str, str]
 ) -> List[Tuple[str, Dict[str, str], float]]:
     """One document's ``(metric, labels, value)`` samples plus its
-    ``run_info`` sample.  The ``chains`` sub-document becomes
-    ``repro_chain_*{chain="..."}`` series rather than one flattened
-    metric name per chain id."""
+    ``run_info`` sample.  The ``chains`` sub-document of a ``parallel``
+    beat becomes ``repro_chain_*{chain="..."}`` series rather than one
+    flattened metric name per chain id; a chain count (the stage-1
+    ``flow`` beat's ``chains``) stays a plain gauge."""
     chains = doc.get("chains")
-    body = {k: v for k, v in doc.items() if k != "chains"}
+    if not isinstance(chains, dict):
+        chains = None
+    body = {k: v for k, v in doc.items() if chains is None or k != "chains"}
     numbers, strings = _flatten(body)
     samples: List[Tuple[str, Dict[str, str], float]] = []
 
@@ -122,7 +100,7 @@ def _doc_samples(
             continue
         samples.append((_metric_name(field), dict(base_labels), numbers[field]))
 
-    if isinstance(chains, dict):
+    if chains is not None:
         for cid in sorted(chains, key=str):
             entry = chains[cid]
             if not isinstance(entry, dict):

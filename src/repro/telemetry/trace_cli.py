@@ -2,7 +2,8 @@
 
 Offline access to the same trace views the obs server serves: ``show``
 prints a span tree (with per-span wall and self time and event counts)
-straight from a rundir or a single trace JSONL; ``export`` writes the merged
+straight from a rundir or a single trace JSONL, folding each run of
+repeated leaf siblings into one ``name ×N`` row; ``export`` writes the merged
 trace document as JSON or as the standalone HTML waterfall.  Kept in
 its own module so ``repro.__main__`` registers the command without
 importing the obs view code until it actually runs.
@@ -56,7 +57,38 @@ def add_trace_command(subparsers: argparse._SubParsersAction) -> None:
     export_p.set_defaults(func=cmd_trace_export)
 
 
+def _fold_leaves(rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """The tree view's rows (depth first, as ``waterfall`` orders them)
+    with each run of consecutive closed sibling spans of one name and
+    chain that have no child spans folded into one row: ``count``
+    spans, their wall and self times and events summed, failed if any
+    failed.  A span with children never folds."""
+    out: List[Dict[str, Any]] = []
+    for k, row in enumerate(rows):
+        leaf = k + 1 == len(rows) or rows[k + 1]["depth"] <= row["depth"]
+        last = out[-1] if out else None
+        if (
+            leaf
+            and last is not None
+            and last["leaf"]
+            and row["wall_s"] is not None
+            and last["wall_s"] is not None
+            and (last["depth"], last["name"], last["chain"])
+            == (row["depth"], row["name"], row["chain"])
+        ):
+            last["count"] += 1
+            last["wall_s"] += row["wall_s"]
+            last["self_s"] += row["self_s"]
+            last["events"] += row["events"]
+            if row["ok"] is False:
+                last["ok"] = False
+            continue
+        out.append(dict(row, count=1, leaf=leaf))
+    return out
+
+
 def _format_span(row: Dict[str, Any]) -> str:
+    name = row["name"] if row["count"] == 1 else f"{row['name']} ×{row['count']}"
     dur = f"{row['wall_s']:.3f}s" if row["wall_s"] is not None else "open"
     own = f"  self {row['self_s']:.3f}s" if row["self_s"] is not None else ""
     status = ""
@@ -66,7 +98,7 @@ def _format_span(row: Dict[str, Any]) -> str:
         status = " (unclosed)"
     chain = f" chain={row['chain']}" if row["chain"] is not None else ""
     events = f" events={row['events']}" if row["events"] else ""
-    return f"{'  ' * row['depth']}{row['name']}  {dur}{own}{chain}{events}{status}"
+    return f"{'  ' * row['depth']}{name}  {dur}{own}{chain}{events}{status}"
 
 
 def _format_waterfall(rows: List[Dict[str, Any]]) -> List[str]:
@@ -105,7 +137,7 @@ def cmd_trace_show(args: argparse.Namespace) -> int:
         if args.waterfall:
             lines.extend(_format_waterfall(proc["waterfall"]))
         else:
-            lines.extend(_format_span(row) for row in proc["waterfall"])
+            lines.extend(_format_span(row) for row in _fold_leaves(proc["waterfall"]))
     print("\n".join(lines))
     return 0
 

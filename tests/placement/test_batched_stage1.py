@@ -29,7 +29,6 @@ from repro.config import MOVERS
 from repro.netlist import CustomCell, dumps, loads
 from repro.parallel.multichain import run_multichain_stage1
 from repro.placement import (
-    BatchAnnealingState,
     BatchMoveGenerator,
     make_placement_state,
     run_stage1,
@@ -112,8 +111,9 @@ class TestBatchedStage1:
         assert a.state.state_dict() == b.state.state_dict()
 
     def test_generator_stream_round_trips(self):
-        """Restoring ``state_dict`` replays the identical proposal
-        stream — the primitive under the cursor's generator_state."""
+        """Restoring ``generator_state_dict`` replays the identical
+        proposal stream — the primitive under the cursor's
+        generator_state."""
         circuit = make_macro_circuit(num_cells=5)
         state = make_placement_state("array", circuit, determine_core(circuit))
         state.randomize(random.Random(3))
@@ -123,9 +123,9 @@ class TestBatchedStage1:
         )
         generator = BatchMoveGenerator(state, limiter, batch=4, seed=9)
         generator.rng.random(17)  # advance off the seed point
-        saved = generator.state_dict()
+        saved = generator.generator_state_dict()
         first = generator.rng.random(8)
-        generator.load_state_dict(saved)
+        generator.load_generator_state(saved)
         assert np.array_equal(generator.rng.random(8), first)
 
 
@@ -262,18 +262,17 @@ class TestBatchedDriftAudit:
         limiter = RangeLimiter(
             full_span_x=core.width, full_span_y=core.height, t_infinity=100.0
         )
-        generator = BatchMoveGenerator(state, limiter, batch=4, seed=9)
-        adapter = BatchAnnealingState(state, generator)
-        generator.begin()
-        generator.step(1e9)
-        assert adapter.cost_drift()["max_relative"] < 1e-9
-        generator.kernel.c3 += 1.0
-        drift = adapter.cost_drift()
+        mover = BatchMoveGenerator(state, limiter, batch=4, seed=9)
+        mover.begin()
+        mover.step(1e9, random.Random(0))
+        assert mover.cost_drift()["max_relative"] < 1e-9
+        mover.kernel.c3 += 1.0
+        drift = mover.cost_drift()
         assert drift["c3"] == pytest.approx(1.0)
         assert drift["max_relative"] > 1e-6
-        adapter.resync()
-        assert adapter.cost_drift()["max_relative"] < 1e-9
-        generator.finish()
+        mover.resync()
+        assert mover.cost_drift()["max_relative"] < 1e-9
+        mover.finish()
 
 
 class TestBatchedMultichain:

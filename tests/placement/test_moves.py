@@ -58,9 +58,9 @@ class TestStepAccounting:
 
 class TestCascadeModes:
     def test_displacement_only_when_interchange_disabled(self):
-        state, gen = make_setup(interchange_moves=False, r_ratio=0.001)
+        state, gen = make_setup(refine=True, r_ratio=0.001)
         # r_ratio tiny would make interchanges near-certain if enabled;
-        # with interchange_moves=False every step must be a displacement.
+        # the refine move set has none, so every step is a displacement.
         rng = random.Random(4)
         for _ in range(50):
             a, c = gen.step(1e6, rng)
@@ -68,12 +68,7 @@ class TestCascadeModes:
 
     def test_stage2_freezes_orientation_and_aspect(self):
         ckt = make_mixed_circuit()
-        state, gen = make_setup(
-            ckt,
-            orientation_moves=False,
-            aspect_moves=False,
-            interchange_moves=False,
-        )
+        state, gen = make_setup(ckt, refine=True)
         orientations = [r.orientation for r in state.records]
         aspects = [r.aspect_ratio for r in state.records]
         rng = random.Random(5)

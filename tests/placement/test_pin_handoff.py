@@ -1,6 +1,6 @@
 """The batched refine's pin round without a session cycle.
 
-At each refine temperature ``BatchAnnealingState`` lends the open kernel
+At each refine temperature ``BatchMoveGenerator`` lends the open kernel
 session to the serial pin-group moves (``BatchKernel.hand_off``: the
 centers into the records, then ``ArrayPlacementState.adopt_centers``)
 and takes it back (``BatchKernel.reopen``) instead of closing it with a
@@ -117,10 +117,7 @@ def _session(seed, dynamic=False):
     limiter = RangeLimiter(
         full_span_x=core.width, full_span_y=core.height, t_infinity=100.0
     )
-    moves = MoveGenerator(
-        state, limiter, orientation_moves=False, aspect_moves=False,
-        interchange_moves=False,
-    )
+    moves = MoveGenerator(state, limiter, refine=True)
     assert moves.pin_cells
     kernel = BatchKernel(state)
     kernel.begin()

@@ -1,12 +1,24 @@
-"""The stage-1 driver: p2 calibration, annealing quality, determinism."""
+"""The stage-1 driver: p2 calibration, annealing quality, determinism,
+and the movers it builds."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.bench import load_circuit
 from repro.config import TimberWolfConfig
 from repro.estimator import determine_core
-from repro.placement import PlacementState, calibrate_p2, run_stage1
+from repro.placement import (
+    BatchMoveGenerator,
+    MoveGenerator,
+    PlacementState,
+    calibrate_p2,
+    make_placement_state,
+    run_stage1,
+)
+from repro.placement.moves import MOVE_KINDS
+from repro.placement.stage1 import make_mover, mover_session, stage1_cooling
 
 from ..conftest import make_macro_circuit, make_mixed_circuit
 
@@ -92,3 +104,56 @@ class TestRunStage1:
     def test_residual_overlap_reported(self):
         result = run_stage1(make_macro_circuit(), SMOKE)
         assert result.residual_overlap == result.state.c2_raw()
+
+
+#: The per-temperature trace fields both movers report.
+SNAPSHOT_KEYS = {"c1", "c2", "c2_raw", "c3", "window_x", "window_y"}
+
+#: Each mover's ``stats`` keys: the cascade's move kinds, or the batch
+#: kinds and the refine's pin rounds.
+STATS_KEYS = {
+    "serial": set(MOVE_KINDS),
+    "batched": {"displace_batch", "interchange_batch", "pin_group"},
+}
+
+
+class TestMoverProtocol:
+    """``make_mover`` returns the mover itself, and both movers answer
+    the engine the same way inside ``mover_session``."""
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["stage1", "refine"])
+    @pytest.mark.parametrize("kind", ["serial", "batched"])
+    def test_one_protocol(self, kind, refine):
+        config = replace(TimberWolfConfig.smoke(seed=7), mover=kind)
+        circuit = load_circuit("p1")
+        plan = determine_core(circuit)
+        _, limiter = stage1_cooling(plan, config)
+        state = make_placement_state(config.core, circuit, plan, kappa=config.kappa)
+        state.randomize(random.Random(7))
+        mover = make_mover(state, limiter, config, lambda: 11, refine=refine)
+        assert type(mover) is {"serial": MoveGenerator, "batched": BatchMoveGenerator}[kind]
+        assert mover.refine is refine
+
+        temperature = limiter.temperature_for_fraction(0.1)
+        rng = random.Random(7)
+        with mover_session(mover):
+            mover.on_temperature(temperature)
+            for _ in range(config.attempts_per_cell * mover.moves_per_iteration()):
+                mover.step(temperature, rng)
+            snapshot = mover.telemetry_snapshot(temperature)
+            stats = mover.stats
+            saved = mover.state_dict()
+            cost = mover.cost()
+
+        assert set(snapshot) == SNAPSHOT_KEYS
+        assert set(stats) == STATS_KEYS[kind]
+        assert all(0 <= accepts <= attempts for attempts, accepts in stats.values())
+        # Batched stage 1 makes no pin moves; the other three do.
+        assert (stats["pin_group"][0] > 0) == (refine or kind == "serial")
+        if refine:
+            frozen = set(stats) - {"displace", "displace_batch", "pin_group"}
+            assert all(stats[k] == [0, 0] for k in frozen), stats
+        fresh = make_placement_state(config.core, circuit, plan, kappa=config.kappa)
+        fresh.load_state_dict(saved)
+        assert fresh.state_dict()["records"] == saved["records"]
+        assert fresh.cost() == cost

@@ -77,6 +77,19 @@ class TestWriter:
         assert parsed["repro_T" + label] == 50.0
         assert parsed["repro_cost" + label] == 123.5
 
+    def test_metrics_textfile_labels_chains(self, tmp_path):
+        prom = tmp_path / "metrics.prom"
+        tracer = started(HeartbeatWriter(tmp_path / "hb.json", metrics_textfile=prom))
+        tracer.event(
+            "parallel.round", round=2, upto=30, costs={0: 5.0, 1: 3.0},
+            done=[1], best=1,
+        )
+        text = prom.read_text(encoding="utf-8")
+        parsed = parse_prometheus(text)
+        assert parsed['repro_chain_cost{chain="0",run_id="r1"}'] == 5.0
+        assert parsed['repro_chain_done{chain="1",run_id="r1"}'] == 1.0
+        assert "repro_chains_" not in text
+
 
 class TestAtomicity:
     def test_reader_never_sees_partial_json(self, tmp_path):

@@ -9,7 +9,7 @@ from repro.telemetry import MemorySink, Tracer, use_tracer
 
 
 class FakeState:
-    """A stand-in exposing the drift protocol of PlacementAnnealingState."""
+    """A stand-in exposing the movers' drift protocol."""
 
     def __init__(self, max_relative=0.0):
         self.max_relative = max_relative
