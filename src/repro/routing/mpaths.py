@@ -18,10 +18,13 @@ once per router.
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
+from heapq import heappop, heappush, nsmallest
 from typing import Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
+import numpy as np
+
 Path = Tuple[float, Tuple[int, ...]]  # (length, node sequence)
+Positions = Mapping[int, Tuple[float, float]]
 
 #: node -> the (neighbor, edge length) pairs a search relaxes from it.
 Relax = Dict[int, List[Tuple[int, float]]]
@@ -31,14 +34,22 @@ class SearchGraph:
     """A channel graph prepared for the router's searches.
 
     Built once from ``adjacency`` (node -> (neighbor, length) pairs; every
-    node is a key, lengths are non-negative, parallel edges allowed):
+    node is a key, lengths are non-negative, parallel edges allowed) and,
+    for A*, the nodes' ``positions``:
 
     * ``adjacency`` — each node's edges, in the given order;
     * ``through`` — the same lists without the edges into *dead ends*,
       nodes joined to a single other node (a pin's projection node with
       its one access edge, Fig. 9);
     * ``lengths`` — directed pair (u, v) -> the shortest of the u -> v
-      edges.
+      edges;
+    * ``positions`` — node -> (x, y), or None (the searches then run as
+      plain Dijkstra).  A* and the spur bound of
+      :func:`k_shortest_paths` need every edge to be at least as long as
+      the Manhattan distance between its ends; the constructor raises
+      ``ValueError`` naming the first edge that is not.  Channel-graph
+      edges meet it with equality: their lengths are computed from the
+      same coordinates.
 
     A dead end that is not a target is never worth entering.  Entered
     from its one neighbor at distance d, it can only relax that neighbor
@@ -50,7 +61,11 @@ class SearchGraph:
     order: heap entries are distinct tuples under a total order.
     """
 
-    def __init__(self, adjacency: Mapping[int, Iterable[Tuple[int, float]]]) -> None:
+    def __init__(
+        self,
+        adjacency: Mapping[int, Iterable[Tuple[int, float]]],
+        positions: Optional[Positions] = None,
+    ) -> None:
         self.adjacency: Relax = {u: list(edges) for u, edges in adjacency.items()}
         joined: Dict[int, Set[int]] = {u: set() for u in self.adjacency}
         for u, edges in self.adjacency.items():
@@ -73,6 +88,48 @@ class SearchGraph:
                 step = self.lengths.get((u, v))
                 if step is None or length < step:
                     self.lengths[(u, v)] = length
+        self.positions = positions
+        #: The through nodes with a position, and their coordinates as
+        #: (n, 1) columns: the rows of :meth:`heuristic`'s one-pass table.
+        self.table_nodes: List[int] = []
+        self.table_x = self.table_y = np.empty((0, 1))
+        if positions is not None:
+            self._check_manhattan(positions)
+            self.table_nodes = [u for u in self.adjacency if u not in dead and u in positions]
+            xy = np.array([positions[u] for u in self.table_nodes], dtype=float).reshape(-1, 2)
+            self.table_x, self.table_y = xy[:, :1], xy[:, 1:]
+
+    def _check_manhattan(self, positions: Positions) -> None:
+        for (u, v), length in self.lengths.items():
+            if u not in positions or v not in positions:
+                raise ValueError(f"edge ({u}, {v}): node without a position")
+            (ux, uy), (vx, vy) = positions[u], positions[v]
+            manhattan = abs(ux - vx) + abs(uy - vy)
+            if length < manhattan:
+                raise ValueError(
+                    f"edge ({u}, {v}) of length {length!r} is shorter than the "
+                    f"Manhattan distance {manhattan!r} between its ends"
+                )
+
+    def heuristic(
+        self, targets: Iterable[int], positions: Optional[Positions] = None
+    ) -> "ManhattanHeuristic":
+        """The A* heuristic toward ``targets`` over ``positions`` (default:
+        the graph's own).  Over the graph's own positions, every through
+        node's entry is filled in one numpy pass; dead ends, which a
+        search meets only as sources or targets, are left to the memo.
+        The pass does the per-node formula's IEEE operations —
+        ``abs(x - tx) + abs(y - ty)``, then the minimum over targets — so
+        every entry is the float :meth:`ManhattanHeuristic.__missing__`
+        returns."""
+        if positions is None:
+            positions = self.positions
+        h = ManhattanHeuristic(positions, targets)
+        if positions is self.positions and h.target_pos and self.table_nodes:
+            tx, ty = np.array(h.target_pos, dtype=float).T
+            nearest = (np.abs(self.table_x - tx) + np.abs(self.table_y - ty)).min(axis=1)
+            h.update(zip(self.table_nodes, nearest.tolist()))
+        return h
 
     def toward(self, targets: Collection[int]) -> Relax:
         """The edges a search toward ``targets`` relaxes: ``through``,
@@ -102,11 +159,7 @@ class ManhattanHeuristic(dict):
     0, and so does every node when ``positions`` is None (plain Dijkstra).
     """
 
-    def __init__(
-        self,
-        positions: Optional[Dict[int, Tuple[float, float]]],
-        targets: Iterable[int],
-    ) -> None:
+    def __init__(self, positions: Optional[Positions], targets: Iterable[int]) -> None:
         super().__init__()
         self.positions = positions if positions is not None else {}
         self.target_pos = [self.positions[t] for t in targets if t in self.positions]
@@ -128,23 +181,26 @@ def dijkstra(
     targets: Set[int],
     banned_nodes: Optional[Set[int]] = None,
     banned_edges: Optional[Set[Tuple[int, int]]] = None,
-    positions: Optional[Dict[int, Tuple[float, float]]] = None,
+    positions: Optional[Positions] = None,
     heuristic: Optional[Dict[int, float]] = None,
     relax: Optional[Relax] = None,
+    limit: float = math.inf,
 ) -> Optional[Path]:
     """Shortest path from any source (with initial costs) to any target.
 
     ``banned_nodes`` may not be visited; ``banned_edges`` (directed pairs)
-    may not be traversed.  When ``positions`` is given the search runs as
-    A* with the Manhattan distance-to-nearest-target heuristic, which is
-    admissible here because every edge's length is the Manhattan distance
-    between its endpoints (triangle inequality).  ``heuristic`` and
-    ``relax`` pass in a shared :class:`ManhattanHeuristic` and
-    :meth:`SearchGraph.toward` table for the same ``targets`` instead of
-    building them.  Sources must be nodes of ``graph``.  Returns
-    (length, path) or None.
+    may not be traversed.  With positions (``positions``, else the
+    graph's) the search runs as A* with the Manhattan
+    distance-to-nearest-target heuristic, which is consistent because no
+    edge is shorter than the Manhattan distance between its endpoints
+    (see :class:`SearchGraph`).  ``heuristic`` and ``relax`` pass in a
+    shared :class:`ManhattanHeuristic` and :meth:`SearchGraph.toward`
+    table for the same ``targets`` instead of building them.  The search
+    gives up, returning None, once it pops a key ``d + h`` above
+    ``limit``.  Sources must be nodes of ``graph``.  Returns (length,
+    path) or None.
     """
-    h = heuristic if heuristic is not None else ManhattanHeuristic(positions, targets)
+    h = heuristic if heuristic is not None else graph.heuristic(targets, positions)
     edges = relax if relax is not None else graph.toward(targets)
     #: tail node -> heads it may not be left for.
     banned_from: Dict[int, Set[int]] = {}
@@ -165,7 +221,9 @@ def dijkstra(
 
     dist_get = dist.get
     while heap:
-        _, d, node = heappop(heap)
+        key, d, node = heappop(heap)
+        if key > limit:
+            return None
         if d > dist[node]:
             continue
         if node in targets:
@@ -204,7 +262,7 @@ def k_shortest_paths(
     targets: Set[int],
     k: int,
     max_spurs: int = DEFAULT_MAX_SPURS,
-    positions: Optional[Dict[int, Tuple[float, float]]] = None,
+    positions: Optional[Positions] = None,
     heuristic: Optional[Dict[int, float]] = None,
     relax: Optional[Relax] = None,
 ) -> List[Path]:
@@ -218,15 +276,24 @@ def k_shortest_paths(
     nodes, so a deviation may pass through another source node (the
     path then joins the source set twice).  Every search runs toward the
     same targets, so all of them share one heuristic table
-    (``heuristic``, or one built from ``positions``) and one
-    :meth:`SearchGraph.toward` table (``relax``, or one built here).
+    (``heuristic``, or :meth:`SearchGraph.heuristic` over ``positions``)
+    and one :meth:`SearchGraph.toward` table (``relax``, or one built
+    here).
+
+    A spur search stops without a path once its keys pass the
+    (k - |found|)-th shortest candidate less the root's length: only
+    k - |found| more candidates are popped, and that many shorter ones
+    stay ahead of anything longer.  A* keys never fall (the heuristic is
+    consistent), so the path the search would still return is longer
+    too; the relative margin of 1e-9 covers the float rounding of keys
+    and sums (docs/performance.md, "Router phase 1").
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if max_spurs < 1:
         raise ValueError("max_spurs must be at least 1")
     if heuristic is None:
-        heuristic = ManhattanHeuristic(positions, targets)
+        heuristic = graph.heuristic(targets, positions)
     if relax is None:
         relax = graph.toward(targets)
     first = dijkstra(graph, sources, targets, heuristic=heuristic, relax=relax)
@@ -237,7 +304,8 @@ def k_shortest_paths(
     seen: Set[Tuple[int, ...]] = {first[1]}
 
     while len(found) < k:
-        base_len, base_path = found[-1]
+        base_path = found[-1][1]
+        bound = _nth_length(candidates, k - len(found))
         # Deviate at (a sample of) the newest path's nodes.
         spur_indices = range(len(base_path) - 1)
         if len(base_path) - 1 > max_spurs:
@@ -264,6 +332,7 @@ def k_shortest_paths(
                 banned_edges=banned_edges,
                 heuristic=heuristic,
                 relax=relax,
+                limit=bound - root_len + 1e-9 * (1.0 + abs(bound)),
             )
             if spur_result is None:
                 continue
@@ -273,11 +342,17 @@ def k_shortest_paths(
                 continue
             seen.add(total)
             heappush(candidates, (root_len + spur_len, total))
+            bound = _nth_length(candidates, k - len(found))
         if not candidates:
             break
         best = heappop(candidates)
         found.append(best)
     return found[:k]
+
+
+def _nth_length(candidates: List[Path], n: int) -> float:
+    """Length of the n-th shortest candidate (inf when there are fewer)."""
+    return nsmallest(n, candidates)[-1][0] if len(candidates) >= n else math.inf
 
 
 def _path_cost(

@@ -114,7 +114,7 @@ class GlobalRouter:
         self.graph = graph
         #: The finished graph prepared once for every phase-one search.
         self.search = SearchGraph(
-            {node: graph.neighbors(node) for node in graph.nodes()}
+            {node: graph.neighbors(node) for node in graph.nodes()}, graph.positions
         )
         self.m_routes = m_routes
         self.rng = rng if rng is not None else random.Random(seed)
@@ -152,10 +152,7 @@ class GlobalRouter:
         """Phase one for a single net: up to M stored alternatives
         (``m_routes`` overrides the router's M)."""
         return m_shortest_routes(
-            self.search,
-            groups,
-            self.m_routes if m_routes is None else m_routes,
-            positions=self.graph.positions,
+            self.search, groups, self.m_routes if m_routes is None else m_routes
         )
 
     def route(self, circuit: Circuit) -> RoutingResult:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .mpaths import ManhattanHeuristic, SearchGraph, k_shortest_paths, path_edges
+from .mpaths import Positions, SearchGraph, k_shortest_paths, path_edges
 
 
 @dataclass(frozen=True)
@@ -36,49 +36,51 @@ class RouteAlternative:
     length: float
 
 
-def _group_distances(
+def _nearest_groups(
     graph: SearchGraph,
     from_nodes: Set[int],
     group_nodes: Dict[int, Set[int]],
 ) -> Dict[int, float]:
-    """Multi-source Dijkstra that stops once every group has been reached.
+    """Multi-source Dijkstra that stops at the nearest group's distance.
 
-    Returns group id -> shortest distance from the source set.  Groups
-    unreachable from the sources are absent from the result.  Every
-    group node is a target, so dead ends of the graph enter the search
-    only as group members (see :class:`SearchGraph`).
+    Returns group id -> distance from the source set for every group at
+    the smallest distance, ties included; empty when no group is
+    reachable.  Entries pop in non-decreasing (d, node) order, so every
+    group node at that distance pops before the first entry beyond it,
+    where the search stops.  Every group node is a target, so dead ends
+    of the graph enter the search only as group members (see
+    :class:`SearchGraph`).
     """
     node_groups: Dict[int, List[int]] = {}
     for gid, nodes in group_nodes.items():
         for n in nodes:
             node_groups.setdefault(n, []).append(gid)
     edges = graph.toward(node_groups)
-    pending = set(group_nodes)
-    settled: Dict[int, float] = {}
+    nearest: Dict[int, float] = {}
 
     inf = math.inf
+    bound = inf
     dist = {n: 0.0 for n in from_nodes}
     dist_get = dist.get
     heap = [(0.0, n) for n in from_nodes]
     heapify(heap)
-    while heap and pending:
+    while heap:
         d, node = heappop(heap)
+        if d > bound:
+            break
         if d > dist[node]:
             continue
         gids = node_groups.get(node)
         if gids is not None:
+            bound = d
             for gid in gids:
-                if gid in pending:
-                    pending.discard(gid)
-                    settled[gid] = d
-            if not pending:
-                break
+                nearest[gid] = d
         for nxt, length in edges[node]:
             nd = d + length
             if nd < dist_get(nxt, inf) - 1e-12:
                 dist[nxt] = nd
                 heappush(heap, (nd, nxt))
-    return settled
+    return nearest
 
 
 def prim_order(
@@ -87,10 +89,10 @@ def prim_order(
     """Order in which pin groups are connected: Prim's nearest-next rule,
     starting (arbitrarily, like the paper) from the first group.
 
-    One multi-source Dijkstra per step yields the graph distances to all
-    remaining groups; the search stops as soon as the last of them is
-    reached, so the cost is proportional to the net's neighbourhood, not
-    the whole graph.
+    Each step runs one multi-source Dijkstra from the connected groups
+    and takes the nearest remaining group, the lowest index among equal
+    distances.  The search stops at the nearest group's distance, so its
+    cost is proportional to the gap being closed, not to the net.
     """
     if not groups:
         return []
@@ -98,20 +100,14 @@ def prim_order(
     order = [0]
     connected: Set[int] = set(groups[0])
     while remaining:
-        dist = _group_distances(
+        dist = _nearest_groups(
             graph, connected, {g: set(groups[g]) for g in remaining}
         )
-        best = None
-        best_d = math.inf
-        for g in sorted(remaining):
-            d = dist.get(g, math.inf)
-            if d < best_d:
-                best_d = d
-                best = g
-        if best is None or best_d == math.inf:
+        if not dist:
             # Disconnected graph: append the rest as-is.
             order.extend(sorted(remaining))
             break
+        best = min(dist, key=lambda g: (dist[g], g))
         order.append(best)
         remaining.discard(best)
         connected.update(groups[best])
@@ -122,17 +118,17 @@ def m_shortest_routes(
     graph: SearchGraph,
     groups: Sequence[Sequence[int]],
     m: int,
-    positions: Optional[dict] = None,
+    positions: Optional[Positions] = None,
 ) -> List[RouteAlternative]:
     """Generate up to M alternative routes connecting one pin from every
     group.  Returns alternatives sorted by length (shortest first); empty
     when the groups cannot all be connected.
 
-    When ``positions`` is supplied, the path searches run as A* with the
-    Manhattan heuristic — the scalable configuration for large channel
-    graphs.  Group ordering always uses graph distances (with early
-    termination), because geometric proximity can badly mislead the
-    connection order on graphs with detours."""
+    With positions (``positions``, else the graph's), the path searches
+    run as A* with the Manhattan heuristic — the scalable configuration
+    for large channel graphs.  Group ordering always uses graph
+    distances (with early termination), because geometric proximity can
+    badly mislead the connection order on graphs with detours."""
     if m < 1:
         raise ValueError("m must be at least 1")
     groups = [list(g) for g in groups if g]
@@ -154,7 +150,7 @@ def m_shortest_routes(
     for level, gidx in enumerate(order[1:], start=1):
         targets = set(groups[gidx])
         # Every partial of this level searches toward the same targets.
-        heuristic = ManhattanHeuristic(positions, targets)
+        heuristic = graph.heuristic(targets, positions)
         relax = graph.toward(targets)
         extensions: List[RouteAlternative] = []
         seen: Set[FrozenSet[Tuple[int, int]]] = set()

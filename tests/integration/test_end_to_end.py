@@ -24,6 +24,16 @@ def p1_result():
     return place_and_route(load_circuit("p1"), SMOKE)
 
 
+@pytest.fixture(scope="module")
+def batched_result():
+    return place_and_route(load_circuit("i1"), replace(SMOKE, mover="batched"))
+
+
+@pytest.fixture(scope="module")
+def batched_p1_result():
+    return place_and_route(load_circuit("p1"), replace(SMOKE, mover="batched"))
+
+
 class TestSuiteCircuitFlow:
     def test_runs_to_completion(self, i3_result):
         assert i3_result.teil > 0
@@ -80,10 +90,26 @@ GOLDEN_ROUTING_SHA256 = (
     "eb4446483792e4d4c047e55e70ecac173ef0cafb1eff24da3a4ea51795b84d13"
 )
 
+#: The routing trajectories of ``batched_result`` (i1: 560-node channel
+#: graphs, long enough paths for Yen's spur bound to prune) and of
+#: ``batched_p1_result`` (p1: multi-member pin groups).
+GOLDEN_ROUTING_I1_SHA256 = (
+    "b8153c13848ea5a5bfffb63f1a6fcb411cb5954aa16cb911513bfc82a018a4dd"
+)
+GOLDEN_ROUTING_P1_SHA256 = (
+    "402293b0462b6f1a0b4b608abd18abf090369be4c9decb01d718e9257e27cdc8"
+)
+
 
 class TestGoldenRouting:
     def test_routing_fingerprint(self, i3_result):
         assert routing_fingerprint(i3_result) == GOLDEN_ROUTING_SHA256
+
+    def test_i1_routing_fingerprint(self, batched_result):
+        assert routing_fingerprint(batched_result) == GOLDEN_ROUTING_I1_SHA256
+
+    def test_p1_routing_fingerprint(self, batched_p1_result):
+        assert routing_fingerprint(batched_p1_result) == GOLDEN_ROUTING_P1_SHA256
 
 
 class TestReproducibility:
@@ -177,7 +203,7 @@ GOLDEN_BATCHED_STAGE1_SHA256 = (
 #: TEIL and chip area it ends with.
 GOLDEN_BATCHED_SHA256 = (
     "76dc287b801174fe96086e9f1e6f9c52b3cd0ea6a7488a1407ca884724e43bd8",
-    "b8153c13848ea5a5bfffb63f1a6fcb411cb5954aa16cb911513bfc82a018a4dd",
+    GOLDEN_ROUTING_I1_SHA256,
 )
 
 
@@ -187,21 +213,11 @@ GOLDEN_BATCHED_SHA256 = (
 #: kernel session.
 GOLDEN_BATCHED_P1_SHA256 = (
     "6f07bfb653125dfed2369a4a1ca99d9f7c4eb3bc6ab07842e8ef53213528be47",
-    "402293b0462b6f1a0b4b608abd18abf090369be4c9decb01d718e9257e27cdc8",
+    GOLDEN_ROUTING_P1_SHA256,
 )
 
 
 class TestGoldenBatchedPlacement:
-    @pytest.fixture(scope="class")
-    def batched_result(self):
-        config = replace(SMOKE, mover="batched")
-        return place_and_route(load_circuit("i1"), config)
-
-    @pytest.fixture(scope="class")
-    def batched_p1_result(self):
-        config = replace(SMOKE, mover="batched")
-        return place_and_route(load_circuit("p1"), config)
-
     def test_stage1_fingerprint(self, batched_result):
         assert stage1_fingerprint(batched_result) == GOLDEN_BATCHED_STAGE1_SHA256
 

@@ -1,9 +1,12 @@
-"""The prepared search graph: skipping dead ends changes no search.
+"""The prepared search graph: its prunings change no search.
 
 ``reference_dijkstra`` and ``reference_group_distances`` are the
 searches as they were before :class:`SearchGraph`: they relax every
-edge of a ``neighbors(node)`` callable, dead ends included.  Every
-search on the prepared graph must return exactly what they return.
+edge of a ``neighbors(node)`` callable, dead ends included, look the
+heuristic up node by node, run every spur search to the end and settle
+every group.  Every search on the prepared graph must return exactly
+what they return, or, for the nearest-group search, the reference's
+groups at the smallest distance.
 """
 
 import math
@@ -116,16 +119,27 @@ def unpruned(graph: SearchGraph) -> NeighborFn:
 
 def reference_searches(monkeypatch) -> None:
     """Route every search of ``k_shortest_paths``, ``prim_order`` and
-    ``m_shortest_routes`` through the unpruned reference searches."""
+    ``m_shortest_routes`` through the unpruned reference searches: no
+    spur limit, a heuristic computed node by node, and every group
+    settled."""
 
-    def search(graph, sources, targets, *args, relax=None, **kwargs):
-        return reference_dijkstra(unpruned(graph), sources, targets, *args, **kwargs)
+    def search(graph, sources, targets, *args, heuristic, relax=None, limit=None, **kwargs):
+        fresh = ManhattanHeuristic(heuristic.positions, targets)
+        return reference_dijkstra(
+            unpruned(graph), sources, targets, *args, heuristic=fresh, **kwargs
+        )
 
     def group_distances(graph, from_nodes, group_nodes):
         return reference_group_distances(unpruned(graph), from_nodes, group_nodes)
 
     monkeypatch.setattr(mpaths, "dijkstra", search)
-    monkeypatch.setattr(steiner, "_group_distances", group_distances)
+    monkeypatch.setattr(steiner, "_nearest_groups", group_distances)
+
+
+def nearest(distances: Dict[int, float]) -> Dict[int, float]:
+    """The groups at the smallest distance, ties included."""
+    least = min(distances.values(), default=None)
+    return {g: d for g, d in distances.items() if d == least}
 
 
 @st.composite
@@ -235,6 +249,33 @@ class TestPreparedGraph:
         assert relax[0] == [(1, 1.0)]
         assert graph.through[1] == []  # the shared table is untouched
 
+    def test_refuses_an_edge_shorter_than_manhattan(self):
+        # 0 - 1 - 2 on a line; the edge 1 - 2 is a unit shorter than the
+        # 4 units between its ends, so A*'s heuristic would overestimate.
+        positions = {0: (0.0, 0.0), 1: (3.0, 0.0), 2: (3.0, 4.0)}
+        adj = {0: [(1, 3.0)], 1: [(0, 3.0), (2, 3.0)], 2: [(1, 3.0)]}
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) of length 3.0 .* 4.0"):
+            SearchGraph(adj, positions)
+        adj[1][1], adj[2][0] = (2, 4.0), (1, 4.0)
+        assert SearchGraph(adj, positions).positions is positions
+        with pytest.raises(ValueError, match=r"edge \(1, 2\): node without a position"):
+            SearchGraph(adj, {0: (0.0, 0.0), 1: (3.0, 0.0)})
+
+    @settings(max_examples=100, deadline=None)
+    @given(channel_graphs(), st.data())
+    def test_prefilled_heuristic_is_the_formula(self, drawn, data):
+        adj, positions, leaves = drawn
+        graph = SearchGraph(adj, positions)
+        targets = data.draw(node_sets(sorted(adj), leaves))
+        h = graph.heuristic(targets)
+        assert set(h) == set(adj) - set(graph.dead_ends)
+        for node in adj:
+            x, y = positions[node]
+            formula = min(abs(x - tx) + abs(y - ty) for tx, ty in map(positions.get, targets))
+            assert h[node] == formula
+        # Other positions than the graph's get no table.
+        assert not graph.heuristic(targets, dict(positions))
+
     @settings(max_examples=60, deadline=None)
     @given(channel_graphs())
     def test_lengths_match_an_edge_scan(self, drawn):
@@ -253,7 +294,8 @@ class TestSameSearches:
     def test_dijkstra(self, drawn, data):
         adj, positions, leaves = drawn
         nodes = sorted(adj)
-        graph = SearchGraph(adj)
+        pos = data.draw(st.sampled_from((None, positions)))
+        graph = SearchGraph(adj, pos)
         sources = {
             n: data.draw(st.sampled_from((0.0, 0.0, 1.0, 7.5)))
             for n in data.draw(node_sets(nodes, leaves))
@@ -266,12 +308,11 @@ class TestSameSearches:
         banned_edges = data.draw(st.sets(st.sampled_from(edges), max_size=3))
         if into_targets:
             banned_edges |= data.draw(st.sets(st.sampled_from(into_targets), max_size=2))
-        pos = data.draw(st.sampled_from((None, positions)))
         for kwargs in ({}, {"banned_nodes": banned_nodes, "banned_edges": banned_edges}):
             expected = reference_dijkstra(
                 adj.__getitem__, sources, targets, positions=pos, **kwargs
             )
-            assert dijkstra(graph, sources, targets, positions=pos, **kwargs) == expected
+            assert dijkstra(graph, sources, targets, **kwargs) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(channel_graphs(), st.data())
@@ -282,7 +323,7 @@ class TestSameSearches:
         groups = disjoint_groups(data.draw, nodes, leaves)
         from_nodes = set(groups[0])
         group_nodes = {g: set(groups[g]) for g in range(1, len(groups))}
-        assert steiner._group_distances(graph, from_nodes, group_nodes) == (
+        assert steiner._nearest_groups(graph, from_nodes, group_nodes) == nearest(
             reference_group_distances(adj.__getitem__, from_nodes, group_nodes)
         )
 
@@ -291,15 +332,14 @@ class TestSameSearches:
     def test_k_shortest_paths(self, drawn, data):
         adj, positions, leaves = drawn
         nodes = sorted(adj)
-        graph = SearchGraph(adj)
+        graph = SearchGraph(adj, data.draw(st.sampled_from((None, positions))))
         sources = {n: 0.0 for n in data.draw(node_sets(nodes, leaves))}
         targets = data.draw(node_sets(nodes, leaves))
         k = data.draw(st.integers(1, 5))
         max_spurs = data.draw(st.integers(1, 4))
-        pos = data.draw(st.sampled_from((None, positions)))
 
         def run():
-            return k_shortest_paths(graph, sources, targets, k, max_spurs, positions=pos)
+            return k_shortest_paths(graph, sources, targets, k, max_spurs)
 
         pruned = run()
         with pytest.MonkeyPatch.context() as mp:
@@ -321,15 +361,14 @@ class TestSameSearches:
     @given(channel_graphs(), st.data())
     def test_m_shortest_routes(self, drawn, data):
         adj, positions, leaves = drawn
-        graph = SearchGraph(adj)
+        graph = SearchGraph(adj, data.draw(st.sampled_from((None, positions))))
         groups = disjoint_groups(data.draw, sorted(adj), leaves)
         m = data.draw(st.integers(1, 4))
-        pos = data.draw(st.sampled_from((None, positions)))
 
         def run():
             return [
                 (r.length, sorted(r.edges), sorted(r.nodes))
-                for r in m_shortest_routes(graph, groups, m, positions=pos)
+                for r in m_shortest_routes(graph, groups, m)
             ]
 
         pruned = run()

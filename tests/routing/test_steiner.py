@@ -3,6 +3,7 @@
 import pytest
 
 from repro.routing import SearchGraph, m_shortest_routes, prim_order
+from repro.routing.steiner import _nearest_groups
 
 
 def grid(n=5):
@@ -37,6 +38,12 @@ class TestPrimOrder:
     def test_empty(self):
         nb, _ = grid()
         assert prim_order(nb, []) == []
+
+    def test_equal_distances_take_the_lowest_index(self):
+        nb, node = grid()
+        # Groups 1 and 2 are both 2 away; group 2's node pops first.
+        order = prim_order(nb, [[node(0, 0)], [node(0, 2)], [node(2, 0)]])
+        assert order == [0, 1, 2]
 
     def test_equivalent_member_counts(self):
         nb, node = grid()
@@ -159,27 +166,29 @@ class TestDegenerateCases:
 
 
 class TestGroupDistances:
-    def test_early_stop_matches_full_search(self):
-        from repro.routing.steiner import _group_distances
+    """Each Prim step's search stops at the nearest group's distance."""
 
+    def test_early_stop_matches_full_search(self):
         nb, node = grid(5)
         sources = {node(0, 0)}
         group_nodes = {1: {node(4, 4)}, 2: {node(2, 0)}, 3: {node(0, 3)}}
-        settled = _group_distances(nb, sources, group_nodes)
-        assert settled == {1: 8.0, 2: 2.0, 3: 3.0}
+        # A full search settles {1: 8.0, 2: 2.0, 3: 3.0}.
+        assert _nearest_groups(nb, sources, group_nodes) == {2: 2.0}
+
+    def test_equal_distances_all_reported(self):
+        nb, node = grid(5)
+        group_nodes = {1: {node(0, 2)}, 2: {node(2, 0)}, 3: {node(4, 4)}}
+        assert _nearest_groups(nb, {node(0, 0)}, group_nodes) == {1: 2.0, 2: 2.0}
 
     def test_unreachable_group_absent(self):
-        from repro.routing.steiner import _group_distances
-
         adj = {0: [(1, 1.0)], 1: [(0, 1.0)], 9: []}
-        settled = _group_distances(SearchGraph(adj), {0}, {1: {1}, 2: {9}})
+        settled = _nearest_groups(SearchGraph(adj), {0}, {1: {1}, 2: {9}})
         assert settled == {1: 1.0}
+        assert _nearest_groups(SearchGraph(adj), {0}, {2: {9}}) == {}
 
     def test_group_with_multiple_members_takes_nearest(self):
-        from repro.routing.steiner import _group_distances
-
         nb, node = grid(5)
-        settled = _group_distances(
+        settled = _nearest_groups(
             nb, {node(0, 0)}, {1: {node(4, 4), node(1, 0)}}
         )
         assert settled == {1: 1.0}
