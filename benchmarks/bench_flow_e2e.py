@@ -57,14 +57,13 @@ if str(REPO_ROOT / "benchmarks") not in sys.path:
 from repro import TimberWolfConfig, place_and_route  # noqa: E402
 from repro.annealing import RangeLimiter  # noqa: E402
 from repro.bench import CircuitSpec, generate_circuit  # noqa: E402
+from repro.config import MOVERS  # noqa: E402
 from repro.estimator import determine_core  # noqa: E402
 from repro.placement import BatchMoveGenerator, make_placement_state  # noqa: E402
 from repro.placement.batch import BATCH_KINDS  # noqa: E402
 
 FULL_SIZES = (50, 100, 200)
 QUICK_SIZES = (50,)
-
-MOVERS = ("serial", "batched")
 
 #: The size the quick-mode gates and the flattened registry metrics are
 #: taken at (the smallest full-sweep size: the batched kernel's edge is

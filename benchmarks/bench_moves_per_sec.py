@@ -46,6 +46,7 @@ if str(REPO_ROOT / "benchmarks") not in sys.path:
 
 from repro.annealing import RangeLimiter  # noqa: E402
 from repro.bench import CircuitSpec, generate_circuit  # noqa: E402
+from repro.config import CORES  # noqa: E402
 from repro.estimator import determine_core  # noqa: E402
 from repro.geometry import BOTTOM, LEFT, RIGHT, TOP  # noqa: E402
 from repro.netlist import CustomCell  # noqa: E402
@@ -65,10 +66,6 @@ from repro.telemetry import (  # noqa: E402
 
 FULL_SIZES = (20, 50, 100, 200)
 QUICK_SIZES = (20, 50)
-
-#: Both inner-loop implementations; "array" additionally gets the
-#: batched mixed anneal.
-CORES = ("object", "array")
 
 #: Temperature for the mixed anneal: high enough that a realistic
 #: fraction of moves is accepted, low enough that some restore.

@@ -15,7 +15,6 @@ from repro.channels import (
     ChannelGraph,
     ChannelSegment,
     channel_density,
-    compute_congestion,
     decompose_free_space,
     extract_critical_regions,
     left_edge_route,

@@ -26,6 +26,7 @@ import time
 from dataclasses import replace
 
 from repro import ParallelConfig, TimberWolfConfig, place_and_route
+from repro.config import MOVERS
 
 from quickstart import build_circuit
 
@@ -49,7 +50,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--mover",
-        choices=("serial", "batched"),
+        choices=MOVERS,
         default="serial",
         help="move engine for every run: one-at-a-time Metropolis or "
         "the vectorized batched sweep kernel",

@@ -42,6 +42,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.config import MOVERS  # noqa: E402
 from repro.telemetry import JsonlTailer  # noqa: E402
 
 #: Fields that legitimately differ between the reference and resumed
@@ -160,7 +161,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--mover",
-        choices=("serial", "batched"),
+        choices=MOVERS,
         default="serial",
         help="move engine under drill: the batched sweep kernel must "
         "resume bit-for-bit just like the serial mover",

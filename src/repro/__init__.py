@@ -13,8 +13,8 @@ The public entry points:
 * :class:`repro.TimberWolfConfig` — all tunables, with presets.
 * :mod:`repro.netlist` — build or parse circuits.
 * :mod:`repro.bench` — the synthetic 9-circuit benchmark suite.
-* :mod:`repro.telemetry` — structured tracing, metrics, and the trace
-  report generator (:class:`repro.Tracer`, :class:`repro.FileSink`, ...).
+* :mod:`repro.telemetry` — structured tracing and the trace report
+  generator (:class:`repro.Tracer`, :class:`repro.FileSink`, ...).
 * :mod:`repro.resilience` — checkpoint/resume, run budgets, interrupt
   trapping, stage supervision, and the fault-injection harness
   (:class:`repro.Budget`, :class:`repro.CheckpointPolicy`,
@@ -44,7 +44,7 @@ from .qor import (
     compare_records,
     gate_records,
 )
-from .telemetry import FileSink, MemorySink, MetricsRegistry, NullSink, Tracer, use_tracer
+from .telemetry import FileSink, MemorySink, NullSink, Tracer, use_tracer
 
 __version__ = "1.4.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "FileSink",
     "GateThresholds",
     "MemorySink",
-    "MetricsRegistry",
     "NullSink",
     "RunRecorder",
     "RunRegistry",

@@ -41,8 +41,9 @@ exposition; see ``docs/qor.md``), and ``--cooling table|adaptive /
 
 Setting the ``REPRO_FAULTS`` environment variable (e.g.
 ``router.route_net@3:error``) arms the fault-injection harness for the
-whole process — the mechanism the resilience CI job uses to rehearse
-failure recovery in a real subprocess.
+whole process, to rehearse failure recovery in a real subprocess by
+hand.  (CI's kill-and-resume job sends a real SIGTERM instead; see
+``scripts/ci_kill_resume.py``.)
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ import sys
 from . import TimberWolfConfig, place_and_route, resume_place_and_route
 from .bench import CIRCUIT_NAMES, PAPER_STATS, load_circuit, spec_for
 from .bench.circuits import generate_circuit
+from .config import COOLING_SCHEDULES, MOVERS
 from .netlist import dump, load
 from .resilience import (
     Budget,
@@ -545,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_place.add_argument(
         "--cooling",
         default="table",
-        choices=("table", "adaptive"),
+        choices=COOLING_SCHEDULES,
         help="cooling schedule: the paper's Tables 1/2 (default) or the "
         "VPR-style acceptance-ratio-driven schedule (see "
         "docs/performance.md)",
@@ -553,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_place.add_argument(
         "--mover",
         default="serial",
-        choices=("serial", "batched"),
+        choices=MOVERS,
         help="move driver of both anneals (stage 1 and the stage-2 "
         "refine): one Metropolis move at a time (default) or "
         "PARSAC-style synchronous batched sweeps on the array core — "
@@ -618,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_resume.add_argument(
         "--mover",
-        choices=("serial", "batched"),
+        choices=MOVERS,
         help="pin the expected mover (it drives both anneals): the "
         "checkpoint's own config decides how the run continues, and a "
         "disagreeing pin is refused with a clean error",

@@ -200,13 +200,14 @@ class FloorStop(StoppingCriterion):
         return self._t_floor
 
 
-class AnyOf(StoppingCriterion):
-    """Stop when any member criterion fires (all are consulted so that
-    history-carrying criteria stay up to date)."""
+class _Composite(StoppingCriterion):
+    """A criterion over member criteria.  Every member is consulted at
+    every inner loop, so history-carrying members stay up to date, and
+    their histories travel as ``{"children": [...]}``."""
 
     def __init__(self, *criteria: StoppingCriterion) -> None:
         if not criteria:
-            raise ValueError("AnyOf needs at least one criterion")
+            raise ValueError(f"{type(self).__name__} needs at least one criterion")
         self._criteria = criteria
 
     def reset(self) -> None:
@@ -220,21 +221,28 @@ class AnyOf(StoppingCriterion):
         for criterion, child in zip(self._criteria, state["children"]):
             criterion.load_state_dict(child)
 
+    def _fired(self, temperature: float, stats: TemperatureStats) -> List[bool]:
+        return [c.should_stop(temperature, stats) for c in self._criteria]
+
+    def _floors(self, stats: TemperatureStats) -> List[float]:
+        """The members' floor estimates, the unpredictable ones left out."""
+        floors = (c.floor_estimate(stats) for c in self._criteria)
+        return [f for f in floors if f is not None]
+
+
+class AnyOf(_Composite):
+    """Stop when any member criterion fires."""
+
     def should_stop(self, temperature: float, stats: TemperatureStats) -> bool:
-        fired = [c.should_stop(temperature, stats) for c in self._criteria]
-        return any(fired)
+        return any(self._fired(temperature, stats))
 
     def floor_estimate(self, stats: TemperatureStats) -> Optional[float]:
         # Whichever member fires first ends the run: the highest floor.
-        floors = [
-            f
-            for f in (c.floor_estimate(stats) for c in self._criteria)
-            if f is not None
-        ]
+        floors = self._floors(stats)
         return max(floors) if floors else None
 
 
-class AllOf(StoppingCriterion):
+class AllOf(_Composite):
     """Stop only when every member criterion fires.
 
     Used by stage 1 to keep annealing at the minimum window span until
@@ -244,34 +252,13 @@ class AllOf(StoppingCriterion):
     routinely accepted.
     """
 
-    def __init__(self, *criteria: StoppingCriterion) -> None:
-        if not criteria:
-            raise ValueError("AllOf needs at least one criterion")
-        self._criteria = criteria
-
-    def reset(self) -> None:
-        for c in self._criteria:
-            c.reset()
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {"children": [c.state_dict() for c in self._criteria]}
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        for criterion, child in zip(self._criteria, state["children"]):
-            criterion.load_state_dict(child)
-
     def should_stop(self, temperature: float, stats: TemperatureStats) -> bool:
-        fired = [c.should_stop(temperature, stats) for c in self._criteria]
-        return all(fired)
+        return all(self._fired(temperature, stats))
 
     def floor_estimate(self, stats: TemperatureStats) -> Optional[float]:
         # Every member must fire; the estimable ones give an optimistic
         # (lowest-floor) bound — the stop cannot come before it.
-        floors = [
-            f
-            for f in (c.floor_estimate(stats) for c in self._criteria)
-            if f is not None
-        ]
+        floors = self._floors(stats)
         return min(floors) if floors else None
 
 

@@ -58,7 +58,7 @@ def route_baseline(
     circuit = state.circuit
     config = TimberWolfConfig(m_routes=m_routes, seed=seed)
     rng = random.Random(seed)
-    graph, routing, _ = define_and_route(circuit, state, config, rng)
+    graph, routing = define_and_route(circuit, state, config, rng)
     expansions = cell_edge_expansions(graph, routing.routes, circuit.track_spacing)
     state.set_static_expansions(expansions)
     # The same finishing the flow applies: separate the margin-carrying

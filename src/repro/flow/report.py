@@ -73,51 +73,22 @@ def channel_report(result: TimberWolfResult, top: int = 12) -> str:
 
 
 def router_report(result: TimberWolfResult) -> str:
-    """Global-router and channel-definition statistics.
-
-    Prefers the run's telemetry trace (per-pass ``channels.defined`` /
-    ``router.interchange`` events); falls back to the final refinement
-    pass's own artifacts when telemetry was disabled, so the report stays
-    available either way.
-    """
+    """Global-router and channel-definition statistics, one row per
+    refinement pass this run executed, read from the stored passes."""
     if result.refinement is None or not result.refinement.passes:
         return "(no refinement pass was run; no routing to report)"
-
-    events = result.trace_events or []
-    defined = [
-        e for e in events if e.get("ev") == "event" and e.get("name") == "channels.defined"
+    rows = [
+        [
+            p.index,
+            len(p.graph.regions),
+            p.graph.num_free_nodes,
+            len(p.routing.routes),
+            len(p.routing.unrouted),
+            round(p.routing.total_length, 1),
+            p.overflow,
+        ]
+        for p in result.refinement.passes
     ]
-    interchanges = [
-        e for e in events if e.get("ev") == "event" and e.get("name") == "router.interchange"
-    ]
-    rows: List[List[object]] = []
-    if defined and interchanges:
-        for i, (d, r) in enumerate(zip(defined, interchanges)):
-            rows.append(
-                [
-                    i,
-                    d.get("critical_regions"),
-                    d.get("free_rects"),
-                    r.get("nets_routed"),
-                    r.get("unrouted"),
-                    round(float(r.get("total_length", 0.0)), 1),
-                    r.get("overflow"),
-                ]
-            )
-    else:
-        # Telemetry disabled: reconstruct what we can from the stored passes.
-        for p in result.refinement.passes:
-            rows.append(
-                [
-                    p.index,
-                    len(p.graph.regions),
-                    len(p.graph.node_rects),
-                    len(p.routing.routes),
-                    len(p.routing.unrouted),
-                    round(p.routing.total_length, 1),
-                    p.overflow,
-                ]
-            )
     return format_table(
         ["pass", "regions", "free rects", "nets", "unrouted", "length", "overflow"],
         rows,

@@ -105,8 +105,6 @@ def resume_place_and_route(
         tracer,
         collect_trace,
         control,
-        stage1_resume=payload if phase == "stage1" else None,
-        stage2_resume=payload if phase == "stage2" else None,
-        parallel_resume=payload if phase == "parallel1" else None,
+        resume=payload,
         resumed_from=str(path),
     )

@@ -42,8 +42,8 @@ class TimberWolfResult:
     elapsed_seconds: float
     #: The run's telemetry events (spans, per-temperature snapshots,
     #: router records, ...) when tracing was active; None when telemetry
-    #: was disabled.  ``repro.flow.report`` reads stage timings and
-    #: router/channel statistics from here.
+    #: was disabled.  ``repro.flow.report`` reads stage timings from
+    #: here.
     trace_events: Optional[List[Dict[str, Any]]] = field(
         default=None, repr=False, compare=False
     )
@@ -196,9 +196,9 @@ def place_and_route(
     :mod:`repro.telemetry.report` can turn into the paper's diagnostic
     tables.  With ``collect_trace`` (the default) the same events are
     also kept in memory on ``result.trace_events`` so
-    :mod:`repro.flow.report` can include stage timings and router
-    statistics; pass ``collect_trace=False`` with no tracer to run with
-    telemetry fully disabled.
+    :mod:`repro.flow.report` can include stage timings; pass
+    ``collect_trace=False`` with no tracer to run with telemetry fully
+    disabled.
 
     ``budget`` bounds the run (wall clock, temperatures, or moves): when
     it runs dry the anneal freezes early and the result is flagged
@@ -218,9 +218,7 @@ def _place_and_route_controlled(
     tracer: Optional[Tracer],
     collect_trace: bool,
     control: RunControl,
-    stage1_resume: Optional[Dict[str, Any]] = None,
-    stage2_resume: Optional[Dict[str, Any]] = None,
-    parallel_resume: Optional[Dict[str, Any]] = None,
+    resume: Optional[Dict[str, Any]] = None,
     resumed_from: Optional[str] = None,
 ) -> TimberWolfResult:
     """The shared body behind ``place_and_route`` and resume."""
@@ -243,13 +241,11 @@ def _place_and_route_controlled(
             if control.manager is not None:
                 with trap_signals(control.interrupt):
                     stage1, refinement, stage1_metrics = _run_flow(
-                        circuit, config, run_tracer, control,
-                        stage1_resume, stage2_resume, parallel_resume,
+                        circuit, config, run_tracer, control, resume
                     )
             else:
                 stage1, refinement, stage1_metrics = _run_flow(
-                    circuit, config, run_tracer, control,
-                    stage1_resume, stage2_resume, parallel_resume,
+                    circuit, config, run_tracer, control, resume
                 )
     finally:
         if borrowed and mem is not None:
@@ -283,23 +279,22 @@ def _run_flow(
     config: TimberWolfConfig,
     tracer: Tracer,
     control: RunControl,
-    stage1_resume: Optional[Dict[str, Any]] = None,
-    stage2_resume: Optional[Dict[str, Any]] = None,
-    parallel_resume: Optional[Dict[str, Any]] = None,
+    resume: Optional[Dict[str, Any]] = None,
 ) -> Tuple[Stage1Result, Optional[RefinementResult], Tuple]:
     """The instrumented flow body: one span per stage (Table-4 rows).
 
-    ``stage1_resume`` / ``stage2_resume`` / ``parallel_resume`` are
-    checkpoint payloads (at most one may be set); the single-chain flow
-    threads ``rng`` through both stages so a resumed run replays the
-    exact RNG stream of the uninterrupted one.  The multi-chain flow
-    (``config.parallel.chains > 1``) gives every chain its own derived
-    stream and hands the untouched ``rng`` to stage 2.
+    ``resume`` is a checkpoint payload; its ``phase`` (``stage1``,
+    ``parallel1`` or ``stage2``) says where the run continues.  The
+    single-chain flow threads ``rng`` through both stages so a resumed
+    run replays the exact RNG stream of the uninterrupted one.  The
+    multi-chain flow (``config.parallel.chains > 1``) gives every chain
+    its own derived stream and hands the untouched ``rng`` to stage 2.
     """
     # spawn_seed(seed, 0) == seed: the single-chain stream is exactly
     # the historical random.Random(config.seed) one.
     rng = random.Random(spawn_seed(config.seed, 0))
-    multichain = config.parallel.chains > 1 or parallel_resume is not None
+    phase = resume["phase"] if resume is not None else None
+    multichain = config.parallel.chains > 1 or phase == "parallel1"
     with tracer.span(
         "flow",
         circuit=circuit.name,
@@ -309,9 +304,9 @@ def _run_flow(
         seed=config.seed,
     ):
         start_pass = 0
-        if stage2_resume is not None:
+        if phase == "stage2":
             stage1, stage1_metrics, start_pass = _restore_stage2(
-                circuit, config, control, rng, stage2_resume, tracer
+                circuit, config, control, rng, resume, tracer
             )
         else:
             with tracer.span("stage1", chains=config.parallel.chains):
@@ -321,11 +316,11 @@ def _run_flow(
                     from ..parallel.multichain import run_multichain_stage1
 
                     stage1 = run_multichain_stage1(
-                        circuit, config, control=control, resume=parallel_resume
+                        circuit, config, control=control, resume=resume
                     )
                 else:
                     stage1 = run_stage1(
-                        circuit, config, rng, control=control, resume=stage1_resume
+                        circuit, config, rng, control=control, resume=resume
                     )
 
             # Record the stage-1 metrics on a *legal* placement so the

@@ -190,7 +190,7 @@ def validate_result(result, seed: int = 0) -> RoutabilityReport:
 
     if result.refinement is None or not result.refinement.passes:
         raise ValueError("the flow ran without refinement; nothing to validate")
-    graph, routing, _ = define_and_route(
+    graph, routing = define_and_route(
         result.circuit, result.state, result.config, random.Random(seed)
     )
     return check_routability(

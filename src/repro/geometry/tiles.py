@@ -92,6 +92,28 @@ def _subtract_intervals(
     return [(a, b) for a, b in result if b > a]
 
 
+def tile_overlap(
+    a: Sequence[Tuple[float, float, float, float]],
+    b: Sequence[Tuple[float, float, float, float]],
+) -> float:
+    """:meth:`TileSet.overlap_area`'s narrow phase over flat
+    (x1, y1, x2, y2) tile tuples, ``a`` outermost, for the placement
+    kernels that keep tiles as tuples.  A skipped term is the 0.0 that
+    ``Rect.overlap_area`` returns, and 0.0 + w * h is w * h, so a
+    single-tile pair also matches the method's fast path."""
+    total = 0.0
+    for tx1, ty1, tx2, ty2 in a:
+        for ux1, uy1, ux2, uy2 in b:
+            w = min(tx2, ux2) - max(tx1, ux1)
+            if w <= 0.0:
+                continue
+            h = min(ty2, uy2) - max(ty1, uy1)
+            if h <= 0.0:
+                continue
+            total += w * h
+    return total
+
+
 class TileSet:
     """An immutable union of non-overlapping rectangles.
 

@@ -1,10 +1,6 @@
 """Stage-1 placement and stage-2 refinement of TimberWolfMC."""
 
-from .arraycore import (
-    PLACEMENT_CORES,
-    ArrayPlacementState,
-    make_placement_state,
-)
+from .arraycore import ArrayPlacementState, make_placement_state
 from .batch import BatchKernel, BatchMoveGenerator
 from .compact import compact
 from .legalize import raw_overlap, remove_overlaps
@@ -14,7 +10,6 @@ from .stage1 import Stage1Result, calibrate_p2, run_stage1
 from .state import CellRecord, PlacementState, world_side
 
 __all__ = [
-    "PLACEMENT_CORES",
     "ArrayPlacementState",
     "make_placement_state",
     "BatchKernel",

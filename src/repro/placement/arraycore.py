@@ -72,16 +72,14 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
+from ..config import CORES
 from ..estimator import CorePlan
 from ..geometry import BOTTOM, LEFT, RIGHT, TOP, Rect, TileSet
+from ..geometry.tiles import tile_overlap
 from ..netlist import Circuit
 from .state import _SIDE_MAP_INV, PlacementState, _PIN_CACHE_LIMIT, _site_offset
 
 __all__ = ["ArrayPlacementState", "ArraySnapshot", "make_placement_state"]
-
-#: Registered placement-core implementations (see ``TimberWolfConfig.core``).
-PLACEMENT_CORES = ("object", "array")
-
 
 def make_placement_state(
     core: str,
@@ -93,7 +91,7 @@ def make_placement_state(
     static_expansions: Optional[Dict[str, Dict[str, float]]] = None,
 ) -> PlacementState:
     """Construct the placement state for the configured core."""
-    if core not in PLACEMENT_CORES:
+    if core not in CORES:
         raise ValueError(f"unknown placement core {core!r}")
     cls = ArrayPlacementState if core == "array" else PlacementState
     return cls(
@@ -104,24 +102,6 @@ def make_placement_state(
         dynamic_expansion=dynamic_expansion,
         static_expansions=static_expansions,
     )
-
-
-def _tile_overlap(a, b) -> float:
-    """``TileSet.overlap_area``'s narrow phase over flat (x1, y1, x2, y2)
-    tile tuples, ``a`` outermost.  A skipped term is the 0.0 that
-    ``Rect.overlap_area`` returns, and 0.0 + w * h is w * h, so a
-    single-tile pair also matches the object core's fast path."""
-    total = 0.0
-    for tx1, ty1, tx2, ty2 in a:
-        for ux1, uy1, ux2, uy2 in b:
-            w = min(tx2, ux2) - max(tx1, ux1)
-            if w <= 0.0:
-                continue
-            h = min(ty2, uy2) - max(ty1, uy1)
-            if h <= 0.0:
-                continue
-            total += w * h
-    return total
 
 
 class ArraySnapshot:
@@ -395,7 +375,7 @@ class ArrayPlacementState(PlacementState):
                 jx1, jy1, jx2, jy2, _ = geoms[j]
                 if jx1 >= x2 or jx2 <= x1 or jy1 >= y2 or jy2 <= y1:
                     continue
-                c2 += _tile_overlap(tiles[i], tiles[j])
+                c2 += tile_overlap(tiles[i], tiles[j])
         self._c2_raw = c2
         self._c3_total = sum(self._c3)
 
@@ -514,7 +494,7 @@ class ArrayPlacementState(PlacementState):
         """Narrow-phase overlap of the (already bbox-accepted) pair,
         with cell i's tiles outermost (the object core always calls
         exp_i.overlap_area)."""
-        return _tile_overlap(
+        return tile_overlap(
             ((x1, y1, x2, y2),) if tiles_i is None else tiles_i,
             self._ltiles[j]
             or ((self._lex1[j], self._ley1[j], self._lex2[j], self._ley2[j]),),

@@ -82,12 +82,12 @@ numpy dispatch and memory layout, not arithmetic, bound this kernel:
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..annealing.engine import AnnealingState
-from ..telemetry import MetricsRegistry, current_tracer
+from ..telemetry import current_tracer
 from .arraycore import ArrayPlacementState
 from .moves import telemetry_fields
 
@@ -865,6 +865,9 @@ class BatchMoveGenerator(AnnealingState):
     the session's live placement.
     """
 
+    #: The batch kinds this mover counts in ``stats``.
+    KINDS = BATCH_KINDS
+
     def __init__(
         self,
         state: ArrayPlacementState,
@@ -890,30 +893,11 @@ class BatchMoveGenerator(AnnealingState):
         self.rng = np.random.default_rng(seed)
         self.pin_round = pin_round
         self._pin_round_due = False
-        #: [attempts, accepts] over the pin rounds run so far.
-        self._pin_moves = [0, 0]
-        #: Per-kind batch attempt/accept counters in a MetricsRegistry,
-        #: so the flow can export batched move metrics exactly like
-        #: serial ones.
-        self.metrics = MetricsRegistry()
-        self._pairs = {
-            kind: (
-                self.metrics.counter(f"moves.{kind}.attempts"),
-                self.metrics.counter(f"moves.{kind}.accepts"),
-            )
-            for kind in BATCH_KINDS
+        #: Move kind -> [attempts, accepts]: the batches over ``KINDS``,
+        #: and the pin rounds as ``pin_group``.
+        self.stats: Dict[str, List[int]] = {
+            kind: [0, 0] for kind in (*BATCH_KINDS, "pin_group")
         }
-
-    @property
-    def stats(self) -> Dict[str, list]:
-        """Move kind -> [attempts, accepts]: the batches, and the pin
-        rounds as ``pin_group``."""
-        stats = {
-            kind: [attempts.value, accepts.value]
-            for kind, (attempts, accepts) in self._pairs.items()
-        }
-        stats["pin_group"] = list(self._pin_moves)
-        return stats
 
     def begin(self) -> None:
         self.kernel.begin()
@@ -936,8 +920,9 @@ class BatchMoveGenerator(AnnealingState):
                 self.kernel.hand_off()
                 attempts, accepts = self.pin_round(temperature, rng)
                 self.kernel.reopen()
-            self._pin_moves[0] += attempts
-            self._pin_moves[1] += accepts
+            row = self.stats["pin_group"]
+            row[0] += attempts
+            row[1] += accepts
         if self.refine or self.rng.random() < self.displacement_probability:
             window = (
                 self.limiter.window_x(temperature),
@@ -946,14 +931,14 @@ class BatchMoveGenerator(AnnealingState):
             a, c = self.kernel.displacement_batch(
                 self.batch, temperature, window, self.rng
             )
-            row = self._pairs["displace_batch"]
+            row = self.stats["displace_batch"]
         else:
             a, c = self.kernel.interchange_batch(
                 self.batch, temperature, self.rng
             )
-            row = self._pairs["interchange_batch"]
-        row[0].value += a
-        row[1].value += c
+            row = self.stats["interchange_batch"]
+        row[0] += a
+        row[1] += c
         return (attempts + a, accepts + c)
 
     def cost(self) -> float:

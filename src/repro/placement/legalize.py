@@ -28,7 +28,7 @@ from __future__ import annotations
 import warnings
 from typing import List, Sequence, Tuple
 
-from ..geometry import TileSet
+from ..geometry.tiles import TileSet, tile_overlap
 from .spatial import UniformGridIndex
 from .state import PlacementState
 
@@ -115,7 +115,7 @@ def remove_overlaps(
                 jx1, jy1, jx2, jy2 = pboxes[j]
                 if not (ix1 < jx2 and jx1 < ix2 and iy1 < jy2 and jy1 < iy2):
                     continue
-                if _tile_overlap(ptiles[i], ptiles[j]) <= tolerance:
+                if tile_overlap(ptiles[i], ptiles[j]) <= tolerance:
                     continue
                 if not movable[i] and not movable[j]:
                     continue  # two pre-placed cells: their overlap is the
@@ -188,21 +188,6 @@ def _bounding(tiles: Sequence[Box]) -> Box:
     )
 
 
-def _tile_overlap(a: Sequence[Box], b: Sequence[Box]) -> float:
-    """``TileSet.overlap_area`` of two bbox-intersecting tile tuples."""
-    total = 0.0
-    for tx1, ty1, tx2, ty2 in a:
-        for ux1, uy1, ux2, uy2 in b:
-            w = min(tx2, ux2) - max(tx1, ux1)
-            if w <= 0.0:
-                continue
-            h = min(ty2, uy2) - max(ty1, uy1)
-            if h <= 0.0:
-                continue
-            total += w * h
-    return total
-
-
 def _residual(
     tiles: List[Tuple[Box, ...]], boxes: List[Box], tolerance: float
 ) -> float:
@@ -213,7 +198,7 @@ def _residual(
         for j in range(i + 1, len(tiles)):
             bx1, by1, bx2, by2 = boxes[j]
             if ax1 < bx2 and bx1 < ax2 and ay1 < by2 and by1 < ay2:
-                area = _tile_overlap(tiles[i], tiles[j])
+                area = tile_overlap(tiles[i], tiles[j])
                 if area > tolerance:
                     total += area
     return total

@@ -32,7 +32,6 @@ from ..annealing import (
 from ..annealing.range_limiter import ds_point, ds_steps
 from ..geometry import orientation as ori
 from ..netlist import CustomCell, MacroCell
-from ..telemetry import MetricsRegistry
 from .state import PlacementState
 
 #: Relative size of a local aspect-ratio perturbation (log-uniform).
@@ -77,6 +76,9 @@ class MoveGenerator(AnnealingState):
     pin-group moves, with orientations, instances, aspect ratios and
     interchanges frozen.
     """
+
+    #: The move kinds this mover counts in ``stats``.
+    KINDS = MOVE_KINDS
 
     def __init__(
         self,
@@ -125,32 +127,14 @@ class MoveGenerator(AnnealingState):
         #: The movable custom cells with uncommitted pin groups: the
         #: cells a ``pin_round`` visits.
         self.pin_cells = [i for i in self._movable if self._group_sides[i]]
-        #: Per-move-kind attempt/accept counters, kept in a MetricsRegistry
-        #: so the same series the annealer accumulates is exportable to a
-        #: trace.  Pre-resolved to (attempts, accepts) Counter pairs so the
-        #: per-attempt record stays two plain increments.
-        self.metrics = MetricsRegistry()
-        self._pairs = {
-            kind: (
-                self.metrics.counter(f"moves.{kind}.attempts"),
-                self.metrics.counter(f"moves.{kind}.accepts"),
-            )
-            for kind in MOVE_KINDS
-        }
-
-    @property
-    def stats(self) -> Dict[str, List[int]]:
-        """Move kind -> [attempts, accepts] (view over the registry)."""
-        return {
-            kind: [attempts.value, accepts.value]
-            for kind, (attempts, accepts) in self._pairs.items()
-        }
+        #: Move kind -> [attempts, accepts], over ``KINDS``.
+        self.stats: Dict[str, List[int]] = {kind: [0, 0] for kind in MOVE_KINDS}
 
     def _record(self, kind: str, accepted: bool) -> None:
-        attempts, accepts = self._pairs[kind]
-        attempts.value += 1
+        row = self.stats[kind]
+        row[0] += 1
         if accepted:
-            accepts.value += 1
+            row[1] += 1
 
     def on_temperature(self, temperature: float) -> None:
         """Fix the Ds grid steps for the inner loop at ``temperature``

@@ -34,7 +34,6 @@ from ..annealing import (
 )
 from ..channels import (
     ChannelGraph,
-    CongestionReport,
     cell_edge_expansions,
     decompose_free_space,
     extract_critical_regions,
@@ -66,7 +65,6 @@ class RefinementPass:
     index: int
     graph: ChannelGraph
     routing: RoutingResult
-    congestion: CongestionReport
     anneal: Optional[AnnealResult]
     teil_after: float
     chip_area_after: float
@@ -123,7 +121,7 @@ def define_and_route(
     config: TimberWolfConfig,
     rng: random.Random,
 ):
-    """Steps 1-2 of a refinement pass; returns (graph, routing, report)."""
+    """Steps 1-2 of a refinement pass; returns (graph, routing)."""
     tracer = current_tracer()
     t_s = circuit.track_spacing
     with tracer.span("channels.define"):
@@ -151,10 +149,7 @@ def define_and_route(
         rng=rng,
         workers=config.parallel.workers,
     )
-    routing = router.route(circuit)
-    with tracer.span("router.congestion"):
-        report = routing.congestion(graph)
-    return graph, routing, report
+    return graph, router.route(circuit)
 
 
 def run_refinement(
@@ -207,7 +202,7 @@ def run_refinement(
                 # this pass (recorded by the supervisor): keep the current
                 # placement and try the next pass from scratch.
                 continue
-            graph, routing, report, expansions = routed
+            graph, routing, expansions = routed
             state.set_static_expansions(expansions)
             # The §4.3 spacing step: separate the margin-carrying shapes so
             # every channel immediately has its required width; the anneal
@@ -236,7 +231,6 @@ def run_refinement(
                     index=pass_index,
                     graph=graph,
                     routing=routing,
-                    congestion=report,
                     anneal=anneal,
                     teil_after=state.teil(),
                     chip_area_after=state.chip_area(),
@@ -284,11 +278,11 @@ def _define_route_expand(
 
     def body():
         fault_point("channels.define", pass_index=pass_index)
-        graph, routing, report = define_and_route(circuit, state, config, rng)
+        graph, routing = define_and_route(circuit, state, config, rng)
         fault_point("stage2.expansions", pass_index=pass_index)
         with current_tracer().span("stage2.expansions"):
             expansions = cell_edge_expansions(graph, routing.routes, t_s)
-        return graph, routing, report, expansions
+        return graph, routing, expansions
 
     if control is None:
         return body()

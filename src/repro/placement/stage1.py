@@ -357,7 +357,13 @@ def run_stage1(
         chain.state, chain.plan, chain.limiter, anneal=result, p2=chain.state.p2
     )
     if tracer.enabled:
-        chain.mover.metrics.emit(tracer, "stage1.move_metrics")
+        # The mover's counts over its own KINDS, under sorted names.
+        counters = {}
+        for kind in chain.mover.KINDS:
+            attempts, accepts = chain.mover.stats[kind]
+            counters[f"moves.{kind}.attempts"] = attempts
+            counters[f"moves.{kind}.accepts"] = accepts
+        tracer.event("stage1.move_metrics", counters=dict(sorted(counters.items())))
         emit_stage1_result(tracer, stage1)
     return stage1
 

@@ -3,7 +3,7 @@
 One recorder per run.  It owns the rundir (``manifest.json``,
 ``heartbeat.json``, ``qor.json`` and the run log), the registry rows,
 and the run's tracer, whose sinks are a :class:`QorSink`, through which
-span timings and ``MetricsRegistry`` snapshots flow into the QoR record,
+span timings and move-counter events flow into the QoR record,
 the :class:`~repro.qor.heartbeat.HeartbeatWriter`, which folds the
 flow's trace events into live beats, and the run log: a
 :class:`~repro.telemetry.FileSink` on this attempt's trace JSONL.  No
@@ -83,7 +83,7 @@ class QorSink(Sink):
 
     * ``span_end`` events accumulate per-name wall/CPU totals (the
       Table-4 stage rows);
-    * ``metrics`` events (``MetricsRegistry.emit`` snapshots, e.g.
+    * events whose name ends in ``metrics`` (the move counters of
       ``stage1.move_metrics``) are kept whole, last write wins;
     * scalar flow checkpoints (``stage1.result``, ``router.interchange``)
       are kept as plain dicts.

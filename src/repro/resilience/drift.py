@@ -5,9 +5,9 @@ millions of float deltas per run.  A silent bookkeeping bug (or exotic
 rounding) would corrupt every acceptance decision *and* every checkpoint
 downstream of it.  The guard reconciles the accumulators against a
 from-scratch recomputation every K temperatures, publishes the observed
-drift as a telemetry gauge, and past a tolerance either warns, resyncs
-the accumulators, or raises :class:`DriftError` (configurable via
-``TimberWolfConfig.drift_action``).
+drift as an ``anneal.cost_drift`` event, and past a tolerance either
+warns, resyncs the accumulators, or raises :class:`DriftError`
+(configurable via ``TimberWolfConfig.drift_action``).
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, List
 
+from ..config import DRIFT_ACTIONS
 from ..telemetry import current_tracer
-
-DRIFT_ACTIONS = ("warn", "resync", "raise")
 
 
 class DriftError(RuntimeError):
@@ -80,9 +79,9 @@ class DriftGuard:
         self.reports.append(report)
         tracer = current_tracer()
         if tracer.enabled:
-            tracer.gauge(
+            tracer.event(
                 "anneal.cost_drift",
-                report.max_relative,
+                value=report.max_relative,
                 step=step_index,
                 c1=report.c1,
                 c2_raw=report.c2_raw,

@@ -20,9 +20,11 @@ Two failure species are distinguished on purpose:
   verify.
 
 ``REPRO_FAULTS`` (parsed by :func:`faults_from_env`) arms the same
-machinery across a process boundary for the CI kill-and-resume job:
-``REPRO_FAULTS="anneal.temperature@5:kill"`` simulates an external kill
-at the fifth temperature of a subprocess run.
+machinery across a process boundary: ``python -m repro`` installs it at
+start-up, so ``REPRO_FAULTS="anneal.temperature@5:kill"`` simulates a
+kill at the fifth temperature of a subprocess run.  It is a tool for
+rehearsing failures by hand; CI's kill-and-resume job
+(``scripts/ci_kill_resume.py``) sends a real SIGTERM instead.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..channels import ChannelGraph, CongestionReport, compute_congestion
+from ..channels import ChannelGraph
 from ..netlist import Circuit
 from ..resilience.faults import fault_point
 from ..telemetry import current_tracer
@@ -37,9 +37,6 @@ class RoutingResult:
     failed: Dict[str, str] = field(default_factory=dict)
     #: Nets routed only after the relaxed-M retry; net -> what happened.
     retried: Dict[str, str] = field(default_factory=dict)
-    #: Semi-perimeter wirelength estimates for unrouted nets, so TEIL
-    #: accounting can still cover them.
-    estimated_lengths: Dict[str, float] = field(default_factory=dict)
 
     @property
     def total_length(self) -> float:
@@ -49,9 +46,6 @@ class RoutingResult:
     def overflow(self) -> int:
         return self.interchange.overflow
 
-    def congestion(self, graph: ChannelGraph) -> CongestionReport:
-        return compute_congestion(graph, self.routes)
-
 
 def phase1_ladder(
     route: Callable[[int], List[RouteAlternative]],
@@ -60,9 +54,8 @@ def phase1_ladder(
 ) -> Dict[str, Any]:
     """Phase one for one net with graceful degradation: ``route(M)`` at
     the full M; if that raises, at M // 2 (at least 1); if that raises
-    too, the net is given up (the router falls back to a semi-perimeter
-    estimate and marks it unrouted).  One bad net must not abort the
-    whole flow.
+    too, the net is given up (the router marks it unrouted).  One bad
+    net must not abort the whole flow.
 
     ``probe(site)`` runs before each attempt (the serial router's fault
     points).  Returns the net's record: ``alternatives``, and — when the
@@ -166,7 +159,6 @@ class GlobalRouter:
             unrouted: List[str] = []
             failed: Dict[str, str] = {}
             retried: Dict[str, str] = {}
-            estimated: Dict[str, float] = {}
             tasks: List[Tuple[str, List[List[int]]]] = []
             for net_name, groups in net_groups.items():
                 groups = [g for g in groups if g]
@@ -227,7 +219,6 @@ class GlobalRouter:
                         alternatives[net_name] = alts
                     else:
                         unrouted.append(net_name)
-                        estimated[net_name] = self.semi_perimeter(groups)
 
             with tracer.span("router.phase2", nets=len(alternatives)):
                 capacities: Dict[EdgeKey, Optional[int]] = {
@@ -266,20 +257,4 @@ class GlobalRouter:
                 unrouted=unrouted,
                 failed=failed,
                 retried=retried,
-                estimated_lengths=estimated,
             )
-
-    def semi_perimeter(self, groups: Sequence[Sequence[int]]) -> float:
-        """Half-perimeter of the net's pin nodes — the wirelength
-        estimate used when a net cannot be routed over the graph."""
-        xs: List[float] = []
-        ys: List[float] = []
-        for group in groups:
-            for node in group:
-                position = self.graph.positions.get(node)
-                if position is not None:
-                    xs.append(position[0])
-                    ys.append(position[1])
-        if len(xs) < 2:
-            return 0.0
-        return (max(xs) - min(xs)) + (max(ys) - min(ys))

@@ -18,6 +18,8 @@ import argparse
 import json
 import sys
 
+from ..config import COOLING_SCHEDULES
+
 DEFAULT_WORKERS = 2
 
 #: Exit status of ``service submit`` refused by backpressure.
@@ -87,7 +89,7 @@ def add_service_command(subparsers: argparse._SubParsersAction) -> None:
     p_submit.add_argument("circuit", help="circuit file (.twmc)")
     p_submit.add_argument("--preset", default="smoke", help="smoke | fast | paper")
     p_submit.add_argument("--seed", type=int, default=0)
-    p_submit.add_argument("--cooling", default="table", choices=("table", "adaptive"))
+    p_submit.add_argument("--cooling", default="table", choices=COOLING_SCHEDULES)
     p_submit.add_argument(
         "--checkpoint-every", type=int, default=5, metavar="N",
         help="stage-1 checkpoint cadence in temperature steps (default 5)",

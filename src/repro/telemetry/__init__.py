@@ -1,4 +1,4 @@
-"""Flow-wide telemetry: structured traces, metrics, and profiling.
+"""Flow-wide telemetry: structured traces and profiling.
 
 The paper's evidence is observational — acceptance-ratio and
 range-limiter traces (Figs. 3-6) and per-stage cost/time breakdowns
@@ -6,13 +6,11 @@ range-limiter traces (Figs. 3-6) and per-stage cost/time breakdowns
 dependency instrumentation layer:
 
 * :class:`Tracer` + sinks (:class:`NullSink`, :class:`MemorySink`,
-  :class:`FileSink`) — structured JSONL events: spans with wall/CPU
-  durations, counters, gauges.  The null sink is the default, so
+  :class:`FileSink`) — structured JSONL records: spans with wall/CPU
+  durations, and point events.  The null sink is the default, so
   instrumented hot loops cost approximately nothing when tracing is off.
   :class:`JsonlTailer` reads any such JSONL file back incrementally, and
   :func:`follow` turns its polls into a stream.
-* :class:`MetricsRegistry` — named counters for hot-loop aggregation
-  (the per-move-kind attempt/accept statistics live here).
 * :mod:`repro.telemetry.report` — regenerates the paper's diagnostic
   tables (acceptance-vs-T, cost-vs-iteration, per-stage time/cost) from
   a trace, as CSV and plain text.
@@ -34,7 +32,6 @@ from .context import (
     inherit_or_mint,
     mint_context,
 )
-from .metrics import Counter, MetricsRegistry
 from .profile import SamplingProfiler, attribution_from_collapsed, parse_collapsed
 from .tracer import (
     NULL_TRACER,
@@ -55,8 +52,6 @@ __all__ = [
     "context_from_env",
     "inherit_or_mint",
     "mint_context",
-    "Counter",
-    "MetricsRegistry",
     "SamplingProfiler",
     "attribution_from_collapsed",
     "parse_collapsed",

@@ -105,7 +105,7 @@ def span_tree(events: Sequence[Event]) -> List[Dict[str, Any]]:
                 node["ok"] = ev.get("ok")
                 if "error" in ev:
                     node["error"] = ev["error"]
-        elif kind in ("event", "counter", "gauge"):
+        elif kind == "event":
             node = nodes.get(ev.get("span"))
             if node is not None:
                 node["events"] += 1

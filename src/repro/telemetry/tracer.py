@@ -1,7 +1,7 @@
-"""Structured tracing: spans, counters, and gauges over pluggable sinks.
+"""Structured tracing: spans and point events over pluggable sinks.
 
 The flow's telemetry is a stream of flat JSON-serializable dicts
-("events").  A :class:`Tracer` timestamps each event against a shared
+("events") of three kinds: ``span_begin``, ``span_end`` and ``event``.  A :class:`Tracer` timestamps each event against a shared
 monotonic origin and fans it out to its :class:`Sink` list; the sinks
 decide what to do with the stream (append to memory, write JSONL, or
 drop everything).  The event schema is documented in
@@ -306,7 +306,7 @@ class Tracer:
     def set_context(self, **fields: Any) -> None:
         """Stamp ``fields`` onto every event this tracer emits from now
         on (``None`` removes a key).  The distributed-trace identity
-        (``trace_id``) rides here so every span, counter, and ingested
+        (``trace_id``) rides here so every span, event, and ingested
         chain event of a process carries the same trace; event-local
         fields with the same name win over the sticky context."""
         for key, value in fields.items():
@@ -337,36 +337,6 @@ class Tracer:
         if not self.enabled:
             return
         ev: Dict[str, Any] = {"ev": "event", "name": name, "t": round(self._now(), 6)}
-        if self._span_stack:
-            ev["span"] = self._span_stack[-1].span_id
-        ev.update(fields)
-        self._emit(ev)
-
-    def counter(self, name: str, value: Union[int, float] = 1, **fields: Any) -> None:
-        """Emit a monotonically accumulated quantity."""
-        if not self.enabled:
-            return
-        ev: Dict[str, Any] = {
-            "ev": "counter",
-            "name": name,
-            "t": round(self._now(), 6),
-            "value": value,
-        }
-        if self._span_stack:
-            ev["span"] = self._span_stack[-1].span_id
-        ev.update(fields)
-        self._emit(ev)
-
-    def gauge(self, name: str, value: Union[int, float], **fields: Any) -> None:
-        """Emit a point-in-time measurement."""
-        if not self.enabled:
-            return
-        ev: Dict[str, Any] = {
-            "ev": "gauge",
-            "name": name,
-            "t": round(self._now(), 6),
-            "value": value,
-        }
         if self._span_stack:
             ev["span"] = self._span_stack[-1].span_id
         ev.update(fields)

@@ -87,6 +87,29 @@ class TestPlaceCommand:
         with pytest.raises(SystemExit):
             main(["place", circuit_file, "--preset", "warp"])
 
+    def test_repro_faults_arms_the_run(self, circuit_file, tmp_path, monkeypatch):
+        """``main`` arms ``REPRO_FAULTS`` for the whole process: the first
+        routed net fails once, and the run's trace records its retry."""
+        import json
+
+        from repro.resilience import install_injector
+
+        monkeypatch.setenv("REPRO_FAULTS", "router.route_net@1")
+        trace_path = tmp_path / "run.jsonl"
+        try:
+            code = main(
+                [
+                    "place", circuit_file, "--preset", "smoke",
+                    "--trace", str(trace_path),
+                ]
+            )
+        finally:
+            install_injector(None)
+        assert code == 0
+        events = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        (retried,) = [e for e in events if e["name"] == "router.net_retried"]
+        assert "injected error at router.route_net (visit 1" in retried["error"]
+
     def test_place_json(self, circuit_file, capsys, tmp_path):
         import json
 

@@ -1,15 +1,20 @@
 """The engineering report module."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro import TimberWolfConfig, place_and_route
+from repro import TimberWolfConfig, place_and_route, resume_place_and_route
+from repro.bench import load_circuit
 from repro.flow.report import (
     annealing_trace,
     channel_report,
     chip_planning_report,
     full_report,
     net_report,
+    router_report,
 )
+from repro.resilience import CheckpointPolicy
 
 from ..conftest import make_macro_circuit, make_mixed_circuit
 
@@ -67,6 +72,33 @@ class TestChannelReport:
         cfg = replace(TimberWolfConfig.smoke(seed=1), refinement_passes=0)
         result = place_and_route(make_macro_circuit(), cfg)
         assert "no refinement" in channel_report(result)
+
+
+class TestRouterReport:
+    def test_resumed_run_labels_its_stored_passes(self, tmp_path):
+        """A run resumed from the checkpoint before pass 1 runs passes 1
+        and 2: the table's rows are those passes, under their own
+        indices, with their own numbers."""
+        config = replace(TimberWolfConfig.smoke(seed=3), refinement_passes=3)
+        place_and_route(
+            load_circuit("i3"), config, checkpoint=CheckpointPolicy(tmp_path)
+        )
+        resumed = resume_place_and_route(tmp_path / "ckpt-stage2-pass01.ckpt")
+        passes = resumed.refinement.passes
+        assert [p.index for p in passes] == [1, 2]
+        rows = [line.split() for line in router_report(resumed).splitlines()[2:]]
+        assert rows == [
+            [
+                str(p.index),
+                str(len(p.graph.regions)),
+                str(p.graph.num_free_nodes),
+                str(len(p.routing.routes)),
+                str(len(p.routing.unrouted)),
+                f"{p.routing.total_length:.1f}",
+                str(p.overflow),
+            ]
+            for p in passes
+        ]
 
 
 class TestChipPlanningReport:

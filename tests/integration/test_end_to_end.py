@@ -248,3 +248,96 @@ class TestMediumCircuit:
         state = result.state
         shapes = [state.world_shape(n) for n in state.names]
         assert raw_overlap(shapes) == pytest.approx(0.0, abs=1e-6)
+
+
+#: The move counters of ``i3_result`` (serial) and ``batched_p1_result``:
+#: the ``stage1.move_metrics`` payload and every pass's ``move_stats``.
+#: Work on where the movers keep their counts must leave the names and
+#: the numbers unchanged.
+PINNED_SERIAL_STAGE1_COUNTERS = {
+    "moves.aspect.accepts": 0,
+    "moves.aspect.attempts": 0,
+    "moves.displace.accepts": 4394,
+    "moves.displace.attempts": 5638,
+    "moves.displace_inverted.accepts": 172,
+    "moves.displace_inverted.attempts": 1244,
+    "moves.interchange.accepts": 287,
+    "moves.interchange.attempts": 554,
+    "moves.interchange_inverted.accepts": 35,
+    "moves.interchange_inverted.attempts": 267,
+    "moves.orientation.accepts": 82,
+    "moves.orientation.attempts": 1072,
+    "moves.pin_group.accepts": 0,
+    "moves.pin_group.attempts": 0,
+}
+PINNED_SERIAL_MOVE_STATS = [
+    {
+        "displace": [2520, 789],
+        "displace_inverted": [0, 0],
+        "orientation": [0, 0],
+        "pin_group": [0, 0],
+        "aspect": [0, 0],
+        "interchange": [0, 0],
+        "interchange_inverted": [0, 0],
+    },
+]
+PINNED_BATCHED_STAGE1_COUNTERS = {
+    "moves.displace_batch.accepts": 2767,
+    "moves.displace_batch.attempts": 3487,
+    "moves.interchange_batch.accepts": 76,
+    "moves.interchange_batch.attempts": 135,
+}
+PINNED_BATCHED_MOVE_STATS = [
+    {
+        "displace_batch": [1672, 706],
+        "interchange_batch": [0, 0],
+        "pin_group": [1216, 651],
+    },
+]
+
+
+def move_metrics_event(result):
+    (event,) = [
+        e for e in result.trace_events if e.get("name") == "stage1.move_metrics"
+    ]
+    return event
+
+
+class TestPinnedMoveCounters:
+    @pytest.mark.parametrize(
+        "fixture, counters",
+        [
+            ("i3_result", PINNED_SERIAL_STAGE1_COUNTERS),
+            ("batched_p1_result", PINNED_BATCHED_STAGE1_COUNTERS),
+        ],
+    )
+    def test_stage1_move_metrics_event(self, request, fixture, counters):
+        event = move_metrics_event(request.getfixturevalue(fixture))
+        assert event["ev"] == "event"
+        assert set(event) == {"ev", "name", "t", "span", "counters"}
+        assert event["counters"] == counters
+        # The names go out sorted.
+        assert list(event["counters"]) == sorted(counters)
+
+    @pytest.mark.parametrize(
+        "fixture, stats",
+        [
+            ("i3_result", PINNED_SERIAL_MOVE_STATS),
+            ("batched_p1_result", PINNED_BATCHED_MOVE_STATS),
+        ],
+    )
+    def test_refine_move_stats(self, request, fixture, stats):
+        passes = request.getfixturevalue(fixture).refinement.passes
+        assert [p.move_stats for p in passes] == stats
+        # Each pass keeps the mover's kinds in the mover's order.
+        assert [list(p.move_stats) for p in passes] == [list(s) for s in stats]
+
+    def test_qor_metrics_entry(self, i3_result):
+        from repro.qor.recorder import QorSink, qor_from_result
+
+        sink = QorSink()
+        for event in i3_result.trace_events:
+            sink.emit(event)
+        assert qor_from_result(i3_result, sink)["metrics"] == {
+            "stage1.move_metrics": {"counters": PINNED_SERIAL_STAGE1_COUNTERS}
+        }

@@ -168,7 +168,6 @@ class TestSpanCoverage:
         for path in (
             route + "/router.phase1",
             route + "/router.phase2",
-            "flow/stage2/stage2.pass/router.congestion",
             "flow/stage2/stage2.pass/stage2.expansions",
         ):
             assert path in paths, path
@@ -312,6 +311,25 @@ class TestAcceptanceReconciliation:
         assert total_accepts == result.stage1.anneal.total_accepts
 
 
+class TestRecordKinds:
+    def test_trace_holds_spans_and_events_only(self, tmp_path):
+        """Every record of a traced flow is a span boundary or an event,
+        the drift audit's readings included."""
+        path = tmp_path / "run.jsonl"
+        tracer = Tracer(FileSink(str(path)))
+        config = replace(TimberWolfConfig.smoke(seed=3), drift_check_every=5)
+        place_and_route(
+            make_macro_circuit(), config, tracer=tracer, collect_trace=False
+        )
+        tracer.close()
+        events = load_events(path)
+        assert {e["ev"] for e in events} == {"span_begin", "span_end", "event"}
+        drift = [e for e in events if e["name"] == "anneal.cost_drift"]
+        assert drift
+        for event in drift:
+            assert {"value", "step", "c1", "c2_raw", "c3"} <= set(event)
+
+
 class TestFileTraceRoundTrip:
     def test_jsonl_trace_feeds_report(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -356,7 +374,7 @@ class TestDisabledTelemetry:
                        "annealing trace"):
             assert marker in text
         assert "telemetry disabled" in stage_timing_report(result)
-        # Router stats fall back to the stored refinement artifacts.
+        # Router stats come from the stored refinement passes.
         assert "overflow" in router_report(result)
 
     def test_disabled_and_default_runs_agree(self):

@@ -56,6 +56,23 @@ class TestStepAccounting:
         assert state.cost() == pytest.approx(cost, rel=1e-9, abs=1e-6)
 
 
+    def test_stats_count_every_attempt(self):
+        """``stats`` holds [attempts, accepts] per move kind, and the
+        kinds add up to what the steps returned."""
+        state, gen = make_setup(make_mixed_circuit())
+        rng = random.Random(4)
+        attempts = accepts = 0
+        for _ in range(60):
+            a, c = gen.step(100.0, rng)
+            attempts += a
+            accepts += c
+        assert list(gen.stats) == list(MoveGenerator.KINDS)
+        assert all(0 <= c <= a for a, c in gen.stats.values())
+        assert gen.stats["displace"][0] > 0
+        assert sum(a for a, _ in gen.stats.values()) == attempts
+        assert sum(c for _, c in gen.stats.values()) == accepts
+
+
 class TestCascadeModes:
     def test_displacement_only_when_interchange_disabled(self):
         state, gen = make_setup(refine=True, r_ratio=0.001)

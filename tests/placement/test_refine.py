@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.channels import compute_congestion
 from repro.config import TimberWolfConfig
 from repro.placement import run_refinement, run_stage1
 from repro.placement.legalize import raw_overlap
@@ -34,15 +35,13 @@ class TestDefineAndRoute:
         ckt = make_macro_circuit(num_cells=6, seed=2)
         state = stage1_result.state
         remove_overlaps(state, min_gap=1.0)
-        graph, routing, report = define_and_route(
-            ckt, state, SMOKE, random.Random(0)
-        )
+        graph, routing = define_and_route(ckt, state, SMOKE, random.Random(0))
         assert graph.num_free_nodes > 0
         assert graph.regions  # critical regions extracted
         assert len(graph.pin_nodes) == ckt.num_pins
         assert routing.routes  # at least some nets routed
         assert not routing.unrouted
-        assert report.max_node_density() >= 1
+        assert compute_congestion(graph, routing.routes).max_node_density() >= 1
 
 
 class TestRunRefinement:

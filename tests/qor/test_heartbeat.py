@@ -253,8 +253,7 @@ class TestHeartbeatSink:
         _, tracer = self._traced(tmp_path)
         with tracer.span("stage2.pass", index=0):
             tracer.event("stage1.result", teil=1.0)
-            tracer.counter("moves", 5)
-            tracer.gauge("T", 1.0)
+            tracer.event("anneal.cost_drift", value=0.0, step=1)
         assert self._ring(tmp_path) == []
 
 

@@ -95,10 +95,12 @@ class TestTelemetry:
         state = FakeState(max_relative=0.5)
         with use_tracer(Tracer(sink)):
             guard.check(4, state, state.cost_drift())
+        # The drift reading is a plain event: value, step, per-term drifts.
         (gauge,) = [e for e in sink.events if e.get("name") == "anneal.cost_drift"]
-        assert gauge["ev"] == "gauge"
+        assert gauge["ev"] == "event"
         assert gauge["value"] == 0.5
         assert gauge["step"] == 4
+        assert {"c1", "c2_raw", "c3"} <= set(gauge)
 
     def test_resync_event_emitted(self):
         sink = MemorySink()

@@ -173,8 +173,8 @@ class TestGracefulDegradation:
             result = place_and_route(fixture_circuit(), SMOKE)
         routing = result.refinement.final_pass.routing
         assert routing.failed
-        # The unroutable net degraded to a semi-perimeter estimate; the
-        # flow still finished with a complete placement.
+        # The unroutable net is given up and marked unrouted; the flow
+        # still finished with a complete placement.
         assert set(routing.failed) <= set(routing.unrouted)
         assert result.teil > 0
 

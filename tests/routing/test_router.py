@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.channels import ChannelGraph, decompose_free_space
+from repro.channels import ChannelGraph, compute_congestion, decompose_free_space
 from repro.geometry import Rect, TileSet
 from repro.netlist import Circuit, MacroCell, Pin, PinKind
 from repro.routing import GlobalRouter
@@ -67,7 +67,7 @@ class TestGlobalRouter:
     def test_congestion_report(self):
         circuit, graph = routed_setup()
         result = GlobalRouter(graph, m_routes=6, seed=0).route(circuit)
-        report = result.congestion(graph)
+        report = compute_congestion(graph, result.routes)
         assert report.max_node_density() >= 1
         assert result.overflow == report.overflow(graph)
 

@@ -45,13 +45,13 @@ class TestSinks:
         sink = FileSink(str(path))
         tracer = Tracer(sink)
         tracer.event("a", n=1)
-        tracer.gauge("g", 2.5)
+        tracer.event("g", value=2.5)
         sink.close()
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
         events = [json.loads(line) for line in lines]
         assert events[0]["name"] == "a"
-        assert events[1]["ev"] == "gauge"
+        assert events[1]["ev"] == "event"
         assert events[1]["value"] == 2.5
 
     def test_file_sink_close_idempotent(self, tmp_path):
@@ -85,8 +85,6 @@ class TestNullNoOp:
         with tracer.span("outer") as handle:
             assert handle is None
             tracer.event("e")
-            tracer.counter("c")
-            tracer.gauge("g", 1)
         # nothing to assert on output — the contract is simply no error
         assert not tracer.enabled
 
@@ -152,7 +150,7 @@ class TestSpans:
         tracer = Tracer(mem)
         tracer.event("outside")
         with tracer.span("s") as handle:
-            tracer.counter("inside", 3)
+            tracer.event("inside", value=3)
         outside = mem.events[0]
         inside = next(e for e in mem.events if e.get("name") == "inside")
         assert "span" not in outside
@@ -356,8 +354,8 @@ class TestContextStamping:
         tracer.set_context(trace_id="abc123")
         with tracer.span("flow"):
             tracer.event("e")
-            tracer.counter("c", 2)
-            tracer.gauge("g", 1.5)
+            with tracer.span("child"):
+                tracer.event("g", value=1.5)
         assert sink.events
         assert all(e["trace_id"] == "abc123" for e in sink.events)
 
