@@ -9,10 +9,11 @@ placement cores (the object graph and the struct-of-arrays kernel),
 plus a mixed anneal at a fixed temperature per core.  The array core's
 headline number is the *batched* mixed anneal (``BatchMoveGenerator``),
 whose speedup over the committed object-core baseline is what the CI
-quick gate enforces.  Before any timing, two seeded 500-move walks (the
-stage-1 mixed anneal and the stage-2 refine anneal under static
-expansions) are replayed under both cores, and the harness exits
-non-zero if a single accept/reject decision or cost diverges.
+quick gate enforces.  Before any timing, three seeded 500-move walks
+(the stage-1 mixed anneal, the stage-2 refine anneal under static
+expansions, and the mixed anneal over custom cells whose pins crowd
+their sites) are replayed under both cores, and the harness exits
+non-zero if a single accept/reject decision, cost or C3 diverges.
 
 Results go to ``BENCH_placement.json`` at the repository root so the
 repo's perf trajectory is machine-readable from PR to PR.
@@ -45,7 +46,7 @@ if str(REPO_ROOT / "benchmarks") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from repro.annealing import RangeLimiter  # noqa: E402
-from repro.bench import CircuitSpec, generate_circuit  # noqa: E402
+from repro.bench import CircuitSpec, crowded_circuit, generate_circuit  # noqa: E402
 from repro.config import CORES  # noqa: E402
 from repro.estimator import determine_core  # noqa: E402
 from repro.geometry import BOTTOM, LEFT, RIGHT, TOP  # noqa: E402
@@ -296,19 +297,47 @@ def bench_mixed_batched(
     }
 
 
-#: The replayed walks: the stage-1 mixed anneal, and the refine anneal
-#: of stage 2 (static per-side expansions; displacements and pin-group
-#: moves only).
-REPLAY_WALKS = ("mixed", "refine")
+#: The replayed walks: the stage-1 mixed anneal, the refine anneal of
+#: stage 2 (static per-side expansions; displacements and pin-group
+#: moves only), and the mixed anneal over ``crowded_circuit``, where
+#: pins overfill sites of capacity 1 and 2 and C3 is often positive.
+REPLAY_WALKS = ("mixed", "refine", "crowded")
+
+#: Kappa (Eqn 10) of the crowded walk: not an integer, so each positive
+#: C3 term is a float with a fraction.
+CROWDED_KAPPA = 2.37
 
 #: The refine walk runs at the temperature whose window is this fraction
 #: of the full span (``TimberWolfConfig.mu``, Eqn 28).
 REFINE_MU = 0.03
 
 
+def _crowded_state(n: int, core: str) -> PlacementState:
+    """A randomized placement of an n-cell ``crowded_circuit``, half of
+    its cells custom."""
+    circuit = crowded_circuit(
+        CircuitSpec(
+            name=f"crowded{n}",
+            num_cells=n,
+            num_nets=2 * n,
+            num_pins=6 * n,
+            custom_fraction=0.5,
+        )
+    )
+    state = make_placement_state(
+        core, circuit, determine_core(circuit), kappa=CROWDED_KAPPA
+    )
+    state.randomize(random.Random(0))
+    return state
+
+
 def _replay_trace(n: int, steps: int, seed: int, core: str, walk: str) -> List:
-    """One seeded MoveGenerator walk: its (attempts, accepts, cost) triples."""
-    state = build_state(n, core=core)
+    """One seeded MoveGenerator walk: its (attempts, accepts, cost, C3)
+    per step."""
+    if walk == "crowded":
+        state = _crowded_state(n, core)
+    else:
+        state = build_state(n, core=core)
     limiter = _make_limiter(state)
     if walk == "refine":
         state.set_static_expansions(
@@ -331,7 +360,7 @@ def _replay_trace(n: int, steps: int, seed: int, core: str, walk: str) -> List:
     trace = []
     for _ in range(steps):
         attempts, accepts = generator.step(temperature, rng)
-        trace.append((attempts, accepts, state.cost()))
+        trace.append((attempts, accepts, state.cost(), state.c3()))
     return trace
 
 
@@ -339,7 +368,10 @@ def verify_replay(
     n: int = GATE_SIZE, steps: int = REPLAY_STEPS, seed: int = 4
 ) -> Dict:
     """Replay each seeded walk of ``REPLAY_WALKS`` under both cores and
-    compare every (attempts, accepts, cost) triple bit-for-bit.
+    compare every step's (attempts, accepts, cost, C3) bit-for-bit.
+    ``c3_positive_steps`` counts the steps, over all walks, after which
+    C3 is positive: the replay compares the penalty's positive branch
+    only if that count is.
 
     This is the bench-side mirror of the round-trip property tests: the
     array kernel must make the exact accept/reject decisions the object
@@ -347,10 +379,12 @@ def verify_replay(
     is silently incomparable.
     """
     first_divergence = None
+    c3_positive_steps = 0
     for walk in REPLAY_WALKS:
         traces = {
             core: _replay_trace(n, steps, seed, core, walk) for core in CORES
         }
+        c3_positive_steps += sum(1 for step in traces["object"] if step[3] > 0)
         for i, (obj, arr) in enumerate(zip(traces["object"], traces["array"])):
             if obj != arr:
                 first_divergence = {
@@ -369,6 +403,7 @@ def verify_replay(
         "walks": list(REPLAY_WALKS),
         "identical": first_divergence is None,
         "first_divergence": first_divergence,
+        "c3_positive_steps": c3_positive_steps,
     }
 
 
@@ -541,7 +576,8 @@ def run(sizes, moves_per_kind: int, mixed_steps: int, repeats: int = 3) -> Dict:
     status = "identical" if replay["identical"] else "DIVERGED"
     print(
         f"  replay: {replay['steps']} seeded moves per walk "
-        f"({', '.join(replay['walks'])}) under both cores -> {status}"
+        f"({', '.join(replay['walks'])}) under both cores -> {status}; "
+        f"{replay['c3_positive_steps']} steps with C3 > 0"
     )
 
     for n in sizes:

@@ -1,6 +1,6 @@
 """Benchmark circuits (the synthetic nine-circuit suite) and metrics."""
 
-from .circuits import CircuitSpec, generate_circuit
+from .circuits import CircuitSpec, crowded_circuit, generate_circuit
 from .metrics import SeriesStats, format_table, mean, reduction_pct
 from .suite import (
     CIRCUIT_NAMES,
@@ -16,6 +16,7 @@ from .suite import (
 
 __all__ = [
     "CircuitSpec",
+    "crowded_circuit",
     "generate_circuit",
     "SeriesStats",
     "format_table",

@@ -102,6 +102,29 @@ def generate_circuit(spec: CircuitSpec) -> Circuit:
     return Circuit(spec.name, cells, track_spacing=spec.track_spacing)
 
 
+def crowded_circuit(spec: CircuitSpec) -> Circuit:
+    """``generate_circuit(spec)`` with scarce custom-cell pin sites: two
+    sites per edge, at a pin pitch that makes a site of a square cell
+    hold one pin (edge / pitch / sites = 1.9).  Past an aspect ratio of
+    about 1.11, or below 0.9, the long sides' sites hold two.  So the
+    site capacities of Eqn 10 are 1 on some sides and 2 on others, and
+    a three-pin sequence overfills any side of capacity 1."""
+    base = generate_circuit(spec)
+    cells = []
+    for cell in base.cells.values():
+        if isinstance(cell, CustomCell):
+            cell = CustomCell(
+                cell.name,
+                list(cell.pins.values()),
+                area=cell.area,
+                aspect=cell.aspect,
+                sites_per_edge=2,
+                pin_pitch=math.sqrt(cell.area) / (1.9 * 2),
+            )
+        cells.append(cell)
+    return Circuit(base.name, cells, track_spacing=base.track_spacing)
+
+
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------

@@ -3,9 +3,10 @@
 ``PlacementState`` walks a Python object graph on every move: dict-keyed
 pin positions, per-net span dicts, freshly allocated ``TileSet``/``Rect``
 objects, and dict-of-dict snapshots.  On the 20-cell flowbench circuit
-``flow20_serial`` (seed 7, 25% custom cells, one core of a 2-vCPU
-x86-64 host) that costs about 69 us per attempted stage-1 move and
-52 us per refine-anneal move; this kernel takes about 47 and 32 us.
+``flow20_serial`` (seed 7, 25% custom cells, one pinned core of a
+2-vCPU x86-64 host, best of three flows) that costs about 50 us per
+attempted stage-1 move and 38 us per refine-anneal move; this kernel
+takes about 31 and 19 us.
 
 ``ArrayPlacementState`` keeps the object model as the authoring / IO
 layer (construction, ``state_dict``, ``rebuild``, drift audits, and every
@@ -18,13 +19,22 @@ path with a struct-of-arrays mirror:
   per-cell slot table instead of name-keyed dicts,
 * net incidence     — integer net ids with flat member-pin-id lists,
   weights, and spans,
-* variant cache     — per-(instance|aspect, orientation) oriented-bbox
-  tuples, flattened once from the object-core shape cache,
+* variant cache     — per-(instance, orientation) oriented-bbox tuples
+  of macro cells, flattened once from the object-core shape cache,
+* site tables       — per custom cell, at its current (aspect ratio,
+  orientation): the oriented bbox, each side's site capacity, and each
+  pin site's world-frame offset, filled on first use; a variant change
+  or a ``rebuild()`` replaces the table, a restore puts the old one back,
+* site counts       — per custom cell, the pin count of each site and
+  the set of sites holding two or more pins, so a pin-group move
+  updates only the group's old and new sites, and C3 needs no recount
+  while no site is over its capacity,
 * variant mirrors   — each cell's current oriented bbox and per-pin
-  world-frame offsets (read from the object-core offset cache when the
-  variant changes), so a move that only translates a cell (every
-  stage-2 displacement, every plain displacement and interchange) sets
-  each pin to center + offset with no key building or cache probe.
+  world-frame offsets (a macro's read from the object-core offset
+  cache, a custom cell's from its site table, when the variant
+  changes), so a move that only translates a cell (every stage-2
+  displacement, every plain displacement and interchange) sets each
+  pin to center + offset with no key building or cache probe.
 
 The mirror is rebuilt from the object model by ``rebuild()`` (so every
 existing entry point — ``randomize``, ``load_state_dict``, legalization,
@@ -57,11 +67,21 @@ same operands in the same order as ``PlacementState._refresh_cells``:
   the terms a move cannot change are skipped: C3 on a translation (it
   depends only on aspect ratio and pin sites), and on a pin-group move
   every net none of the group's pins is on (its span is unchanged),
-* shape variants and pin offsets are flattened from the object core's
-  own caches (``_oriented_shape`` / ``_pin_positions``), and a pin-group
-  move places its group with ``_site_offset``, the helper
-  ``_pin_positions`` calls, so there is no second implementation of the
-  geometry math to drift.
+* a custom cell's C3 is 0.0 when no site holds more pins than its
+  side's capacity, ``max(1, int(edge / pin_pitch / sites_per_edge))`` at
+  the current aspect ratio.  That is exactly when ``_cell_c3`` returns
+  0.0 (a site that holds one pin never exceeds a capacity of 1 or
+  more).  Every other case calls ``_cell_c3`` itself, so a positive C3
+  keeps its terms and their order.  The counts are rebuilt from the
+  records with the other mirrors, and a restore takes back a pin move's
+  count steps,
+* no geometry formula has a second implementation: macro shapes and
+  pin offsets are flattened from the object core's own caches
+  (``_oriented_shape`` / ``_pin_positions``); a custom cell's rectangle
+  comes from ``cell.dimensions``, ``Rect.from_center`` and
+  ``ori.transform_rect``, the calls ``_oriented_shape`` reaches, its
+  committed pins from ``ori.transform_point`` and its site offsets from
+  ``_site_offset``, the calls ``_pin_positions`` makes.
 
 A ``state_dict`` loads into either core losslessly, history-exact
 accumulators included.
@@ -70,14 +90,15 @@ accumulators included.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import CORES
 from ..estimator import CorePlan
 from ..geometry import BOTTOM, LEFT, RIGHT, TOP, Rect, TileSet
+from ..geometry import orientation as ori
 from ..geometry.tiles import tile_overlap
-from ..netlist import Circuit
-from .state import _SIDE_MAP_INV, PlacementState, _PIN_CACHE_LIMIT, _site_offset
+from ..netlist import Circuit, CustomCell
+from .state import _SIDE_MAP_INV, _SIDES, PlacementState, _site_offset
 
 __all__ = ["ArrayPlacementState", "ArraySnapshot", "make_placement_state"]
 
@@ -104,15 +125,60 @@ def make_placement_state(
     )
 
 
+#: A custom cell's flat site index is ``_SIDE_SLOT[side] * sites_per_edge
+#: + index``; slots follow ``_SIDES`` (left, right, bottom, top), so slots
+#: 0 and 1 are the sides that run along the cell's height.
+_SIDE_SLOT = {side: k for k, side in enumerate(_SIDES)}
+
+
+class _SiteTable:
+    """One custom cell at one (aspect ratio, orientation): its oriented
+    bbox, the pin capacity of a site on each side slot, and each flat
+    site's world-frame offset from the cell center, computed on first
+    use with ``_site_offset`` (the one site formula).  A table is never
+    updated: a new variant gets a new table."""
+
+    __slots__ = ("key", "geom", "width", "height", "nsites", "caps", "offsets")
+
+    def __init__(self, cell: CustomCell, aspect_ratio: float, orientation: int):
+        width, height = cell.dimensions(aspect_ratio)
+        nsites = cell.sites_per_edge
+        pitch = cell.pin_pitch
+        # _cell_c3's capacity expression, per side.
+        along_height = max(1, int(height / pitch / nsites))
+        along_width = max(1, int(width / pitch / nsites))
+        self.key = (aspect_ratio, orientation)
+        # _oriented_shape's rectangle: shape_for, then transformed.
+        r = ori.transform_rect(
+            orientation, Rect.from_center(0.0, 0.0, width, height)
+        )
+        self.geom = (r.x1, r.y1, r.x2, r.y2, None)
+        self.width = width
+        self.height = height
+        self.nsites = nsites
+        self.caps = (along_height, along_height, along_width, along_width)
+        self.offsets: List[Optional[Tuple[float, float]]] = [None] * (4 * nsites)
+
+    def offset(self, site: int) -> Tuple[float, float]:
+        off = self.offsets[site]
+        if off is None:
+            slot, index = divmod(site, self.nsites)
+            off = self.offsets[site] = _site_offset(
+                _SIDES[slot], index, self.nsites, self.width, self.height,
+                self.key[1],
+            )
+        return off
+
+
 class ArraySnapshot:
     """Undo token of one array-core move: plain scalars and short lists.
 
     ``kind`` selects the restore path: 0 = single-cell geometry move,
     1 = pair interchange, 2 = pin-group reassignment (no geometry).
     ``geometry`` mirrors the object core's ``_Snapshot.geometry`` flag.
-    ``variants`` holds the saved variant mirrors of a move that changed
-    orientation, instance or aspect ratio, and is None for a move that
-    only translated its cells.
+    ``variants`` holds the saved variant mirrors (a custom cell's site
+    table among them) of a move that changed orientation, instance or
+    aspect ratio, and is None for a move that only translated its cells.
     """
 
     __slots__ = (
@@ -278,10 +344,24 @@ class ArrayPlacementState(PlacementState):
             (s.x1, s.y1, s.x2, s.y2) for s in self._slabs
         )
         self._has_groups: List[bool] = [bool(g) for g in self._groups]
+        #: Custom cells' committed pins as (slot, local x, local y), in
+        #: cell.pins order (empty for macro cells).
+        self._committed: List[Tuple[Tuple[int, float, float], ...]] = [
+            ()
+            if self._is_macro[i]
+            else tuple(
+                (self._pin_slot[i][pin.name], *pin.offset)
+                for pin in self.cell(i).pins.values()
+                if pin.is_committed
+            )
+            for i in range(n)
+        ]
+        #: Each custom cell's site table at its current variant.
+        self._stab: List[Optional[_SiteTable]] = [None] * n
 
-        # Flattened variant cache: (key) -> oriented bbox (+tiles).
-        # Filled lazily from the object core's own shape cache, so the
-        # geometry math has a single source.
+        # Flattened macro variant cache: (instance, orientation) ->
+        # oriented bbox (+tiles), filled lazily from the object core's own
+        # shape cache.  Its keys are few, so it keeps every entry.
         self._g_flat: List[Dict[Tuple, Tuple]] = [dict() for _ in range(n)]
 
     def _sync_soa(self) -> None:
@@ -297,7 +377,24 @@ class ArrayPlacementState(PlacementState):
         self._ltiles: List[Optional[Tuple]] = [None] * n
         #: The oriented bbox (+tiles) of each cell's current variant.
         self._cgeom: List[Tuple] = [None] * n  # type: ignore[list-item]
+        #: Per custom cell, the pin count of each flat site and the set
+        #: of sites that hold two or more pins (None for macro cells).
+        self._socc: List[Optional[List[int]]] = [None] * n
+        self._sshared: List[Optional[Set[int]]] = [None] * n
         for i in range(n):
+            if not self._is_macro[i]:
+                nsites = self.cell(i).sites_per_edge
+                occ = [0] * (4 * nsites)
+                sites = self.records[i].pin_sites
+                for key, (slots, _) in self._gpins[i].items():
+                    side, start = sites[key]
+                    base = _SIDE_SLOT[side] * nsites
+                    for k in range(len(slots)):
+                        occ[base + (start + k) % nsites] += 1
+                self._socc[i] = occ
+                self._sshared[i] = {s for s, c in enumerate(occ) if c > 1}
+                # A fresh table: it holds only the sites used from here on.
+                self._stab[i] = None
             self._commit_variant(i)
             exp = self._expanded[i]
             bb = exp.bbox
@@ -384,12 +481,11 @@ class ArrayPlacementState(PlacementState):
     # ------------------------------------------------------------------
 
     def _geom_flat(self, i: int, key: Tuple) -> Tuple:
-        """(ox1, oy1, ox2, oy2, local_tiles|None) of the oriented shape."""
+        """(ox1, oy1, ox2, oy2, local_tiles|None) of a macro cell's
+        oriented shape."""
         cache = self._g_flat[i]
         entry = cache.get(key)
         if entry is None:
-            if len(cache) >= _PIN_CACHE_LIMIT:
-                cache.clear()
             ts = self._oriented_shape(i)  # object-core math + memoization
             bb = ts.bbox
             tiles = ts._tiles
@@ -404,20 +500,6 @@ class ArrayPlacementState(PlacementState):
             )
             cache[key] = entry
         return entry
-
-    def _variant_keys(self, i: int):
-        """(geometry key, pin-offset key) for cell i's current record —
-        the same keys the object-core caches use."""
-        rec = self.records[i]
-        if self._is_macro[i]:
-            gkey = (rec.instance, rec.orientation)
-            return gkey, gkey
-        gkey = (rec.aspect_ratio, rec.orientation)
-        return gkey, (
-            rec.aspect_ratio,
-            rec.orientation,
-            tuple(rec.pin_sites.values()),
-        )
 
     # ------------------------------------------------------------------
     # hot-path helpers
@@ -594,30 +676,66 @@ class ArrayPlacementState(PlacementState):
 
     def _commit_variant(self, i) -> None:
         """Point cell i's variant mirrors (oriented geometry, pin
-        offsets) at its current record's orientation / instance /
-        aspect ratio / pin sites."""
-        gkey, okey = self._variant_keys(i)
-        self._cgeom[i] = self._geom_flat(i, gkey)
-        offsets = self._pin_offset_cache[i].get(okey)
-        if offsets is None:
-            # Populate the object-core cache (its dict iterates in
-            # cell.pins order — the same order as our slots).
-            self._pin_positions(i)
-            offsets = self._pin_offset_cache[i][okey]
-        start = self._pin_start[i]
-        end = start + self._pin_count[i]
-        self._lox[start:end] = [wx for wx, _ in offsets.values()]
-        self._loy[start:end] = [wy for _, wy in offsets.values()]
+        offsets, a custom cell's site table) at its current record's
+        orientation / instance / aspect ratio / pin sites."""
+        rec = self.records[i]
+        lox = self._lox
+        loy = self._loy
+        if self._is_macro[i]:
+            key = (rec.instance, rec.orientation)
+            self._cgeom[i] = self._geom_flat(i, key)
+            offsets = self._pin_offset_cache[i].get(key)
+            if offsets is None:
+                # Populate the object-core cache (its dict iterates in
+                # cell.pins order — the same order as our slots).
+                self._pin_positions(i)
+                offsets = self._pin_offset_cache[i][key]
+            start = self._pin_start[i]
+            end = start + self._pin_count[i]
+            lox[start:end] = [wx for wx, _ in offsets.values()]
+            loy[start:end] = [wy for _, wy in offsets.values()]
+            return
+        # A custom cell, placed as _pin_positions places it: committed
+        # pins through the orientation, grouped pins at their sites.
+        key = (rec.aspect_ratio, rec.orientation)
+        table = self._stab[i]
+        if table is None or table.key != key:
+            table = self._stab[i] = _SiteTable(
+                self.cell(i), rec.aspect_ratio, rec.orientation
+            )
+        self._cgeom[i] = table.geom
+        orientation = rec.orientation
+        for p, lx, ly in self._committed[i]:
+            lox[p], loy[p] = ori.transform_point(orientation, lx, ly)
+        nsites = table.nsites
+        offsets = table.offsets
+        sites = rec.pin_sites
+        for group, (slots, _) in self._gpins[i].items():
+            side, start = sites[group]
+            base = _SIDE_SLOT[side] * nsites
+            for k, p in enumerate(slots):
+                s = base + (start + k) % nsites
+                lox[p], loy[p] = offsets[s] or table.offset(s)
 
     def _save_variant(self, i) -> Tuple:
         start = self._pin_start[i]
         end = start + self._pin_count[i]
-        return (self._cgeom[i], self._lox[start:end], self._loy[start:end])
+        return (
+            self._cgeom[i],
+            self._lox[start:end],
+            self._loy[start:end],
+            self._stab[i],
+        )
 
     def _restore_variant(self, i, saved) -> None:
         start = self._pin_start[i]
         end = start + self._pin_count[i]
-        self._cgeom[i], self._lox[start:end], self._loy[start:end] = saved
+        (
+            self._cgeom[i],
+            self._lox[start:end],
+            self._loy[start:end],
+            self._stab[i],
+        ) = saved
 
     def _commit_pins(self, i) -> None:
         """Translate cell i's pins: center + current-variant offset."""
@@ -631,9 +749,45 @@ class ArrayPlacementState(PlacementState):
             lpx[p] = cx + lox[p]
             lpy[p] = cy + loy[p]
 
+    def _move_counts(self, i, size, old, new) -> None:
+        """Move a group of ``size`` pins from sites ``old`` to ``new``
+        (each a (side, start) pair) in cell i's site counts."""
+        occ = self._socc[i]
+        shared = self._sshared[i]
+        nsites = len(occ) // 4
+        old_side, old_start = old
+        new_side, new_start = new
+        old_base = _SIDE_SLOT[old_side] * nsites
+        new_base = _SIDE_SLOT[new_side] * nsites
+        for k in range(size):
+            s = old_base + (old_start + k) % nsites
+            c = occ[s] - 1
+            occ[s] = c
+            if c == 1:
+                shared.discard(s)
+            s = new_base + (new_start + k) % nsites
+            c = occ[s] + 1
+            occ[s] = c
+            if c == 2:
+                shared.add(s)
+
     def _commit_c3(self, i) -> None:
+        """Cell i's C3 from its site counts.  ``_cell_c3`` returns 0.0
+        exactly when no site holds more pins than its side's capacity
+        (only a shared site can), so that case needs no recount; any
+        other case is ``_cell_c3`` itself, its terms in its order."""
         if self._has_groups[i]:
-            new_c3 = self._cell_c3(i)
+            new_c3 = 0.0
+            shared = self._sshared[i]
+            if shared:
+                occ = self._socc[i]
+                table = self._stab[i]
+                caps = table.caps
+                nsites = table.nsites
+                for s in shared:
+                    if occ[s] > caps[s // nsites]:
+                        new_c3 = self._cell_c3(i)
+                        break
             self._c3_total += new_c3 - self._c3[i]
             self._c3[i] = new_c3
 
@@ -813,10 +967,12 @@ class ArrayPlacementState(PlacementState):
     def move_pin_group(
         self, idx: int, group_key: str, side: str, start: int
     ) -> Tuple[float, ArraySnapshot]:
-        """Rewrite only the group's pin slots (offsets from the shared
-        site formula) and re-span only the nets those pins touch."""
+        """Move only the group: its site counts, its pin slots (offsets
+        from the cell's site table) and the spans of the nets its pins
+        touch."""
         rec = self.records[idx]
         slots, net_ids = self._gpins[idx][group_key]
+        old_site = rec.pin_sites[group_key]
         lpx = self._lpx
         lpy = self._lpy
         lox = self._lox
@@ -836,22 +992,22 @@ class ArrayPlacementState(PlacementState):
             None,
             None,
             self._c3[idx],
-            (group_key, rec.pin_sites[group_key]),
+            (group_key, old_site),
             self._c1,
             self._c2_raw,
             self._c3_total,
             None,
         )
         rec.pin_sites[group_key] = (side, start)
-        cell = self.cell(idx)
-        width, height = cell.dimensions(rec.aspect_ratio)
-        nsites = cell.sites_per_edge
-        orientation = rec.orientation
+        self._move_counts(idx, len(slots), old_site, (side, start))
+        table = self._stab[idx]
+        offsets = table.offsets
+        nsites = table.nsites
+        base = _SIDE_SLOT[side] * nsites
         cx, cy = rec.center
         for k, p in enumerate(slots):
-            ox, oy = _site_offset(
-                side, (start + k) % nsites, nsites, width, height, orientation
-            )
+            s = base + (start + k) % nsites
+            ox, oy = offsets[s] or table.offset(s)
             lox[p] = ox
             loy[p] = oy
             lpx[p] = cx + ox
@@ -911,7 +1067,9 @@ class ArrayPlacementState(PlacementState):
         if kind == 2:
             i = snap.cells
             key, site = snap.pin_site
-            self.records[i].pin_sites[key] = site
+            sites = self.records[i].pin_sites
+            self._move_counts(i, len(snap.pins), sites[key], site)
+            sites[key] = site
             lpx = self._lpx
             lpy = self._lpy
             lox = self._lox

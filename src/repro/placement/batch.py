@@ -160,8 +160,7 @@ class BatchKernel:
         # all frozen during a session, so these tables are static.
         local = []
         for i in range(n):
-            gkey, _ = state._variant_keys(i)
-            ox1, oy1, ox2, oy2, tiles = state._geom_flat(i, gkey)
+            ox1, oy1, ox2, oy2, tiles = state._cgeom[i]
             local.append(((ox1, oy1, ox2, oy2), tiles or ((ox1, oy1, ox2, oy2),)))
         tmax = max(len(t) for _, t in local)
         self.tmax = tmax

@@ -7,8 +7,9 @@ import pytest
 
 from repro import TimberWolfConfig, place_and_route
 from repro.baselines import RandomPlacer
-from repro.bench import load_circuit
+from repro.bench import CircuitSpec, generate_circuit, load_circuit
 from repro.channels import region_densities
+from repro.placement import PlacementState
 from repro.placement.legalize import raw_overlap
 
 SMOKE = TimberWolfConfig.smoke(seed=11)
@@ -234,6 +235,86 @@ class TestGoldenBatchedPlacement:
             placement_fingerprint(batched_p1_result),
             routing_fingerprint(batched_p1_result),
         ) == GOLDEN_BATCHED_P1_SHA256
+
+
+def flow_trace_fingerprint(result) -> str:
+    """sha256 over every temperature step's (attempts, accepts,
+    cost_after) of stage 1 and of each refine pass, every final cell
+    record (center, orientation, instance, aspect ratio, pin sites) and
+    the history-exact C1/C2/C3 accumulators."""
+    h = hashlib.sha256()
+
+    def put(*items):
+        h.update(repr(items).encode())
+
+    anneals = [result.stage1.anneal] + [p.anneal for p in result.refinement.passes]
+    for anneal in anneals:
+        put(len(anneal.steps))
+        for step in anneal.steps:
+            put(step.attempts, step.accepts, step.cost_after)
+    state = result.state
+    for name, rec in zip(state.names, state.records):
+        put(
+            name,
+            rec.center,
+            rec.orientation,
+            rec.instance,
+            rec.aspect_ratio,
+            sorted(rec.pin_sites.items()),
+        )
+    put(state._c1, state._c2_raw, state._c3_total)
+    return h.hexdigest()
+
+
+#: An 8-cell synthetic circuit (2 custom cells) through the serial mover
+#: with flowbench's flow settings.  Unlike the suite circuits above, its
+#: stage-1 cascade reaches a positive C3 (Eqn 11): a pin-group move that
+#: overfills a site, so the C3 bookkeeping is pinned on both of its
+#: branches.
+PINNED_C3_SPEC = CircuitSpec(
+    name="pinned_c3", num_cells=8, num_nets=16, num_pins=40, seed=11,
+    custom_fraction=0.25,
+)
+PINNED_C3_CONFIG = replace(
+    TimberWolfConfig.smoke(11), core="array", mover="serial", attempts_per_cell=10
+)
+#: ``flow_trace_fingerprint`` of that flow, captured before the array
+#: core counted pin sites per cell: speed work on custom-cell moves must
+#: leave every step of it unchanged.
+GOLDEN_C3_FLOW_SHA256 = (
+    "6b5a863bb50c53521465469fa531618000bd0605f4cd9856464d4f3ebd687156"
+)
+
+
+@pytest.fixture(scope="module")
+def pinned_c3_run():
+    """The pinned flow, and how many custom-cell C3 evaluations of
+    ``PlacementState._cell_c3`` were positive in it."""
+    positive = []
+    reference = PlacementState._cell_c3
+
+    def counted(state, idx):
+        value = reference(state, idx)
+        if value > 0.0:
+            positive.append(idx)
+        return value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PlacementState, "_cell_c3", counted)
+        result = place_and_route(
+            generate_circuit(PINNED_C3_SPEC), PINNED_C3_CONFIG
+        )
+    return result, len(positive)
+
+
+class TestPinnedFlowTrace:
+    def test_flow_reaches_positive_c3(self, pinned_c3_run):
+        _, positive = pinned_c3_run
+        assert positive > 0
+
+    def test_flow_trace_fingerprint(self, pinned_c3_run):
+        result, _ = pinned_c3_run
+        assert flow_trace_fingerprint(result) == GOLDEN_C3_FLOW_SHA256
 
 
 class TestMediumCircuit:

@@ -13,9 +13,11 @@ either core.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.annealing import RangeLimiter
-from repro.bench import CircuitSpec, generate_circuit
+from repro.bench import CircuitSpec, crowded_circuit, generate_circuit
 from repro.estimator import determine_core
 from repro.geometry import BOTTOM, LEFT, RIGHT, TOP
 from repro.netlist import CustomCell, MacroCell
@@ -26,6 +28,7 @@ from repro.placement import (
     PlacementState,
     make_placement_state,
 )
+from repro.placement.arraycore import _SIDE_SLOT
 
 from ..conftest import make_mixed_circuit
 from .test_state_properties import mixed_move_sequence
@@ -222,6 +225,50 @@ class TestReplayIdentity:
             if kind not in ("displace", "pin_group")
         )
 
+    def test_500_move_crowded_walk_identical(self):
+        """The benchmark's crowded walk: the mixed anneal over a
+        ``crowded_circuit`` (two sites per edge, site capacities 1 and 2)
+        at kappa 2.37.  C3 is positive along it, so the penalty's
+        positive branch is compared too: per-step attempts, accepts,
+        cost and C3, the move stats, the state_dict and every pin
+        position replay bit-identically."""
+        spec = CircuitSpec(
+            name="crowded50", num_cells=50, num_nets=100, num_pins=300,
+            custom_fraction=0.5,
+        )
+        runs = {}
+        for core in ("object", "array"):
+            circuit = crowded_circuit(spec)
+            state = make_placement_state(
+                core, circuit, determine_core(circuit), kappa=2.37
+            )
+            state.randomize(random.Random(0))
+            limiter = RangeLimiter(
+                full_span_x=state.core.width,
+                full_span_y=state.core.height,
+                t_infinity=500.0,
+            )
+            generator = MoveGenerator(state, limiter)
+            rng = random.Random(4)
+            trace = []
+            for _ in range(500):
+                attempts, accepts = generator.step(50.0, rng)
+                trace.append((attempts, accepts, state.cost(), state.c3()))
+            pins = [
+                state.pin_position(name, pin)
+                for name in state.names
+                for pin in circuit.cells[name].pins
+            ]
+            runs[core] = (trace, generator.stats, state.state_dict(), pins)
+        obj, arr = runs["object"], runs["array"]
+        assert arr[0] == obj[0]
+        assert arr[1] == obj[1]
+        assert arr[2] == obj[2]
+        assert arr[3] == obj[3]
+        assert any(c3 > 0.0 for _, _, _, c3 in arr[0])
+        for kind in ("pin_group", "aspect", "orientation"):
+            assert arr[1][kind][0] > 0, kind
+
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
     def test_accumulators_match_rebuild(self, spec):
         """After a long array-core walk the incremental accumulators
@@ -234,6 +281,155 @@ class TestReplayIdentity:
         assert arr._c1 == pytest.approx(c1, rel=1e-9, abs=1e-6)
         assert arr._c2_raw == pytest.approx(c2, rel=1e-9, abs=1e-6)
         assert arr._c3_total == pytest.approx(c3, rel=1e-9, abs=1e-6)
+
+
+#: The site-count property walks' circuit: 8 cells, 4 of them custom with
+#: scarce pin sites.
+SITES_CIRCUIT = crowded_circuit(
+    CircuitSpec(name="sites", num_cells=8, num_nets=16, num_pins=48, seed=5,
+                custom_fraction=0.5)
+)
+
+#: One walk step: (kind, seed of its parameters, restore it?).  Kinds 0-6
+#: are moves; 7 rebuilds, 8 round-trips the state_dict, 9 hands new
+#: centers over with ``adopt_centers``.
+WALK_STEP = st.tuples(st.integers(0, 9), st.integers(0, 2**32 - 1), st.booleans())
+
+
+def _walk_move(state, kind, rng):
+    """Apply move ``kind`` with parameters from ``rng``; its snapshot."""
+    n = len(state.names)
+    customs = [i for i in range(n) if state._has_groups[i]]
+    i = rng.randrange(n)
+    if kind == 0:
+        i = rng.choice(customs)
+        key, _ = rng.choice(state._groups[i])
+        cell = state.cell(i)
+        side = (LEFT, RIGHT, BOTTOM, TOP)[rng.randrange(4)]
+        return state.move_pin_group(i, key, side, rng.randrange(cell.sites_per_edge))
+    if kind == 1:
+        return state.move_cell_inverted(i, state.records[i].center)
+    if kind == 2:
+        return state.move_cell(i, orientation=rng.randrange(8))
+    if kind == 3:
+        i = rng.choice(customs)
+        spec = state.cell(i).aspect
+        return state.move_cell(i, aspect_ratio=rng.uniform(spec.lo, spec.hi))
+    j = (i + 1 + rng.randrange(n - 1)) % n
+    if kind == 4:
+        return state.swap_cells(i, j)
+    if kind == 5:
+        return state.swap_cells_inverted(i, j)
+    target = (rng.uniform(-40.0, 40.0), rng.uniform(-40.0, 40.0))
+    return state.move_cell(i, center=target)
+
+
+def assert_sites_canonical(state):
+    """Each custom cell's C3, site counts, shared sites, site table and
+    pin mirrors equal what the object core's reference code gives."""
+    for i in range(len(state.names)):
+        if state._is_macro[i]:
+            continue
+        rec = state.records[i]
+        cell = state.cell(i)
+        nsites = cell.sites_per_edge
+        assert state._c3[i] == PlacementState._cell_c3(state, i)
+        counts = [0] * (4 * nsites)
+        for key, members in state._groups[i]:
+            side, start = rec.pin_sites[key]
+            for k in range(len(members)):
+                counts[_SIDE_SLOT[side] * nsites + (start + k) % nsites] += 1
+        assert state._socc[i] == counts
+        assert state._sshared[i] == {s for s, c in enumerate(counts) if c > 1}
+        table = state._stab[i]
+        assert table.key == (rec.aspect_ratio, rec.orientation)
+        shape = state._oriented_shape(i).bbox
+        assert state._cgeom[i] == (shape.x1, shape.y1, shape.x2, shape.y2, None)
+        positions = state._pin_positions(i)
+        offsets = state._pin_offset_cache[i][
+            (rec.aspect_ratio, rec.orientation, tuple(rec.pin_sites.values()))
+        ]
+        start = state._pin_start[i]
+        for k, name in enumerate(state._pin_names[i]):
+            p = start + k
+            assert (state._lox[p], state._loy[p]) == offsets[name]
+            assert (state._lpx[p], state._lpy[p]) == positions[name]
+
+
+def _sites_state():
+    state = make_placement_state(
+        "array", SITES_CIRCUIT, determine_core(SITES_CIRCUIT), kappa=2.37
+    )
+    state.randomize(random.Random(1))
+    assert_sites_canonical(state)
+    return state
+
+
+def _checked_step(state, kind, rng, undo):
+    """One walk step, then ``assert_sites_canonical``.  A move may call
+    ``_cell_c3`` only as the over-capacity fallback: when a site holds
+    more pins than its side's capacity, so the penalty is positive."""
+    if kind == 7:
+        state.rebuild()
+    elif kind == 8:
+        state.load_state_dict(state.state_dict())
+    elif kind == 9:
+        for rec in state.records:
+            x, y = rec.center
+            rec.center = (x + rng.uniform(-5.0, 5.0), y)
+        state.adopt_centers()
+        assert_sites_canonical(state)
+        state.rebuild()
+    else:
+        fallbacks = []
+
+        def fallback(i):
+            fallbacks.append(PlacementState._cell_c3(state, i))
+            return fallbacks[-1]
+
+        state._cell_c3 = fallback
+        _, snap = _walk_move(state, kind, rng)
+        if undo:
+            state.restore(snap)
+        del state._cell_c3
+        assert all(value > 0.0 for value in fallbacks)
+    assert_sites_canonical(state)
+
+
+class TestSiteCounts:
+    """The array core's per-custom-cell site counts and site tables, and
+    the C3 it derives from them, over random walks of every move kind
+    that touches a custom cell, accepted or restored, and of the paths
+    that resynchronize the mirrors."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.lists(WALK_STEP, min_size=1, max_size=30))
+    def test_counts_tables_and_c3_track_every_step(self, steps):
+        state = _sites_state()
+        for kind, seed, undo in steps:
+            _checked_step(state, kind, random.Random(seed), undo)
+
+    def test_seeded_walk_reaches_both_capacities(self):
+        """A seeded 400-step walk of the same kinds passes the same
+        checks, and along it a shared site sits within a capacity of 2
+        (C3 stays 0.0, no recount) and a site overfills its capacity
+        (the fallback)."""
+        state = _sites_state()
+        rng = random.Random(3)
+        within = over = 0
+        for _ in range(400):
+            _checked_step(state, rng.randrange(10), rng, rng.random() < 0.5)
+            for i in range(len(state.names)):
+                if not state._has_groups[i]:
+                    continue
+                table = state._stab[i]
+                for s in state._sshared[i]:
+                    cap = table.caps[s // table.nsites]
+                    if state._socc[i][s] > cap:
+                        over += 1
+                    elif cap >= 2:
+                        within += 1
+        assert within > 0 and over > 0
 
 
 class TestBatchGenerator:
